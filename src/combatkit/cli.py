@@ -126,8 +126,41 @@ def _csv_json_paths(out: str | Path) -> tuple[Path, Path]:
     return base.with_suffix(".csv"), base.with_suffix(".json")
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Overlay config-file values onto parsed flags (file wins)."""
+def _command_parser(parser: argparse.ArgumentParser, args: argparse.Namespace):
+    """The (sub)parser that parsed ``args``, found by following the chosen commands."""
+    while True:
+        sub = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+        if sub is None:
+            return parser
+        parser = sub.choices[getattr(args, sub.dest)]
+
+
+def _config_value(action: argparse.Action, key: str, value, cfg_path) -> object:
+    """Convert a config value as the command line would convert the flag's text."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"{cfg_path}: setting {key!r} must be a string or a number")
+    text = value if isinstance(value, str) else json.dumps(value)
+    if action.type is not None:
+        try:
+            value = action.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            raise ConfigError(
+                f"{cfg_path}: setting {key!r}: invalid {action.type.__name__} value {text!r}"
+            ) from None
+    else:
+        value = text
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ConfigError(f"{cfg_path}: setting {key!r}: {value!r} is not one of {choices}")
+    return value
+
+
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Overlay config-file values onto parsed flags (file wins).
+
+    Each value goes through its flag's ``type`` and ``choices``, so a
+    config file accepts exactly what the command line would.
+    """
     cfg_path = getattr(args, "config", None)
     if not cfg_path:
         return
@@ -137,13 +170,14 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise ConfigError(f"{cfg_path}: not valid JSON: {exc.msg}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{cfg_path}: top level must be a JSON object")
+    actions = {a.dest: a for a in _command_parser(parser, args)._actions}
     for key, value in obj.items():
         dest = key.replace("-", "_")
         if dest == "in":
             dest = "in_path"
-        if dest in ("func", "config") or not hasattr(args, dest):
+        if dest in ("help", "config") or dest not in actions:
             raise ConfigError(f"{cfg_path}: unknown setting {key!r} for this subcommand")
-        setattr(args, dest, value)
+        setattr(args, dest, _config_value(actions[dest], key, value, cfg_path))
 
 
 # ------------------------------------------------------------------ track
@@ -661,7 +695,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         return args.func(args)
     except CombatkitError as exc:
         _fail({"error": type(exc).__name__, "message": str(exc)})

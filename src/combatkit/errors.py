@@ -69,6 +69,10 @@ class OrderingViolation(CombatkitError):
     """Timestamps or indices are out of order."""
 
 
+class UnencodableMeta(CombatkitError):
+    """A session meta entry cannot be written as one ``key=value`` line."""
+
+
 # ---------------------------------------------------------------- loss
 
 class DegenerateEmbedding(CombatkitError):

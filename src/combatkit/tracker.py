@@ -31,6 +31,7 @@ from .errors import (
     OrderingViolation,
     OrphanRelease,
     ParseError,
+    UnencodableMeta,
 )
 
 __all__ = [
@@ -261,9 +262,29 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
+def _breaks_line(text: str) -> bool:
+    """True if ``str.splitlines`` (the meta reader's split) would cut ``text``."""
+    return bool(text) and text.splitlines() != [text]
+
+
+def _check_meta(meta: dict[str, str]) -> None:
+    """Refuse entries that would not import back as the same ``key=value`` pair."""
+    for key, value in meta.items():
+        key, value = str(key), str(value)  # as the writer formats them
+        if "=" in key or _breaks_line(key):
+            raise UnencodableMeta(f"meta key {key!r} contains '=' or a line break")
+        if _breaks_line(value):
+            raise UnencodableMeta(f"meta value of {key!r} contains a line break")
+
+
 def export_session(session: TrackSession, path: str | Path) -> Path:
-    """Write the four-file session directory in canonical byte-stable form."""
+    """Write the four-file session directory in canonical byte-stable form.
+
+    Raises ``UnencodableMeta`` before writing anything when a meta key
+    contains ``=`` or a line break, or a value contains a line break.
+    """
     session.validate()
+    _check_meta(session.meta)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     epoch_ms = int(session.meta.get("epoch_ms", "0"))

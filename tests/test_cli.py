@@ -267,6 +267,49 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     assert "unknown setting 'bogus'" in payload["message"]
 
 
+def test_config_values_convert_like_flags(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": "7", "points": "2"}))
+    code, out, err = run(capsys, "loss", "check", "--dim", 4, "--out", tmp_path / "a",
+                         "--config", cfg)
+    assert code == 0 and err == ""
+    flags = run(capsys, "loss", "check", "--dim", 4, "--seed", 7, "--points", 2,
+                "--out", tmp_path / "b")
+    assert flags == (0, out, "")
+    stored = json.loads((tmp_path / "a.json").read_text())
+    assert stored["seed"] == 7 and [row["points"] for row in stored["rows"]] == [2, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "setting, reason",
+    [
+        ({"seed": "seven"}, "invalid int value 'seven'"),
+        ({"points": 2.5}, "invalid int value '2.5'"),
+        ({"points": True}, "must be a string or a number"),
+        ({"step": [1e-5]}, "must be a string or a number"),
+    ],
+)
+def test_config_value_type_mismatch_rejected(capsys, tmp_path, setting, reason):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(setting))
+    code, out, err = run(capsys, "loss", "check", "--dim", 4, "--config", cfg)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert reason in payload["message"]
+
+
+def test_config_value_outside_choices_rejected(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "fast"}))
+    code, _, err = run(capsys, "decode", "run", "--in", BUNDLED, "--config", cfg)
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert "'fast' is not one of 'truncated', 'full'" in payload["message"]
+
+
 # ------------------------------------------------------------------ bench
 
 def test_bench_validate_fixture(capsys):

@@ -27,6 +27,7 @@ from combatkit.loss import (
     cosine_similarity,
     finite_diff_check,
     gradient_check_rows,
+    _pull_numeric_gradient,
     random_pair,
 )
 
@@ -234,6 +235,60 @@ def test_gradient_check_rows_contract():
         assert row["max_rel_error"] < 1e-4
         assert row["analytic_grad_norm"] > 0.0
         assert row["fd_grad_norm"] == pytest.approx(row["analytic_grad_norm"], rel=1e-3)
+
+
+def _contrastive_closure(dim, matched):
+    return lambda x: contrastive_term(EmbeddingPair(x[:dim], x[dim:]), matched)
+
+
+@pytest.mark.parametrize("dim", [2, 16, 64])
+def test_batched_pull_gradient_matches_scalar_reference(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(5):
+        pair = random_pair(rng, dim)
+        flat = np.concatenate([pair.v_eos, pair.a_eos])
+        batched = _pull_numeric_gradient(flat, dim, 1e-5)
+        scalar = central_difference_gradient(_contrastive_closure(dim, True), flat, 1e-5)
+        assert np.linalg.norm(batched - scalar) <= 1e-9 * np.linalg.norm(scalar)
+
+
+def test_push_gradient_is_exactly_the_negated_pull():
+    rng = np.random.default_rng(3)
+    for dim in (2, 16, 64):
+        pair = random_pair(rng, dim)
+        flat = np.concatenate([pair.v_eos, pair.a_eos])
+        pull = central_difference_gradient(_contrastive_closure(dim, True), flat)
+        push = central_difference_gradient(_contrastive_closure(dim, False), flat)
+        assert np.array_equal(push, -pull)
+    pull_row, push_row, _ = gradient_check_rows(seed=5, points=3, dim=16)
+    for key in ("analytic_grad_norm", "fd_grad_norm", "max_rel_error"):
+        assert push_row[key] == pull_row[key]
+
+
+def test_gradient_check_rows_report_plain_floats():
+    for row in gradient_check_rows(seed=1, points=3, dim=8):
+        for key in ("step", "analytic_grad_norm", "fd_grad_norm", "max_rel_error"):
+            assert type(row[key]) is float, (key, type(row[key]))
+
+
+def test_alignment_check_steps_relative_to_probability():
+    # p(c*) is small at this point: a fixed step of 1e-5 gave 2.1e-4 here
+    rows = gradient_check_rows(seed=2000273, points=1, dim=64)
+    assert rows[2]["component"] == "alignment"
+    assert rows[2]["step"] == 1e-5
+    assert rows[2]["analytic_grad_norm"] > 1000.0
+    assert rows[2]["max_rel_error"] < 1e-4
+
+
+def test_gradient_check_rows_rejects_step_out_of_range():
+    with pytest.raises(ValueError):
+        gradient_check_rows(points=1, dim=4, h=1e-2)
+
+
+def test_finite_diff_check_rejects_non_finite_gradient():
+    point = np.array([1.0, 2.0])
+    with pytest.raises(NumericFailure):
+        finite_diff_check(lambda x: float(np.sum(x * x)), lambda x: x * np.inf, point)
 
 
 def test_composite_loss_rejects_non_finite():

@@ -1,6 +1,7 @@
 """Input tracking: coalescing, frame alignment, gating, session files."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from combatkit.errors import (
     OrderingViolation,
     OrphanRelease,
     ParseError,
+    UnencodableMeta,
 )
 from combatkit.tracker import (
     AlignedSample,
@@ -240,6 +242,28 @@ def test_import_rejects_malformed_meta(tmp_path):
     with pytest.raises(ParseError) as err:
         import_session(out)
     assert "key=value" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        {"note": "a\nb=c"},
+        {"note": "a\u2028b"},
+        {"note": "a\rb"},
+        {"a=b": "c"},
+        {"line\x85sep": "v"},
+    ],
+)
+def test_export_rejects_meta_that_cannot_round_trip(tmp_path, meta):
+    session = replace(_sample_session(), meta=meta)
+    with pytest.raises(UnencodableMeta):
+        export_session(session, tmp_path / "sess")
+    assert not (tmp_path / "sess").exists()
+
+
+def test_export_keeps_equals_signs_in_meta_values(tmp_path):
+    session = replace(_sample_session(), meta={"query": "k=v&x=y", "empty": ""})
+    assert import_session(export_session(session, tmp_path / "sess")).meta == session.meta
 
 
 def test_aligned_sample_fields():
