@@ -13,11 +13,14 @@ Action text is a tiny total grammar::
 
 ``parse_action_text`` and ``render_action`` are exact inverses over valid
 values, with durations kept in integer milliseconds so round trips cannot
-drift.
+drift. Both parsers are memoized: their results are immutable, and a
+corpus repeats a few dozen distinct clauses thousands of times. Errors
+are not cached, so malformed text raises afresh on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -186,7 +189,9 @@ class ActionSet:
         return frozenset(ev.category for ev in self.events)
 
     def in_priority_order(self) -> "ActionSet":
-        return ActionSet(tuple(sorted(self.events, key=lambda e: e.category.priority_rank)))
+        """This set sorted by priority rank; ``self`` when already sorted."""
+        ordered = tuple(sorted(self.events, key=lambda e: e.category.priority_rank))
+        return self if ordered == self.events else ActionSet(ordered)
 
     def key(self) -> frozenset[tuple[str, str, int | None]]:
         """Order-insensitive identity, for cross-pipeline comparisons."""
@@ -301,6 +306,11 @@ def _strip_brackets(text: str) -> str:
     return t
 
 
+# Bound on each parser's memo; far above the distinct clauses of a corpus.
+_PARSE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_action_events(text: str) -> tuple[ActionEvent, ...]:
     """Parse an action clause into events, allowing repeated categories.
 
@@ -314,6 +324,7 @@ def parse_action_events(text: str) -> tuple[ActionEvent, ...]:
     return tuple(_parse_clause(c) for c in t.split(","))
 
 
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_action_text(text: str) -> ActionSet:
     """Parse one decision cycle's action clause into an ActionSet."""
     return ActionSet(parse_action_events(text))

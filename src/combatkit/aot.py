@@ -35,7 +35,7 @@ from .actions import (
     render_action,
     render_explanation,
 )
-from .errors import EmptyDatasetWarning, ParseError
+from .errors import CombatkitError, EmptyDatasetWarning, ParseError
 from .tracker import (
     AlignedSample,
     AlignmentResult,
@@ -380,7 +380,7 @@ def read_records(path: str | Path) -> list[AoTRecord]:
                 raise ParseError(str(p), lineno, f"bad JSON: {exc.msg}") from None
             try:
                 records.append(AoTRecord.from_json_dict(obj))
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError, CombatkitError) as exc:
                 raise ParseError(str(p), lineno, f"bad record: {exc}") from None
     return records
 

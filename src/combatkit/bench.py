@@ -202,31 +202,39 @@ def _check_item(obj: dict, line: int) -> BenchItem | ValidationError:
     return BenchItem.from_json_dict(obj)
 
 
+def _checked_rows(
+    source: str | Path | Sequence[dict] | Sequence[BenchItem],
+) -> list[BenchItem | ValidationError]:
+    """Each row of a file or sequence, checked: its item or its violation.
+
+    A file line that is not JSON raises ``ParseError`` at once.
+    """
+    if not isinstance(source, (str, Path)):
+        return [
+            _check_item(entry.to_json_dict() if isinstance(entry, BenchItem) else entry, lineno)
+            for lineno, entry in enumerate(source, start=1)
+        ]
+    path = Path(source)
+    rows: list[BenchItem | ValidationError] = []
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(str(path), lineno, f"bad JSON: {exc.msg}") from None
+            rows.append(_check_item(obj, lineno))
+    return rows
+
+
 def validate_dataset(source: str | Path | Sequence[dict] | Sequence[BenchItem]) -> ValidationReport:
     """Check schema line by line; always returns counts for the clean rows."""
-    rows: list[tuple[int, dict]] = []
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(str(path), lineno, f"bad JSON: {exc.msg}") from None
-                rows.append((lineno, obj))
-    else:
-        for lineno, entry in enumerate(source, start=1):
-            obj = entry.to_json_dict() if isinstance(entry, BenchItem) else entry
-            rows.append((lineno, obj))
-
     counts = {c.value: 0 for c in Category}
     subtask_counts: dict[str, int] = {}
     violations: list[ValidationError] = []
     total = 0
-    for lineno, obj in rows:
-        checked = _check_item(obj, lineno)
+    for checked in _checked_rows(source):
         if isinstance(checked, ValidationError):
             violations.append(checked)
             continue
@@ -514,15 +522,12 @@ def write_items(items: Iterable[BenchItem], path: str | Path) -> Path:
 
 
 def read_items(path: str | Path) -> list[BenchItem]:
-    report = validate_dataset(path)
-    if not report.ok:
-        raise report.violations[0]
-    items: list[BenchItem] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                items.append(BenchItem.from_json_dict(json.loads(line)))
-    return items
+    """Load a benchmark file; raises its first violation, if any."""
+    rows = _checked_rows(path)
+    for checked in rows:
+        if isinstance(checked, ValidationError):
+            raise checked
+    return rows
 
 
 def write_predictions(predictions: Mapping[str, str], path: str | Path) -> Path:

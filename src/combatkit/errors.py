@@ -124,7 +124,7 @@ class InsufficientHistory(CombatkitError):
 # ------------------------------------------------------------------- cli
 
 class ConfigError(CombatkitError):
-    """The config file is malformed or names an unknown setting."""
+    """A config file or setting is malformed, out of range, or unknown."""
 
 
 # ---------------------------------------------------------------- bench

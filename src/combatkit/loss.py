@@ -30,7 +30,7 @@ from .actions import (
     default_schedule,
     priority_match,
 )
-from .errors import ClampedProbability, DegenerateEmbedding, NumericFailure
+from .errors import ClampedProbability, ConfigError, DegenerateEmbedding, NumericFailure
 
 __all__ = [
     "PROB_CLAMP",
@@ -301,8 +301,11 @@ def gradient_check_rows(
     ``p``: coordinate ``i`` steps by ``h * p[i]``, because ``-log p``
     bends so sharply at small ``p`` that a fixed step's truncation error
     (about ``h**2 / (3 * p**2)``) passes 1e-4. Rows report ``step = h``.
+    ``points`` below 1 is a ``ConfigError``: such a sweep checks nothing.
     """
     _check_step(h)
+    if points < 1:
+        raise ConfigError(f"gradient check needs at least 1 point, got {points!r}")
     rng = np.random.default_rng(seed)
     names = ("contrastive_pull", "contrastive_push", "alignment")
     worst = dict.fromkeys(names, 0.0)

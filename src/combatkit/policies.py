@@ -38,9 +38,13 @@ _REQUIRED_FEATURES = (
 )
 
 
+_MISSING = object()
+
+
 def _feature(obs: Any, name: str) -> Any:
-    if hasattr(obs, name):
-        return getattr(obs, name)
+    value = getattr(obs, name, _MISSING)
+    if value is not _MISSING:
+        return value
     try:
         return obs[name]
     except (TypeError, KeyError):
@@ -78,6 +82,22 @@ def _telegraph_remaining(telegraph: Any) -> int:
     return int(telegraph["remaining_ms"])
 
 
+# The scripted rule table's answers, built once: action sets are immutable.
+_HEAL_BACK_OFF = ActionSet.of(
+    ActionEvent.tap(ActionCategory.HEAL), ActionEvent.hold(ActionCategory.MOVE_BACK, 1.0)
+)
+_DODGE = ActionSet.of(ActionEvent.tap(ActionCategory.DODGE))
+_COMBO = ActionSet.of(
+    ActionEvent.tap(ActionCategory.IMMOBILIZE), ActionEvent.tap(ActionCategory.LIGHT_ATTACK)
+)
+_LIGHT = ActionSet.of(ActionEvent.tap(ActionCategory.LIGHT_ATTACK))
+_STEP_IN = ActionSet.of(ActionEvent.hold(ActionCategory.MOVE_FWD, 0.25))
+_SPRINT_IN = ActionSet.of(
+    ActionEvent.hold(ActionCategory.MOVE_FWD, 0.4), ActionEvent.hold(ActionCategory.SPRINT, 0.4)
+)
+_HEAVY = ActionSet.of(ActionEvent.hold(ActionCategory.HEAVY_ATTACK, 1.0))
+
+
 class ScriptedPolicy(Policy):
     """Deterministic rule table over the most recent frame.
 
@@ -105,48 +125,36 @@ class ScriptedPolicy(Policy):
         self.dodge_window_ms = dodge_window_ms
 
     def decide(self, obs: Any) -> ActionSet:
-        for name in _REQUIRED_FEATURES:
-            _feature(obs, name)
-        if _feature(obs, "player_hp") < self.low_hp and _feature(obs, "heal_charges") > 0:
-            return ActionSet.of(
-                ActionEvent.tap(ActionCategory.HEAL),
-                ActionEvent.hold(ActionCategory.MOVE_BACK, 1.0),
-            )
-        remaining = _telegraph_remaining(_feature(obs, "enemy_telegraph"))
+        # every feature is required, even those the firing rule ignores
+        (
+            player_hp, _, player_pos, enemy_pos, telegraph,
+            heal_charges, immobilize_ready, stunned_ms,
+        ) = [_feature(obs, name) for name in _REQUIRED_FEATURES]
+        if player_hp < self.low_hp and heal_charges > 0:
+            return _HEAL_BACK_OFF
+        remaining = _telegraph_remaining(telegraph)
         if 0 <= remaining <= self.dodge_window_ms:
-            return ActionSet.of(ActionEvent.tap(ActionCategory.DODGE))
-        px, py = _feature(obs, "player_pos")
-        ex, ey = _feature(obs, "enemy_pos")
+            return _DODGE
+        px, py = player_pos
+        ex, ey = enemy_pos
         distance = math.hypot(ex - px, ey - py)
         in_range = distance <= self.attack_range
-        if (
-            _feature(obs, "immobilize_ready")
-            and _feature(obs, "enemy_stunned_ms") <= 0
-            and in_range
-        ):
-            return ActionSet.of(
-                ActionEvent.tap(ActionCategory.IMMOBILIZE),
-                ActionEvent.tap(ActionCategory.LIGHT_ATTACK),
-            )
+        if immobilize_ready and stunned_ms <= 0 and in_range:
+            return _COMBO
         if remaining > self.dodge_window_ms:
             # strike still winding up: stay on short actions so the next
             # decision lands inside the dodge window
-            if in_range:
-                return ActionSet.of(ActionEvent.tap(ActionCategory.LIGHT_ATTACK))
-            return ActionSet.of(ActionEvent.hold(ActionCategory.MOVE_FWD, 0.25))
+            return _LIGHT if in_range else _STEP_IN
         # approach commitments stay short: a telegraph may have started
         # just after the sampled frame, and the strike must not land
         # before the next decision can react
         if distance > self.sprint_range:
-            return ActionSet.of(
-                ActionEvent.hold(ActionCategory.MOVE_FWD, 0.4),
-                ActionEvent.hold(ActionCategory.SPRINT, 0.4),
-            )
+            return _SPRINT_IN
         if not in_range:
-            return ActionSet.of(ActionEvent.hold(ActionCategory.MOVE_FWD, 0.25))
-        if _feature(obs, "enemy_stunned_ms") > 0:
-            return ActionSet.of(ActionEvent.hold(ActionCategory.HEAVY_ATTACK, 1.0))
-        return ActionSet.of(ActionEvent.tap(ActionCategory.LIGHT_ATTACK))
+            return _STEP_IN
+        if stunned_ms > 0:
+            return _HEAVY
+        return _LIGHT
 
     def _tokens(self, frames: Sequence[Any]) -> list[str]:
         actions = self.decide(frames[-1])

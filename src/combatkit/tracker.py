@@ -355,6 +355,14 @@ def _require(obj: dict, key: str, path: Path, lineno: int) -> Any:
     return obj[key]
 
 
+def _require_int(obj: dict, key: str, path: Path, lineno: int) -> int:
+    value = _require(obj, key, path, lineno)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(str(path), lineno, f"field {key!r} is not an integer: {value!r}") from None
+
+
 def import_session(path: str | Path) -> TrackSession:
     """Load a session directory. t_ms fields are authoritative; ISO strings
     are regenerated on export rather than trusted."""
@@ -376,8 +384,8 @@ def import_session(path: str | Path) -> TrackSession:
         for lineno, obj in _read_jsonl(fpath):
             frames.append(
                 FrameRecord(
-                    int(_require(obj, "index", fpath, lineno)),
-                    int(_require(obj, "t_ms", fpath, lineno)),
+                    _require_int(obj, "index", fpath, lineno),
+                    _require_int(obj, "t_ms", fpath, lineno),
                     obj.get("payload"),
                 )
             )
@@ -396,7 +404,7 @@ def import_session(path: str | Path) -> TrackSession:
                     str(_require(obj, "device", epath, lineno)),
                     str(_require(obj, "binding", epath, lineno)),
                     edge,
-                    int(_require(obj, "t_ms", epath, lineno)),
+                    _require_int(obj, "t_ms", epath, lineno),
                 )
             )
 
@@ -406,8 +414,8 @@ def import_session(path: str | Path) -> TrackSession:
         for lineno, obj in _read_jsonl(ipath):
             intervals.append(
                 (
-                    int(_require(obj, "start_ms", ipath, lineno)),
-                    int(_require(obj, "end_ms", ipath, lineno)),
+                    _require_int(obj, "start_ms", ipath, lineno),
+                    _require_int(obj, "end_ms", ipath, lineno),
                 )
             )
 

@@ -1,7 +1,9 @@
 """Action vocabulary, weights, matching, and the action-text grammar."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,14 @@ from combatkit.actions import (
     render_explanation,
     weight_schedule,
 )
+from combatkit.aot import (
+    StageConfig,
+    align_session,
+    build_frames_aot,
+    build_video_aot,
+    bundled_stage3_path,
+    to_truncated_form,
+)
 from combatkit.errors import (
     BadDuration,
     DuplicateAction,
@@ -34,6 +44,7 @@ from combatkit.errors import (
     MissingDuration,
     UnknownAction,
 )
+from combatkit.tracker import import_session
 
 # Frozen reference weights for the full ten-rank schedule, four decimals.
 REFERENCE_WEIGHTS_10 = [
@@ -311,3 +322,68 @@ def test_render_explanation_priority_ordered():
     move_pos = text.index("moves backward")
     assert heal_pos < move_pos
     assert render_explanation(ActionSet(())) == ""
+
+
+def _corpus_action_texts() -> list[str]:
+    """Every action clause of the bundled stage-3 file and the golden
+    session's stage-1/2/3 build (short windows: it holds only 8 frames)."""
+    texts = [
+        json.loads(line)["action_text"]
+        for line in bundled_stage3_path().read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    ]
+    golden = Path(__file__).parent / "data" / "golden_session"
+    cfg = StageConfig(n=4, k_frames=1)
+    aligned = align_session(import_session(golden), cfg)
+    stage2 = build_frames_aot(aligned, cfg).records
+    built = [*build_video_aot(aligned, cfg), *stage2, *(to_truncated_form(r) for r in stage2)]
+    texts.extend(r.action_text for r in built)
+    return texts
+
+
+def test_memoized_parse_equals_uncached_parse():
+    texts = _corpus_action_texts()
+    assert len(texts) == 84 + 2 + 2 * 2
+    for text in texts:
+        expected = parse_action_events.__wrapped__(text)
+        assert parse_action_events(text) == expected
+        assert parse_action_events(text) == expected
+        assert parse_action_text(text) == ActionSet(expected)
+        assert parse_action_text(text) == parse_action_text(text)
+
+
+def test_parse_caches_are_bounded():
+    assert parse_action_events.cache_info().maxsize is not None
+    assert parse_action_text.cache_info().maxsize is not None
+
+
+def test_parse_errors_are_not_cached():
+    cases = [
+        ("press banana", UnknownAction),
+        ("hold w", MissingDuration),
+        ("hold w for 0 seconds", BadDuration),
+        ("press space, press space", DuplicateAction),
+    ]
+    for text, error in cases:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as err:
+                parse_action_text(text)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    for _ in range(2):
+        with pytest.raises(UnknownAction, match="banana"):
+            parse_action_events("press banana")
+
+
+def test_in_priority_order_reorders_or_returns_self():
+    ordered = ActionSet.of(
+        ActionEvent.tap(ActionCategory.DODGE), ActionEvent.hold(ActionCategory.SPRINT, 0.5)
+    )
+    assert ordered.in_priority_order() is ordered
+    unordered = ActionSet.of(*reversed(ordered.events))
+    result = unordered.in_priority_order()
+    assert result is not unordered
+    assert result == ordered
+    empty = ActionSet(())
+    assert empty.in_priority_order() is empty

@@ -15,6 +15,7 @@ from combatkit.aot import (
     align_session,
     build_frames_aot,
     build_video_aot,
+    bundled_stage3_path,
     dataset_stats,
     load_bundled_stage3,
     read_records,
@@ -311,3 +312,18 @@ def test_bundled_stage3_dataset():
         head = r.serialized.split(TRUNC_TOKEN)[0].strip()
         assert parse_action_text(head).key() == r.action_set().key()
         assert r.serialized.endswith(EOS_TOKEN)
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [("action_text", "press banana", "unknown action binding"), ("stage", "x", "invalid literal")],
+)
+def test_read_records_reports_bad_field_with_line(tmp_path, field, value, reason):
+    lines = bundled_stage3_path().read_text(encoding="utf-8").splitlines()[:3]
+    bad = dict(json.loads(lines[1]), **{field: value})
+    p = tmp_path / "stage3.jsonl"
+    p.write_text("\n".join([lines[0], json.dumps(bad), lines[2]]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_records(p)
+    assert (err.value.path, err.value.line) == (str(p), 2)
+    assert reason in err.value.reason

@@ -1,5 +1,6 @@
 """Benchmark schema checks, answer normalization, scoring, and generation."""
 
+import json
 import random
 from pathlib import Path
 
@@ -292,3 +293,26 @@ def test_predictions_io_round_trip(tmp_path):
     with pytest.raises(ParseError) as err:
         read_predictions(p)
     assert "raw_answer" in str(err.value)
+
+
+def test_read_items_parses_each_line_once(monkeypatch):
+    import combatkit.bench as bench
+
+    lines = [line for line in ITEMS_PATH.read_text(encoding="utf-8").splitlines() if line.strip()]
+    expected = [BenchItem.from_json_dict(json.loads(line)) for line in lines]
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(bench.json, "loads", lambda s: calls.append(s) or loads(s))
+    assert read_items(ITEMS_PATH) == expected
+    assert len(calls) == len(lines)
+
+
+def test_read_items_raises_first_violation(tmp_path):
+    good = read_items(ITEMS_PATH)[0].to_json_dict()
+    rows = [good, dict(good, gold="Perhaps"), good, dict(good, frame_refs=[])]
+    p = tmp_path / "items.jsonl"
+    p.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        read_items(p)
+    assert (err.value.line, err.value.field) == (2, "gold")
+    assert [v.line for v in validate_dataset(p).violations] == [2, 4]

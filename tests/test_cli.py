@@ -453,3 +453,29 @@ def test_installed_console_script_serves_this_checkout():
     assert installed.stdout == source.stdout, (
         "the combatkit on PATH prints other help than this checkout; is it a stale install?"
     )
+
+
+@pytest.mark.parametrize("points", [0, -1])
+def test_loss_check_rejects_fewer_than_one_point(capsys, points):
+    code, out, err = run(capsys, "loss", "check", "--points", points, "--dim", 4)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert "at least 1 point" in payload["message"]
+
+
+@pytest.mark.parametrize("field, value", [("action_text", "press banana"), ("stage", "x")])
+def test_aot_stats_names_bad_record_line(capsys, tmp_path, field, value):
+    lines = BUNDLED.read_text(encoding="utf-8").splitlines()[:2]
+    bad = tmp_path / "stage3.jsonl"
+    bad.write_text(
+        lines[0] + "\n" + json.dumps(dict(json.loads(lines[1]), **{field: value})) + "\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "aot", "stats", "--in", bad)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ParseError"
+    assert payload["message"].startswith(f"{bad}:2: bad record:")

@@ -13,7 +13,12 @@ from combatkit.actions import (
     ActionSet,
     default_schedule,
 )
-from combatkit.errors import ClampedProbability, DegenerateEmbedding, NumericFailure
+from combatkit.errors import (
+    ClampedProbability,
+    ConfigError,
+    DegenerateEmbedding,
+    NumericFailure,
+)
 from combatkit.loss import (
     PROB_CLAMP,
     ActionPrediction,
@@ -296,3 +301,9 @@ def test_composite_loss_rejects_non_finite():
     pred = _pred(UNIFORM_10, ActionCategory.DODGE)
     with pytest.raises(NumericFailure):
         composite_loss(pair, pred, _label(ActionCategory.DODGE), l_lang=float("inf"))
+
+
+@pytest.mark.parametrize("points", [0, -1])
+def test_gradient_check_rows_rejects_fewer_than_one_point(points):
+    with pytest.raises(ConfigError, match="at least 1 point"):
+        gradient_check_rows(points=points, dim=4)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from combatkit.actions import ActionCategory, ActionMode, parse_action_text
+from combatkit.actions import ActionCategory, ActionEvent, ActionMode, ActionSet, parse_action_text
 from combatkit.aot import TRUNC_TOKEN, serialize_stage3
 from combatkit.decoding import DecodeMode, decode
 from combatkit.errors import ObservationSchemaError, ReplayExhausted
@@ -174,3 +174,46 @@ def test_serialized_action_clause_parses_back():
     actions = parse_action_text(head)
     # priority order in the clause: heal before the retreat hold
     assert [ev.category for ev in actions] == [ActionCategory.HEAL, ActionCategory.MOVE_BACK]
+
+
+def test_decide_checks_every_feature_before_any_rule():
+    p = ScriptedPolicy()
+    # the heal rule would fire, but a feature it does not read is missing
+    obs = _obs(player_hp=0.1, heal_charges=2)
+    del obs["enemy_stunned_ms"]
+    with pytest.raises(ObservationSchemaError, match="'enemy_stunned_ms'"):
+        p.decide(obs)
+    del obs["heal_charges"]
+    with pytest.raises(ObservationSchemaError, match="'heal_charges'"):
+        p.decide(obs)
+
+
+def test_decide_answers_each_rule_with_one_shared_set():
+    p = ScriptedPolicy()
+    tap, hold = ActionEvent.tap, ActionEvent.hold
+    cases = [
+        (
+            _obs(player_hp=0.1),
+            ActionSet.of(tap(ActionCategory.HEAL), hold(ActionCategory.MOVE_BACK, 1.0)),
+        ),
+        (_obs(enemy_telegraph={"remaining_ms": 100}), ActionSet.of(tap(ActionCategory.DODGE))),
+        (
+            _obs(immobilize_ready=True, enemy_pos=(2.0, 0.0)),
+            ActionSet.of(tap(ActionCategory.IMMOBILIZE), tap(ActionCategory.LIGHT_ATTACK)),
+        ),
+        (_obs(enemy_pos=(1.0, 0.0)), ActionSet.of(tap(ActionCategory.LIGHT_ATTACK))),
+        (_obs(enemy_pos=(5.0, 0.0)), ActionSet.of(hold(ActionCategory.MOVE_FWD, 0.25))),
+        (
+            _obs(enemy_pos=(10.0, 0.0)),
+            ActionSet.of(hold(ActionCategory.MOVE_FWD, 0.4), hold(ActionCategory.SPRINT, 0.4)),
+        ),
+        (
+            _obs(enemy_pos=(1.0, 0.0), enemy_stunned_ms=500),
+            ActionSet.of(hold(ActionCategory.HEAVY_ATTACK, 1.0)),
+        ),
+    ]
+    for obs, expected in cases:
+        first = p.decide(obs)
+        assert first == expected
+        assert first.in_priority_order() is first
+        assert p.decide(dict(obs)) is first

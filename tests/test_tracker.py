@@ -1,5 +1,6 @@
 """Input tracking: coalescing, frame alignment, gating, session files."""
 
+import json
 import random
 from dataclasses import replace
 
@@ -269,3 +270,25 @@ def test_export_keeps_equals_signs_in_meta_values(tmp_path):
 def test_aligned_sample_fields():
     s = AlignedSample(_tap_at(10).event, 10, 3)
     assert (s.action_t_ms, s.frame_index) == (10, 3)
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("frames.jsonl", "t_ms", "abc"),
+        ("frames.jsonl", "index", None),
+        ("events.jsonl", "t_ms", "12.5"),
+        ("intervals.jsonl", "start_ms", [0]),
+        ("intervals.jsonl", "end_ms", float("inf")),
+    ],
+)
+def test_import_reports_non_integer_field_with_file_and_line(tmp_path, name, key, value):
+    out = export_session(_sample_session(), tmp_path / "sess")
+    path = out / name
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[-1][key] = value
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ParseError) as err:
+        import_session(out)
+    assert (err.value.path, err.value.line) == (str(path), len(rows))
+    assert f"field {key!r} is not an integer" in err.value.reason
