@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import bisect
 import importlib.resources
-import json
 import random
 import warnings
 from dataclasses import dataclass, field, replace
@@ -36,6 +35,7 @@ from .actions import (
     render_explanation,
 )
 from .errors import CombatkitError, EmptyDatasetWarning, ParseError
+from .rows import read_jsonl, write_jsonl
 from .tracker import (
     AlignedSample,
     AlignmentResult,
@@ -359,29 +359,16 @@ def split_dataset(
 # --------------------------------------------------------------------- IO
 
 def write_records(records: Iterable[AoTRecord], path: str | Path) -> Path:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
-    return p
+    return write_jsonl(path, (record.to_json_dict() for record in records))
 
 
 def read_records(path: str | Path) -> list[AoTRecord]:
-    p = Path(path)
     records: list[AoTRecord] = []
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(p), lineno, f"bad JSON: {exc.msg}") from None
-            try:
-                records.append(AoTRecord.from_json_dict(obj))
-            except (KeyError, TypeError, ValueError, CombatkitError) as exc:
-                raise ParseError(str(p), lineno, f"bad record: {exc}") from None
+    for lineno, obj in read_jsonl(path):
+        try:
+            records.append(AoTRecord.from_json_dict(obj))
+        except (KeyError, TypeError, ValueError, CombatkitError) as exc:
+            raise ParseError(str(Path(path)), lineno, f"bad record: {exc}") from None
     return records
 
 

@@ -14,7 +14,6 @@ and stun flags, reasoning golds from the scripted policy's rule table.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -25,6 +24,7 @@ from .arena import ObservationFrame, PlayerStatus
 from .errors import GenerationShortfall, ParseError, UNPARSEABLE, ValidationError
 from .policies import ScriptedPolicy
 from .actions import ActionCategory
+from .rows import read_jsonl, write_jsonl
 from .runner import EpisodeTranscript
 
 __all__ = [
@@ -207,25 +207,14 @@ def _checked_rows(
 ) -> list[BenchItem | ValidationError]:
     """Each row of a file or sequence, checked: its item or its violation.
 
-    A file line that is not JSON raises ``ParseError`` at once.
+    A file line that is not a JSON object raises ``ParseError`` at once.
     """
     if not isinstance(source, (str, Path)):
         return [
             _check_item(entry.to_json_dict() if isinstance(entry, BenchItem) else entry, lineno)
             for lineno, entry in enumerate(source, start=1)
         ]
-    path = Path(source)
-    rows: list[BenchItem | ValidationError] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(path), lineno, f"bad JSON: {exc.msg}") from None
-            rows.append(_check_item(obj, lineno))
-    return rows
+    return [_check_item(obj, lineno) for lineno, obj in read_jsonl(source)]
 
 
 def validate_dataset(source: str | Path | Sequence[dict] | Sequence[BenchItem]) -> ValidationReport:
@@ -513,12 +502,7 @@ def generate_synthetic(
 # --------------------------------------------------------------------- IO
 
 def write_items(items: Iterable[BenchItem], path: str | Path) -> Path:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps(item.to_json_dict(), sort_keys=True) + "\n")
-    return p
+    return write_jsonl(path, (item.to_json_dict() for item in items))
 
 
 def read_items(path: str | Path) -> list[BenchItem]:
@@ -531,29 +515,15 @@ def read_items(path: str | Path) -> list[BenchItem]:
 
 
 def write_predictions(predictions: Mapping[str, str], path: str | Path) -> Path:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", encoding="utf-8") as fh:
-        for item_id in predictions:
-            fh.write(
-                json.dumps({"id": item_id, "raw_answer": predictions[item_id]}, sort_keys=True)
-                + "\n"
-            )
-    return p
+    return write_jsonl(
+        path, ({"id": item_id, "raw_answer": predictions[item_id]} for item_id in predictions)
+    )
 
 
 def read_predictions(path: str | Path) -> dict[str, str]:
-    p = Path(path)
     out: dict[str, str] = {}
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(p), lineno, f"bad JSON: {exc.msg}") from None
-            if "id" not in obj or "raw_answer" not in obj:
-                raise ParseError(str(p), lineno, "need id and raw_answer fields")
-            out[str(obj["id"])] = str(obj["raw_answer"])
+    for lineno, obj in read_jsonl(path):
+        if "id" not in obj or "raw_answer" not in obj:
+            raise ParseError(str(Path(path)), lineno, "need id and raw_answer fields")
+        out[str(obj["id"])] = str(obj["raw_answer"])
     return out

@@ -16,11 +16,8 @@ to stderr and exit 1; usage errors exit 2.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .actions import render_action, render_event
@@ -50,6 +47,7 @@ from .bench import (
 from .decoding import DecodeMode, TokenStream, decode, token_savings_report
 from .errors import CombatkitError, ConfigError
 from .loss import gradient_check_rows
+from .rows import csv_text, json_text, write_jsonl, write_report
 from .runner import (
     DEFAULT_PACE_TOKENS_PER_SECOND,
     REFERENCE_LATENCIES,
@@ -62,49 +60,11 @@ from .runner import (
 )
 from .tracker import export_session, import_session
 
-__all__ = ["RunConfig", "build_parser", "main"]
-
-
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Resolved settings shared by the pipeline commands."""
-
-    seed: int = 0
-    n: int = 20
-    m: int = 10
-    k_frames: int = 4
-    split: float = 0.95
-    mode: str = DecodeMode.TRUNCATED.value
-    pace_tokens_per_second: float = DEFAULT_PACE_TOKENS_PER_SECOND
-
-    def stage_config(self, **overrides) -> StageConfig:
-        kwargs = {
-            "n": self.n,
-            "m": self.m,
-            "k_frames": self.k_frames,
-            "split_fraction": self.split,
-            "seed": self.seed,
-        }
-        kwargs.update(overrides)
-        return StageConfig(**kwargs)
-
-    @property
-    def decode_mode(self) -> DecodeMode:
-        return DecodeMode(self.mode)
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    base = RunConfig()
-    kwargs = {}
-    for name in ("seed", "n", "m", "k_frames", "split", "mode", "pace_tokens_per_second"):
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
-    return replace(base, **kwargs) if kwargs else base
+__all__ = ["build_parser", "main"]
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    sys.stdout.write(json_text(obj))
 
 
 def _fail(payload: dict) -> None:
@@ -118,12 +78,12 @@ def _require_path(p: str | Path) -> Path:
     return path
 
 
-def _csv_json_paths(out: str | Path) -> tuple[Path, Path]:
+def _csv_path(out: str | Path) -> Path:
+    """``out`` as a report's CSV path; ``write_report`` puts the JSON beside it."""
     base = Path(out)
     if base.suffix in (".csv", ".json"):
         base = base.with_suffix("")
-    base.parent.mkdir(parents=True, exist_ok=True)
-    return base.with_suffix(".csv"), base.with_suffix(".json")
+    return base.with_suffix(".csv")
 
 
 def _command_parser(parser: argparse.ArgumentParser, args: argparse.Namespace):
@@ -197,18 +157,18 @@ def _cmd_track_import(args) -> int:
 
 def _cmd_track_align(args) -> int:
     session = import_session(_require_path(args.dir))
-    cfg = _run_config(args).stage_config(tap_threshold_ms=args.tap_threshold_ms)
-    aligned = align_session(session, cfg)
-    out = Path(args.out) if args.out else Path(args.dir) / "aligned.jsonl"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as fh:
-        for sample in aligned.alignment.samples:
-            row = {
+    aligned = align_session(session, StageConfig(tap_threshold_ms=args.tap_threshold_ms))
+    out = write_jsonl(
+        Path(args.out) if args.out else Path(args.dir) / "aligned.jsonl",
+        (
+            {
                 "t_ms": sample.action_t_ms,
                 "frame_index": sample.frame_index,
                 "action": render_event(sample.action),
             }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            for sample in aligned.alignment.samples
+        ),
+    )
     _print_json(
         {
             "out": str(out),
@@ -230,8 +190,12 @@ def _cmd_track_export(args) -> int:
 
 def _cmd_aot_build(args) -> int:
     session = import_session(_require_path(args.dir))
-    cfg = _run_config(args).stage_config(
-        tap_threshold_ms=args.tap_threshold_ms, merge_window_ms=args.merge_window_ms
+    cfg = StageConfig(
+        n=args.n,
+        m=args.m,
+        k_frames=args.k_frames,
+        tap_threshold_ms=args.tap_threshold_ms,
+        merge_window_ms=args.merge_window_ms,
     )
     aligned = align_session(session, cfg)
     skipped = 0
@@ -270,33 +234,23 @@ def _cmd_aot_stats(args) -> int:
 _LOSS_COLUMNS = ("component", "analytic_grad_norm", "fd_grad_norm", "max_rel_error")
 
 
-def _loss_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_LOSS_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
+def _cmd_loss_check(args) -> int:
+    rows = gradient_check_rows(seed=args.seed, points=args.points, dim=args.dim, h=args.step)
+    text = csv_text(
+        _LOSS_COLUMNS,
+        (
+            (
                 row["component"],
                 f"{row['analytic_grad_norm']:.6e}",
                 f"{row['fd_grad_norm']:.6e}",
                 f"{row['max_rel_error']:.3e}",
-            ]
-        )
-    return buf.getvalue()
-
-
-def _cmd_loss_check(args) -> int:
-    rows = gradient_check_rows(seed=args.seed, points=args.points, dim=args.dim, h=args.step)
-    text = _loss_csv(rows)
+            )
+            for row in rows
+        ),
+    )
     sys.stdout.write(text)
     if args.out:
-        csv_path, json_path = _csv_json_paths(args.out)
-        csv_path.write_text(text, encoding="utf-8")
-        json_path.write_text(
-            json.dumps({"seed": args.seed, "rows": rows}, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_report(_csv_path(args.out), text, {"seed": args.seed, "rows": rows})
     worst = max(row["max_rel_error"] for row in rows)
     if worst >= args.tolerance:
         _fail(
@@ -330,11 +284,7 @@ def _cmd_decode_run(args) -> int:
             }
         )
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        write_jsonl(args.out, rows)
     _print_json(
         {
             "records": len(rows),
@@ -352,22 +302,18 @@ def _cmd_decode_savings(args) -> int:
     payload = report.to_json_dict()
     payload["source"] = str(source)
     if args.out:
-        csv_path, json_path = _csv_json_paths(args.out)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["records", "mean_full_tokens", "mean_truncated_tokens", "ratio"])
-        writer.writerow(
+        text = csv_text(
+            ("records", "mean_full_tokens", "mean_truncated_tokens", "ratio"),
             [
-                report.records,
-                f"{report.mean_full_tokens:.4f}",
-                f"{report.mean_truncated_tokens:.4f}",
-                f"{report.ratio:.4f}",
-            ]
+                (
+                    report.records,
+                    f"{report.mean_full_tokens:.4f}",
+                    f"{report.mean_truncated_tokens:.4f}",
+                    f"{report.ratio:.4f}",
+                )
+            ],
         )
-        csv_path.write_text(buf.getvalue(), encoding="utf-8")
-        json_path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_report(_csv_path(args.out), text, payload)
     _print_json(payload)
     return 0
 
@@ -396,9 +342,7 @@ def _cmd_agent_run(args) -> int:
         written["mean_latency_ms"] = round(
             report.mean_emitted_tokens / args.pace_tokens_per_second * 1000.0, 3
         )
-        (out / "report.json").write_text(
-            json.dumps(written, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        (out / "report.json").write_text(json_text(written), encoding="utf-8")
     _print_json(shown)
     return 0
 
@@ -414,8 +358,7 @@ def _cmd_agent_suite(args) -> int:
         pace_tokens_per_second=args.pace_tokens_per_second,
     )
     if args.out:
-        csv_path, _ = _csv_json_paths(args.out)
-        write_suite_report(report, csv_path)
+        write_suite_report(report, _csv_path(args.out))
     sys.stdout.write(report.to_csv())
     return 0
 
@@ -460,23 +403,6 @@ def _cmd_bench_gen(args) -> int:
     return 0
 
 
-def _bench_csv(report) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["category", "correct", "total", "accuracy"])
-    for name in sorted(report.per_category_total):
-        writer.writerow(
-            [
-                name,
-                report.per_category_correct[name],
-                report.per_category_total[name],
-                f"{report.accuracies[name]:.2f}",
-            ]
-        )
-    writer.writerow(["macro_average", "", "", f"{report.macro_average:.2f}"])
-    return buf.getvalue()
-
-
 def _bench_table(report) -> str:
     lines = [f"{'category':<16}{'correct':>8}{'total':>7}{'accuracy':>10}"]
     for name in sorted(report.per_category_total):
@@ -494,12 +420,18 @@ def _cmd_bench_score(args) -> int:
     report = score(items, predictions)
     sys.stdout.write(_bench_table(report))
     if args.out:
-        csv_path, json_path = _csv_json_paths(args.out)
-        csv_path.write_text(_bench_csv(report), encoding="utf-8")
-        json_path.write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        rows = [
+            (
+                name,
+                report.per_category_correct[name],
+                report.per_category_total[name],
+                f"{report.accuracies[name]:.2f}",
+            )
+            for name in sorted(report.per_category_total)
+        ]
+        rows.append(("macro_average", "", "", f"{report.macro_average:.2f}"))
+        text = csv_text(("category", "correct", "total", "accuracy"), rows)
+        write_report(_csv_path(args.out), text, report.to_json_dict())
     return 0
 
 
@@ -524,36 +456,31 @@ def _cmd_report(args) -> int:
         "reference_latencies": list(REFERENCE_LATENCIES),
     }
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["section", "metric", "value"])
-    writer.writerow(["suite", "policy", suite.get("policy", "")])
-    writer.writerow(["suite", "seed", suite.get("seed", "")])
+    rows = [
+        ("suite", "policy", suite.get("policy", "")),
+        ("suite", "seed", suite.get("seed", "")),
+    ]
     for row in suite.get("rows", []):
-        writer.writerow(
-            ["suite", f"task_{row['task_id']}_success_rate", f"{row['success_rate']:.4f}"]
+        rows.append(
+            ("suite", f"task_{row['task_id']}_success_rate", f"{row['success_rate']:.4f}")
         )
-        writer.writerow(
-            ["suite", f"task_{row['task_id']}_mean_latency_ms", f"{row['mean_latency_ms']:.3f}"]
+        rows.append(
+            ("suite", f"task_{row['task_id']}_mean_latency_ms", f"{row['mean_latency_ms']:.3f}")
         )
     for key in ("records", "mean_full_tokens", "mean_truncated_tokens", "ratio"):
         if key in savings:
-            writer.writerow(["token_savings", key, savings[key]])
+            rows.append(("token_savings", key, savings[key]))
     if bench_part:
         for name, value in sorted(bench_part.get("accuracies", {}).items()):
-            writer.writerow(["benchmark", f"{name}_accuracy", value])
-        writer.writerow(["benchmark", "macro_average", bench_part.get("macro_average", "")])
+            rows.append(("benchmark", f"{name}_accuracy", value))
+        rows.append(("benchmark", "macro_average", bench_part.get("macro_average", "")))
     for ref in REFERENCE_LATENCIES:
-        writer.writerow(["reference", f"{ref['system']}_latency_s", ref["latency_s"]])
-        writer.writerow(["reference", f"{ref['system']}_model_calls", ref["model_calls"]])
-    text = buf.getvalue()
+        rows.append(("reference", f"{ref['system']}_latency_s", ref["latency_s"]))
+        rows.append(("reference", f"{ref['system']}_model_calls", ref["model_calls"]))
+    text = csv_text(("section", "metric", "value"), rows)
 
     if args.out:
-        csv_path, json_path = _csv_json_paths(args.out)
-        csv_path.write_text(text, encoding="utf-8")
-        json_path.write_text(
-            json.dumps(combined, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_report(_csv_path(args.out), text, combined)
     sys.stdout.write(text)
     return 0
 

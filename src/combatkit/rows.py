@@ -1,0 +1,70 @@
+"""The on-disk row formats every command reads and writes.
+
+A JSONL file holds one JSON object per line with sorted keys; readers
+skip blank lines and refuse a line that is not a JSON object with
+``ParseError(path, line)``. A report is a CSV table with ``\\n`` line
+ends plus a JSON sibling (same stem, ``.json``) indented by two with
+sorted keys, so reruns on the same inputs rewrite identical bytes.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+from pathlib import Path
+from typing import Any, Iterable, Iterator, Sequence
+
+from .errors import ParseError
+
+__all__ = ["read_jsonl", "write_jsonl", "json_text", "csv_text", "write_report"]
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of a JSONL file."""
+    p = Path(path)
+    with p.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(str(p), lineno, f"bad JSON: {exc.msg}") from None
+            if not isinstance(obj, dict):
+                raise ParseError(str(p), lineno, "expected a JSON object")
+            yield lineno, obj
+
+
+def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> Path:
+    """Write one key-sorted JSON object per line, creating parent directories."""
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    with p.open("w", encoding="utf-8") as fh:
+        for obj in dicts:
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    return p
+
+
+def json_text(obj: Any) -> str:
+    """The indented, key-sorted JSON form of reports and command summaries."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """A CSV table with a header row and ``\\n`` line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def write_report(csv_path: str | Path, text: str, payload: Any) -> tuple[Path, Path]:
+    """Write ``text`` to ``csv_path`` and ``payload`` to its ``.json`` sibling."""
+    csv_path = Path(csv_path)
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    csv_path.write_text(text, encoding="utf-8")
+    json_path = csv_path.with_suffix(".json")
+    json_path.write_text(json_text(payload), encoding="utf-8")
+    return csv_path, json_path

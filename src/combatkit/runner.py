@@ -15,9 +15,6 @@ reports only.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +36,7 @@ from .arena import (
 from .decoding import DecodeMode, decode
 from .errors import ActionParseError
 from .policies import Policy, RandomPolicy, ScriptedPolicy
+from .rows import csv_text, write_report
 from .tracker import Edge, SessionRecorder, TrackSession, export_session
 
 __all__ = [
@@ -138,7 +136,12 @@ def _busy_ms(cfg: ArenaConfig, actions: ActionSet) -> int:
 
 
 class _FrameClock:
-    """Records an observation every frame interval of sim time."""
+    """Records an observation every frame interval of sim time.
+
+    The episode loop advances the clock in ``tick_ms`` steps and
+    ``ArenaConfig`` requires ``tick_ms`` to divide ``frame_interval_ms``,
+    so each frame is rendered exactly at its scheduled boundary.
+    """
 
     def __init__(self, cfg: ArenaConfig, ring: FrameRing, sink: list[ObservationFrame]):
         self._interval = cfg.frame_interval_ms
@@ -149,20 +152,6 @@ class _FrameClock:
     def capture(self, state: ArenaState) -> None:
         while state.clock_ms >= self._next_at:
             frame = render_observation(state)
-            # stamp the frame at its scheduled boundary
-            if frame.t_ms != self._next_at:
-                frame = ObservationFrame(
-                    t_ms=self._next_at,
-                    player_hp=frame.player_hp,
-                    enemy_hp=frame.enemy_hp,
-                    player_pos=frame.player_pos,
-                    enemy_pos=frame.enemy_pos,
-                    enemy_telegraph=frame.enemy_telegraph,
-                    player_status=frame.player_status,
-                    heal_charges=frame.heal_charges,
-                    immobilize_ready=frame.immobilize_ready,
-                    enemy_stunned_ms=frame.enemy_stunned_ms,
-                )
             self._ring.record(frame)
             self._sink.append(frame)
             self._next_at += self._interval
@@ -328,23 +317,20 @@ class SuiteReport:
     rows: tuple[SuiteRow, ...]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["task_id", "mode", "repeats", "success_rate", "mean_latency_ms", "mean_cycles"]
-        )
-        for row in self.rows:
-            writer.writerow(
-                [
+        return csv_text(
+            ("task_id", "mode", "repeats", "success_rate", "mean_latency_ms", "mean_cycles"),
+            (
+                (
                     row.task_id,
                     row.mode,
                     row.repeats,
                     f"{row.success_rate:.4f}",
                     f"{row.mean_latency_ms:.3f}",
                     f"{row.mean_cycles:.2f}",
-                ]
-            )
-        return buf.getvalue()
+                )
+                for row in self.rows
+            ),
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -424,14 +410,7 @@ def run_suite(
 
 def write_suite_report(report: SuiteReport, out_csv: str | Path) -> tuple[Path, Path]:
     """Write the CSV and its JSON sibling next to each other."""
-    csv_path = Path(out_csv)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text(report.to_csv(), encoding="utf-8")
-    json_path = csv_path.with_suffix(".json")
-    json_path.write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return csv_path, json_path
+    return write_report(out_csv, report.to_csv(), report.to_json_dict())
 
 
 def collect_transcripts(

@@ -16,13 +16,12 @@ byte-identical.
 from __future__ import annotations
 
 import bisect
-import json
 import threading
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .actions import ActionEvent, ActionMode, binding_to_category
 from .errors import (
@@ -33,6 +32,7 @@ from .errors import (
     ParseError,
     UnencodableMeta,
 )
+from .rows import read_jsonl, write_jsonl
 
 __all__ = [
     "Edge",
@@ -258,10 +258,6 @@ def _iso(t_ms: int, epoch_ms: int) -> str:
     return dt.isoformat(timespec="milliseconds")
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
-
-
 def _breaks_line(text: str) -> bool:
     """True if ``str.splitlines`` (the meta reader's split) would cut ``text``."""
     return bool(text) and text.splitlines() != [text]
@@ -292,61 +288,44 @@ def export_session(session: TrackSession, path: str | Path) -> Path:
     meta_lines = [f"{k}={session.meta[k]}\n" for k in sorted(session.meta)]
     (root / _META_NAME).write_text("".join(meta_lines), encoding="utf-8")
 
-    with (root / _FRAMES_NAME).open("w", encoding="utf-8") as fh:
-        for fr in session.frames:
-            fh.write(
-                _dump(
-                    {
-                        "index": fr.index,
-                        "t_ms": fr.t_ms,
-                        "iso": _iso(fr.t_ms, epoch_ms),
-                        "payload": fr.payload,
-                    }
-                )
-                + "\n"
-            )
-    with (root / _EVENTS_NAME).open("w", encoding="utf-8") as fh:
-        for ev in session.raw_events:
-            fh.write(
-                _dump(
-                    {
-                        "device": ev.device,
-                        "binding": ev.binding,
-                        "edge": ev.edge.value,
-                        "t_ms": ev.t_ms,
-                        "iso": _iso(ev.t_ms, epoch_ms),
-                    }
-                )
-                + "\n"
-            )
-    with (root / _INTERVALS_NAME).open("w", encoding="utf-8") as fh:
-        for start, end in session.active_intervals:
-            fh.write(
-                _dump(
-                    {
-                        "start_ms": start,
-                        "end_ms": end,
-                        "start_iso": _iso(start, epoch_ms),
-                        "end_iso": _iso(end, epoch_ms),
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(
+        root / _FRAMES_NAME,
+        (
+            {
+                "index": fr.index,
+                "t_ms": fr.t_ms,
+                "iso": _iso(fr.t_ms, epoch_ms),
+                "payload": fr.payload,
+            }
+            for fr in session.frames
+        ),
+    )
+    write_jsonl(
+        root / _EVENTS_NAME,
+        (
+            {
+                "device": ev.device,
+                "binding": ev.binding,
+                "edge": ev.edge.value,
+                "t_ms": ev.t_ms,
+                "iso": _iso(ev.t_ms, epoch_ms),
+            }
+            for ev in session.raw_events
+        ),
+    )
+    write_jsonl(
+        root / _INTERVALS_NAME,
+        (
+            {
+                "start_ms": start,
+                "end_ms": end,
+                "start_iso": _iso(start, epoch_ms),
+                "end_iso": _iso(end, epoch_ms),
+            }
+            for start, end in session.active_intervals
+        ),
+    )
     return root
-
-
-def _read_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(str(path), lineno, f"bad JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise ParseError(str(path), lineno, "expected a JSON object")
-            yield lineno, obj
 
 
 def _require(obj: dict, key: str, path: Path, lineno: int) -> Any:
@@ -381,7 +360,7 @@ def import_session(path: str | Path) -> TrackSession:
     frames: list[FrameRecord] = []
     fpath = root / _FRAMES_NAME
     if fpath.exists():
-        for lineno, obj in _read_jsonl(fpath):
+        for lineno, obj in read_jsonl(fpath):
             frames.append(
                 FrameRecord(
                     _require_int(obj, "index", fpath, lineno),
@@ -393,7 +372,7 @@ def import_session(path: str | Path) -> TrackSession:
     events: list[RawInputEvent] = []
     epath = root / _EVENTS_NAME
     if epath.exists():
-        for lineno, obj in _read_jsonl(epath):
+        for lineno, obj in read_jsonl(epath):
             edge_raw = _require(obj, "edge", epath, lineno)
             try:
                 edge = Edge(edge_raw)
@@ -411,7 +390,7 @@ def import_session(path: str | Path) -> TrackSession:
     intervals: list[tuple[int, int]] = []
     ipath = root / _INTERVALS_NAME
     if ipath.exists():
-        for lineno, obj in _read_jsonl(ipath):
+        for lineno, obj in read_jsonl(ipath):
             intervals.append(
                 (
                     _require_int(obj, "start_ms", ipath, lineno),

@@ -282,6 +282,12 @@ def test_read_records_reports_line(tmp_path):
     with pytest.raises(ParseError) as err:
         read_records(p)
     assert "bad JSON" in str(err.value)
+    first = bundled_stage3_path().read_text(encoding="utf-8").splitlines()[0]
+    for line in ("5", "[]"):
+        p.write_text(f"{first}\n{line}\n")
+        with pytest.raises(ParseError) as err:
+            read_records(p)
+        assert (err.value.line, err.value.reason) == (2, "expected a JSON object")
 
 
 def test_dataset_stats():

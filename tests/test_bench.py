@@ -296,15 +296,23 @@ def test_predictions_io_round_trip(tmp_path):
 
 
 def test_read_items_parses_each_line_once(monkeypatch):
-    import combatkit.bench as bench
-
     lines = [line for line in ITEMS_PATH.read_text(encoding="utf-8").splitlines() if line.strip()]
     expected = [BenchItem.from_json_dict(json.loads(line)) for line in lines]
     calls = []
     loads = json.loads
-    monkeypatch.setattr(bench.json, "loads", lambda s: calls.append(s) or loads(s))
+    monkeypatch.setattr(json, "loads", lambda s: calls.append(s) or loads(s))
     assert read_items(ITEMS_PATH) == expected
     assert len(calls) == len(lines)
+
+
+@pytest.mark.parametrize("line", ["5", "[]"])
+def test_read_items_rejects_non_object_line(tmp_path, line):
+    p = tmp_path / "items.jsonl"
+    p.write_text(ITEMS_PATH.read_text(encoding="utf-8").splitlines()[0] + f"\n{line}\n")
+    with pytest.raises(ParseError) as err:
+        read_items(p)
+    assert (err.value.path, err.value.line) == (str(p), 2)
+    assert err.value.reason == "expected a JSON object"
 
 
 def test_read_items_raises_first_violation(tmp_path):

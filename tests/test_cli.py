@@ -330,6 +330,21 @@ def test_bench_validate_flags_bad_items(capsys, tmp_path):
     assert json.loads(err)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("line", ["5", "[]"])
+@pytest.mark.parametrize("flag", ["--in", "--predictions"])
+def test_bench_non_object_line_is_parse_error(capsys, tmp_path, flag, line):
+    source = ITEMS if flag == "--in" else PREDICTIONS
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(source.read_text(encoding="utf-8").splitlines()[0] + f"\n{line}\n")
+    if flag == "--in":
+        code, out, err = run(capsys, "bench", "validate", "--in", bad)
+    else:
+        code, out, err = run(capsys, "bench", "score", "--items", ITEMS, "--predictions", bad)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "ParseError", "message": f"{bad}:2: expected a JSON object"}
+
+
 def test_bench_gen_validates_cleanly(capsys, tmp_path):
     out_path = tmp_path / "items.jsonl"
     code, out, _ = run(

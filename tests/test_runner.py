@@ -6,7 +6,7 @@ import pytest
 
 from combatkit.actions import ActionCategory, ActionMode
 from combatkit.aot import align_session
-from combatkit.arena import load_task_configs
+from combatkit.arena import ArenaConfig, load_task_configs
 from combatkit.decoding import DecodeMode
 from combatkit.policies import RandomPolicy, ScriptedPolicy
 from combatkit.runner import (
@@ -41,9 +41,14 @@ def test_scripted_episode_wins_task_one():
     assert report.sim_duration_ms > 0
     assert transcript.report == report
     assert transcript.episode_key == "t1s11"
-    # frames land exactly on the 125 ms grid
+    # frames land exactly on the 125 ms grid, and on any other valid grid
     ts = [f.t_ms for f in transcript.frames]
     assert ts == list(range(0, ts[-1] + 1, 125))
+    _, other = run_episode(
+        TASKS[1], ScriptedPolicy(), seed=11, cfg=ArenaConfig(tick_ms=20, frame_interval_ms=100)
+    )
+    ts = [f.t_ms for f in other.frames]
+    assert len(ts) > 9 and ts == list(range(0, ts[-1] + 1, 100))
 
 
 def test_episode_determinism():
