@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .actions import ActionCategory, ActionMode, ActionSet
 from .errors import InsufficientHistory
@@ -39,6 +39,7 @@ __all__ = [
     "load_task_configs",
     "iter_tasks",
     "new_arena",
+    "advance",
     "step",
     "render_observation",
     "sample_frames",
@@ -159,6 +160,8 @@ class ArenaConfig:
             raise ValueError("tick_ms and frame_interval_ms must be positive")
         if self.frame_interval_ms % self.tick_ms != 0:
             raise ValueError("frame_interval_ms must be a multiple of tick_ms")
+        if self.min_cycle_ms <= 0:
+            raise ValueError("min_cycle_ms must be positive")
         if self.buffer_frames < 9:
             raise ValueError("buffer must hold at least the 9-frame sampling window")
 
@@ -346,51 +349,168 @@ def _apply_commands(state: ArenaState, commands: ActionSet) -> None:
     state.pending_attacks.sort()
 
 
-def _resolve_strike(state: ArenaState) -> None:
-    cfg, task, now = state.cfg, state.task, state.clock_ms
-    if state.distance() > task.strike_range_m:
-        state.log("enemy_strike", outcome="out_of_range", strike=task.strike_kind)
-        return
-    if task.game_mode is GameMode.SSDT and state.block_until >= now:
-        state.block_until = 0  # a block absorbs exactly one strike
-        state.log("enemy_strike", outcome="blocked", strike=task.strike_kind)
-        return
-    if task.game_mode is GameMode.BMW and state.iframes_until >= now:
-        state.log("enemy_strike", outcome="dodged", strike=task.strike_kind)
-        return
-    damage = task.strike_power * cfg.defense_constant / (
-        cfg.defense_constant + cfg.player_defense
-    )
-    state.player_hp = max(0.0, state.player_hp - damage)
-    if task.applies_burning:
-        state.burning_until = now + cfg.burn_duration_ms
-    state.log("enemy_strike", outcome="hit", strike=task.strike_kind, damage=damage)
+def _store(
+    state: ArenaState,
+    clock_ms: int,
+    px: float,
+    py: float,
+    ex: float,
+    ey: float,
+    player_hp: float,
+    enemy_hp: float,
+    phase: _Phase,
+    phase_ends_at: int,
+) -> None:
+    state.clock_ms = clock_ms
+    state.player_pos[0], state.player_pos[1] = px, py
+    state.enemy_pos[0], state.enemy_pos[1] = ex, ey
+    state.player_hp, state.enemy_hp = player_hp, enemy_hp
+    state.phase, state.phase_ends_at = phase, phase_ends_at
 
 
-def _advance_enemy(state: ArenaState, t0: int, t1: int) -> None:
-    task = state.task
-    if state.enemy_stunned_until > t0 or not state.enemy_alive:
-        return
-    if state.phase in (_Phase.IDLE, _Phase.RECOVERY):
-        # chase: close toward the player at the task's speed
-        dist = state.distance()
-        if dist > 0.8:
-            step_m = task.chase_speed_mps * (t1 - t0) / 1000.0
-            frac = min(1.0, step_m / dist)
-            state.enemy_pos[0] += (state.player_pos[0] - state.enemy_pos[0]) * frac
-            state.enemy_pos[1] += (state.player_pos[1] - state.enemy_pos[1]) * frac
-    if t1 < state.phase_ends_at:
-        return
-    if state.phase is _Phase.IDLE:
-        state.phase = _Phase.TELEGRAPH
-        state.phase_ends_at = t1 + task.telegraph_ms
-    elif state.phase is _Phase.TELEGRAPH:
-        _resolve_strike(state)
-        state.phase = _Phase.RECOVERY
-        state.phase_ends_at = t1 + task.recovery_ms
-    else:
-        state.phase = _Phase.IDLE
-        state.phase_ends_at = t1 + task.idle_ms + _jitter_ticks(state.rng, state.cfg)
+def _run_ticks(
+    state: ArenaState,
+    commands: ActionSet | None,
+    ticks: int,
+    dt: int,
+    on_frame: Callable[[ArenaState], None] | None,
+) -> None:
+    """The tick engine: apply the onsets of ``commands``, then run ``ticks`` ticks of ``dt``.
+
+    A tick runs, in order: player movement from the open hold windows,
+    the scheduled heal, the player attacks due by its end, the enemy's
+    chase and phase machine (the strike resolves when the telegraph
+    ends), and burning. The state the loop changes every tick lives in
+    locals and is stored back before each ``on_frame`` call and at the
+    end; log entries carry the tick's start time.
+    """
+    if commands is not None:
+        _apply_commands(state, commands)
+    cfg, task = state.cfg, state.task
+    hypot = math.hypot
+    idle, telegraph, recovery = _Phase.IDLE, _Phase.TELEGRAPH, _Phase.RECOVERY
+    frame_interval = cfg.frame_interval_ms
+    walk_speed = cfg.walk_speed_mps
+    sprint_speed = walk_speed * cfg.sprint_multiplier
+    chase_m = task.chase_speed_mps * dt / 1000.0
+    burn_dps = cfg.burn_dps
+
+    t0 = state.clock_ms
+    px, py = state.player_pos
+    ex, ey = state.enemy_pos
+    player_hp, enemy_hp = state.player_hp, state.enemy_hp
+    phase, phase_ends_at = state.phase, state.phase_ends_at
+    heal_at, burning_until = state.pending_heal_at, state.burning_until
+    stunned_until, sprint_until = state.enemy_stunned_until, state.sprint_until
+    pending = state.pending_attacks
+    # open hold windows in move_until order: (until, x direction, y direction)
+    moves = [
+        (until, *_MOVE_DIRECTION[cat]) for cat, until in state.move_until.items() if until > t0
+    ]
+    moves_expire = min((m[0] for m in moves), default=0)
+
+    for _ in range(ticks):
+        t1 = t0 + dt
+
+        # player movement from open hold windows
+        if moves:
+            speed = sprint_speed if sprint_until > t0 else walk_speed
+            dx = dy = 0.0
+            for until, ux, uy in moves:
+                overlap = (t1 if t1 < until else until) - t0
+                dx += ux * speed * overlap / 1000.0
+                dy += uy * speed * overlap / 1000.0
+            px += dx
+            py += dy
+            if moves_expire <= t1:
+                moves = [m for m in moves if m[0] > t1]
+                moves_expire = min((m[0] for m in moves), default=0)
+
+        # scheduled heal
+        if heal_at is not None and t0 < heal_at <= t1:
+            healed = cfg.heal_fraction * cfg.player_max_hp
+            player_hp = min(cfg.player_max_hp, player_hp + healed)
+            heal_at = state.pending_heal_at = None
+            state.clock_ms = t0
+            state.log("heal_applied", amount=healed)
+
+        # scheduled player attacks
+        while pending and pending[0][0] <= t1:
+            _, damage = pending.pop(0)
+            state.clock_ms = t0
+            distance = hypot(ex - px, ey - py)
+            if distance <= cfg.attack_range_m:
+                enemy_hp = max(0.0, enemy_hp - damage)
+                state.log("player_hit", damage=damage, enemy_hp=enemy_hp)
+            else:
+                state.log("player_miss", distance=round(distance, 3))
+
+        # enemy: chase the player, then run the phase machine
+        if stunned_until <= t0 and enemy_hp > 0.0:
+            if phase is not telegraph:
+                distance = hypot(ex - px, ey - py)
+                if distance > 0.8:
+                    frac = chase_m / distance
+                    frac = frac if frac < 1.0 else 1.0
+                    ex += (px - ex) * frac
+                    ey += (py - ey) * frac
+            if t1 >= phase_ends_at:
+                if phase is idle:
+                    phase, phase_ends_at = telegraph, t1 + task.telegraph_ms
+                elif phase is telegraph:
+                    state.clock_ms = t0
+                    strike = task.strike_kind
+                    if hypot(ex - px, ey - py) > task.strike_range_m:
+                        state.log("enemy_strike", outcome="out_of_range", strike=strike)
+                    elif task.game_mode is GameMode.SSDT and state.block_until >= t0:
+                        state.block_until = 0  # a block absorbs exactly one strike
+                        state.log("enemy_strike", outcome="blocked", strike=strike)
+                    elif task.game_mode is GameMode.BMW and state.iframes_until >= t0:
+                        state.log("enemy_strike", outcome="dodged", strike=strike)
+                    else:
+                        damage = task.strike_power * cfg.defense_constant / (
+                            cfg.defense_constant + cfg.player_defense
+                        )
+                        player_hp = max(0.0, player_hp - damage)
+                        if task.applies_burning:
+                            burning_until = state.burning_until = t0 + cfg.burn_duration_ms
+                        state.log("enemy_strike", outcome="hit", strike=strike, damage=damage)
+                    phase, phase_ends_at = recovery, t1 + task.recovery_ms
+                else:
+                    phase = idle
+                    phase_ends_at = t1 + task.idle_ms + _jitter_ticks(state.rng, cfg)
+
+        # burning damage over time
+        if burning_until > t0 and player_hp > 0:
+            burn_overlap = (t1 if t1 < burning_until else burning_until) - t0
+            player_hp = max(0.0, player_hp - burn_dps * burn_overlap / 1000.0)
+
+        t0 = t1
+        if on_frame is not None and t0 % frame_interval == 0:
+            _store(state, t0, px, py, ex, ey, player_hp, enemy_hp, phase, phase_ends_at)
+            on_frame(state)
+
+    _store(state, t0, px, py, ex, ey, player_hp, enemy_hp, phase, phase_ends_at)
+
+
+def advance(
+    state: ArenaState,
+    commands: ActionSet | None,
+    duration_ms: int,
+    on_frame: Callable[[ArenaState], None] | None = None,
+) -> ArenaState:
+    """Apply a command set's onsets, then tick until ``duration_ms`` have passed.
+
+    Ticks are whole ``cfg.tick_ms`` steps, so the clock stops at the
+    first tick boundary at or past start + ``duration_ms``.
+    ``on_frame(state)`` runs after every tick that ends on a multiple of
+    ``cfg.frame_interval_ms``; it reads the state and must not change it.
+    """
+    if duration_ms <= 0:
+        raise ValueError("duration_ms must be positive")
+    tick = state.cfg.tick_ms
+    _run_ticks(state, commands, -(-duration_ms // tick), tick, on_frame)
+    return state
 
 
 def step(state: ArenaState, commands: ActionSet | None, dt_ms: int | None = None) -> ArenaState:
@@ -399,55 +519,10 @@ def step(state: ArenaState, commands: ActionSet | None, dt_ms: int | None = None
     ``commands`` may be None for a plain time step. Taps take effect at
     the current clock; holds open timed windows that later ticks honor.
     """
-    cfg = state.cfg
-    dt = cfg.tick_ms if dt_ms is None else dt_ms
+    dt = state.cfg.tick_ms if dt_ms is None else dt_ms
     if dt <= 0:
         raise ValueError("dt_ms must be positive")
-    if commands is not None:
-        _apply_commands(state, commands)
-
-    t0 = state.clock_ms
-    t1 = t0 + dt
-
-    # player movement from open hold windows
-    dx = dy = 0.0
-    for cat, until in state.move_until.items():
-        overlap = min(until, t1) - t0
-        if overlap <= 0:
-            continue
-        speed = cfg.walk_speed_mps
-        if state.sprint_until > t0:
-            speed *= cfg.sprint_multiplier
-        direction = _MOVE_DIRECTION[cat]
-        dx += direction[0] * speed * overlap / 1000.0
-        dy += direction[1] * speed * overlap / 1000.0
-    state.player_pos[0] += dx
-    state.player_pos[1] += dy
-
-    # scheduled heal
-    if state.pending_heal_at is not None and t0 < state.pending_heal_at <= t1:
-        healed = cfg.heal_fraction * cfg.player_max_hp
-        state.player_hp = min(cfg.player_max_hp, state.player_hp + healed)
-        state.pending_heal_at = None
-        state.log("heal_applied", amount=healed)
-
-    # scheduled player attacks
-    while state.pending_attacks and state.pending_attacks[0][0] <= t1:
-        _, damage = state.pending_attacks.pop(0)
-        if state.distance() <= cfg.attack_range_m:
-            state.enemy_hp = max(0.0, state.enemy_hp - damage)
-            state.log("player_hit", damage=damage, enemy_hp=state.enemy_hp)
-        else:
-            state.log("player_miss", distance=round(state.distance(), 3))
-
-    _advance_enemy(state, t0, t1)
-
-    # burning damage over time
-    if state.burning_until > t0 and state.player_hp > 0:
-        burn_overlap = min(state.burning_until, t1) - t0
-        state.player_hp = max(0.0, state.player_hp - cfg.burn_dps * burn_overlap / 1000.0)
-
-    state.clock_ms = t1
+    _run_ticks(state, commands, 1, dt, None)
     return state
 
 

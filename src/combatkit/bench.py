@@ -195,7 +195,7 @@ def _check_item(obj: dict, line: int) -> BenchItem | ValidationError:
         if obj["gold"] not in ("A", "B", "C"):
             return ValidationError(line, "gold", "must be A, B, or C")
     else:
-        if list(choices) != list(_BINARY_CHOICES):
+        if not isinstance(choices, list) or choices != list(_BINARY_CHOICES):
             return ValidationError(line, "choices", "binary items offer Yes/No")
         if obj["gold"] not in _BINARY_CHOICES:
             return ValidationError(line, "gold", "must be Yes or No")

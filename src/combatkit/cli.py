@@ -45,7 +45,7 @@ from .bench import (
     write_items,
 )
 from .decoding import DecodeMode, TokenStream, decode, token_savings_report
-from .errors import CombatkitError, ConfigError
+from .errors import CombatkitError, ConfigError, EmptyDataset, ParseError
 from .loss import gradient_check_rows
 from .rows import csv_text, json_text, write_jsonl, write_report
 from .runner import (
@@ -76,6 +76,18 @@ def _require_path(p: str | Path) -> Path:
     if not path.exists():
         raise FileNotFoundError(f"path not found: {path}")
     return path
+
+
+def _read_json_object(p: str | Path) -> dict:
+    """A file holding one JSON object; anything else is a ``ParseError`` naming the file."""
+    path = _require_path(p)
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(path), exc.lineno, f"bad JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise ParseError(str(path), 1, "expected a JSON object")
+    return obj
 
 
 def _csv_path(out: str | Path) -> Path:
@@ -267,6 +279,8 @@ def _cmd_loss_check(args) -> int:
 
 def _cmd_decode_run(args) -> int:
     records = read_records(_require_path(args.in_path))
+    if not records:
+        raise EmptyDataset(f"{args.in_path}: no records to decode")
     mode = DecodeMode(args.mode)
     rows = []
     wall_total = 0.0
@@ -372,7 +386,7 @@ def _cmd_bench_validate(args) -> int:
         _fail(
             {
                 "error": "ValidationError",
-                "message": f"{len(report.violations)} schema violations",
+                "message": f"{args.in_path}: {len(report.violations)} schema violations",
                 "violations": [str(v) for v in report.violations],
             }
         )
@@ -438,17 +452,13 @@ def _cmd_bench_score(args) -> int:
 # ----------------------------------------------------------------- report
 
 def _cmd_report(args) -> int:
-    suite = json.loads(_require_path(args.suite).read_text(encoding="utf-8"))
+    suite = _read_json_object(args.suite)
     savings = (
-        json.loads(_require_path(args.savings).read_text(encoding="utf-8"))
+        _read_json_object(args.savings)
         if args.savings
         else token_savings_report(bundled_stage3_path()).to_json_dict()
     )
-    bench_part = (
-        json.loads(_require_path(args.bench).read_text(encoding="utf-8"))
-        if args.bench
-        else None
-    )
+    bench_part = _read_json_object(args.bench) if args.bench else None
     combined = {
         "suite": suite,
         "token_savings": savings,

@@ -9,6 +9,7 @@ uniform-choice baseline.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import Any, Sequence
@@ -64,14 +65,27 @@ class Policy:
         self.call_count += 1
         return TokenStream(self._tokens(frames), self.tokens_per_second)
 
-    def _tokens(self, frames: Sequence[Any]) -> list[str]:
+    def _tokens(self, frames: Sequence[Any]) -> Sequence[str]:
         raise NotImplementedError
 
-    def _serialize(self, actions: ActionSet, context: dict | None = None) -> list[str]:
-        ordered = actions.in_priority_order()
-        clause = render_action(ordered)
-        explanation = render_explanation(ordered, context) or clause
-        return serialize_stage3(clause, explanation).split()
+
+# Bound on the serialization memo; far above the distinct sets a policy
+# answers with (seven scripted sets, a few dozen random ones, per mode).
+_SERIALIZE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_SERIALIZE_CACHE_SIZE)
+def _serialize(actions: ActionSet, game_mode: str | None) -> tuple[str, ...]:
+    """The stage-3 tokens of one answer: action clause, sentinel, explanation.
+
+    ``game_mode`` picks the mode-specific wording ("SSDT" blocks where
+    "BMW" dodges); None gives the mode-neutral text.
+    """
+    ordered = actions.in_priority_order()
+    clause = render_action(ordered)
+    context = None if game_mode is None else {"game_mode": game_mode}
+    explanation = render_explanation(ordered, context) or clause
+    return tuple(serialize_stage3(clause, explanation).split())
 
 
 def _telegraph_remaining(telegraph: Any) -> int:
@@ -156,9 +170,8 @@ class ScriptedPolicy(Policy):
             return _HEAVY
         return _LIGHT
 
-    def _tokens(self, frames: Sequence[Any]) -> list[str]:
-        actions = self.decide(frames[-1])
-        return self._serialize(actions, {"game_mode": self.game_mode})
+    def _tokens(self, frames: Sequence[Any]) -> Sequence[str]:
+        return _serialize(self.decide(frames[-1]), self.game_mode)
 
 
 class ReplayPolicy(Policy):
@@ -177,7 +190,7 @@ class ReplayPolicy(Policy):
         self._cursor = 0
         self.wrap = wrap
 
-    def _tokens(self, frames: Sequence[Any]) -> list[str]:
+    def _tokens(self, frames: Sequence[Any]) -> Sequence[str]:
         if self._cursor >= len(self._records):
             if not self.wrap:
                 raise ReplayExhausted(
@@ -192,16 +205,17 @@ class ReplayPolicy(Policy):
 class RandomPolicy(Policy):
     """Uniform-random single action per cycle; the comparison baseline."""
 
+    _CATEGORIES = tuple(ActionCategory)
     _HOLD_CHOICES = (0.25, 0.5, 1.0)
 
     def __init__(self, seed: int = 0, tokens_per_second: float | None = None):
         super().__init__(tokens_per_second)
         self._rng = random.Random(seed)
 
-    def _tokens(self, frames: Sequence[Any]) -> list[str]:
-        category = self._rng.choice(list(ActionCategory))
+    def _tokens(self, frames: Sequence[Any]) -> Sequence[str]:
+        category = self._rng.choice(self._CATEGORIES)
         if category.hold_capable:
             event = ActionEvent.hold(category, self._rng.choice(self._HOLD_CHOICES))
         else:
             event = ActionEvent.tap(category)
-        return self._serialize(ActionSet.of(event))
+        return _serialize(ActionSet.of(event), None)

@@ -28,10 +28,11 @@ from .arena import (
     GameMode,
     ObservationFrame,
     TaskConfig,
+    advance,
     new_arena,
     render_observation,
     sample_frames,
-    step,
+    step,  # not called here; perfbench/tracing.py wraps it as runner.step
 )
 from .decoding import DecodeMode, decode
 from .errors import ActionParseError
@@ -135,28 +136,6 @@ def _busy_ms(cfg: ArenaConfig, actions: ActionSet) -> int:
     return max(cfg.min_cycle_ms, worst)
 
 
-class _FrameClock:
-    """Records an observation every frame interval of sim time.
-
-    The episode loop advances the clock in ``tick_ms`` steps and
-    ``ArenaConfig`` requires ``tick_ms`` to divide ``frame_interval_ms``,
-    so each frame is rendered exactly at its scheduled boundary.
-    """
-
-    def __init__(self, cfg: ArenaConfig, ring: FrameRing, sink: list[ObservationFrame]):
-        self._interval = cfg.frame_interval_ms
-        self._next_at = 0
-        self._ring = ring
-        self._sink = sink
-
-    def capture(self, state: ArenaState) -> None:
-        while state.clock_ms >= self._next_at:
-            frame = render_observation(state)
-            self._ring.record(frame)
-            self._sink.append(frame)
-            self._next_at += self._interval
-
-
 def run_episode(
     task: TaskConfig,
     policy: Policy,
@@ -169,21 +148,18 @@ def run_episode(
     state = new_arena(task, cfg, seed)
     ring = FrameRing(cfg.buffer_frames)
     frames: list[ObservationFrame] = []
-    clock = _FrameClock(cfg, ring, frames)
-    clock.capture(state)  # frame at t=0
+
+    def capture(state: ArenaState) -> None:
+        frame = render_observation(state)
+        ring.record(frame)
+        frames.append(frame)
+
+    capture(state)  # frame at t=0; advance captures one every frame interval
 
     calls_before = policy.call_count
     cycles: list[CycleRecord] = []
     success = False
     failure_reason: str | None = None
-
-    def advance(commands: ActionSet | None, duration_ms: int) -> None:
-        target = state.clock_ms + duration_ms
-        first = commands
-        while state.clock_ms < target:
-            step(state, first, cfg.tick_ms)
-            first = None
-            clock.capture(state)
 
     while True:
         if not state.enemy_alive:
@@ -197,7 +173,7 @@ def run_episode(
             break
 
         while len(ring) < 9:
-            advance(None, cfg.tick_ms)
+            advance(state, None, cfg.tick_ms, capture)
         sampled = sample_frames(ring)
 
         # sim clock pauses here: inference happens between ticks
@@ -217,9 +193,9 @@ def run_episode(
         wall_ms = (time.perf_counter() - wall_start) * 1000.0
 
         if actions is not None and len(actions) > 0:
-            advance(actions, _busy_ms(cfg, actions) + cfg.tick_ms)
+            advance(state, actions, _busy_ms(cfg, actions) + cfg.tick_ms, capture)
         else:
-            advance(None, cfg.min_cycle_ms)
+            advance(state, None, cfg.min_cycle_ms, capture)
 
         cycles.append(
             CycleRecord(

@@ -1,5 +1,7 @@
 """Deterministic duel simulator: timing, combat math, and the task grid."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -15,6 +17,7 @@ from combatkit.arena import (
     ObservationFrame,
     PlayerStatus,
     TaskConfig,
+    advance,
     iter_tasks,
     load_task_configs,
     new_arena,
@@ -380,3 +383,103 @@ def test_step_rejects_bad_dt():
     state = _arena()
     with pytest.raises(ValueError):
         step(state, None, dt_ms=0)
+
+
+def test_config_rejects_nonpositive_min_cycle():
+    with pytest.raises(ValueError, match="min_cycle_ms"):
+        ArenaConfig(min_cycle_ms=0)
+
+
+def _snapshot(state):
+    """Every field of the state, with the generator's internal state in place of the object."""
+    snap = {f.name: getattr(state, f.name) for f in dataclasses.fields(state) if f.name != "rng"}
+    snap["rng"] = state.rng.getstate()
+    return snap
+
+
+def _digest(state, frames):
+    """sha256 over the full-precision outcome of a run: clock, HP, positions, log, frames."""
+    outcome = (
+        state.clock_ms, state.player_hp, state.enemy_hp, state.player_pos, state.enemy_pos,
+        state.phase.value, state.phase_ends_at, state.action_log, frames,
+    )
+    return hashlib.sha256(repr(outcome).encode()).hexdigest()
+
+
+_TAP, _HOLD = ActionEvent.tap, ActionEvent.hold
+
+# (commands, ticks): heal and immobilize taps, holds that outlast or end
+# inside their advance, sprint, several move windows at once (one ending
+# mid-tick, so the order of the movement sums shows), quiet stretches
+_SCRIPT = (
+    (ActionSet.of(_TAP(ActionCategory.HEAL), _HOLD(ActionCategory.MOVE_BACK, 1.0)), 41),
+    (ActionSet.of(_HOLD(ActionCategory.MOVE_FWD, 0.4), _HOLD(ActionCategory.SPRINT, 0.4)), 17),
+    (None, 33),
+    (ActionSet.of(_TAP(ActionCategory.IMMOBILIZE), _TAP(ActionCategory.LIGHT_ATTACK)), 11),
+    (ActionSet.of(_TAP(ActionCategory.DODGE)), 16),
+    (ActionSet.of(_HOLD(ActionCategory.HEAVY_ATTACK, 1.0)), 41),
+    (
+        ActionSet.of(_HOLD(ActionCategory.MOVE_LEFT, 0.5), _HOLD(ActionCategory.MOVE_RIGHT, 0.25)),
+        7,
+    ),
+    (ActionSet.of(_HOLD(ActionCategory.MOVE_FWD, 1.0), _TAP(ActionCategory.LIGHT_ATTACK)), 13),
+    (ActionSet.of(_TAP(ActionCategory.HEAL), _TAP(ActionCategory.DODGE)), 29),
+    (
+        ActionSet.of(
+            _HOLD(ActionCategory.MOVE_FWD, 0.5),
+            ActionEvent.hold_ms(ActionCategory.MOVE_BACK, 487),
+            ActionEvent.hold_ms(ActionCategory.MOVE_LEFT, 262),
+            ActionEvent.hold_ms(ActionCategory.MOVE_RIGHT, 130),
+            _HOLD(ActionCategory.SPRINT, 0.3),
+        ),
+        31,
+    ),
+    (None, 120),
+) * 3
+
+
+# _digest of each script run, pinned from the per-tick loop the fused one
+# replaced: the script holds two move windows at once, so these pin the
+# order of the float sums as well as the outcome.
+_SCRIPT_DIGESTS = {
+    1: "1073b3e6698921ce4473fc4f5c6b0304fe4f3eac0730f359599a33e2beab4a61",
+    9: "b86f3ef3db3c9d857f3f9291d00d7b4838abb0ab9da138b32d5cf203dc5a2df0",
+    10: "fc082eebcf183ee07774e7db69d40fb30ca9b2289b9b77f839228ce1bd0cd480",
+    11: "93a7e4548196d03b342299fb8ab5d22c3ebeac029cec829d2b4312a671311ae7",
+    13: "599e7673e4dbb9ebf25e950a85ad9f0e7f33e435f9d2d500e1b089f445e3acfd",
+}
+
+
+@pytest.mark.parametrize("task_id", sorted(_SCRIPT_DIGESTS))
+def test_advance_equals_repeated_steps(task_id):
+    task = load_task_configs()[task_id]
+    fused, stepped = new_arena(task, seed=task_id), new_arena(task, seed=task_id)
+    fused.player_hp = stepped.player_hp = 700.0  # heals land, and the player lasts a while
+    tick, interval = fused.cfg.tick_ms, fused.cfg.frame_interval_ms
+    fused_frames, stepped_frames = [], []
+    def capture(state):
+        fused_frames.append(render_observation(state))
+
+    for commands, ticks in _SCRIPT:
+        advance(fused, commands, ticks * tick, capture)
+        for i in range(ticks):
+            step(stepped, commands if i == 0 else None)
+            if stepped.clock_ms % interval == 0:
+                stepped_frames.append(render_observation(stepped))
+        assert _snapshot(fused) == _snapshot(stepped)
+    kinds = {e["kind"] for e in fused.action_log}
+    assert {"heal_applied", "immobilize", "player_hit", "enemy_strike"} <= kinds
+    assert fused_frames == stepped_frames
+    assert [f.t_ms for f in fused_frames] == list(range(interval, fused.clock_ms + 1, interval))
+    assert _digest(fused, fused_frames) == _SCRIPT_DIGESTS[task_id]
+
+
+def test_advance_rounds_up_to_whole_ticks():
+    state = _arena()
+    times = []
+    advance(state, None, 30, lambda s: times.append(s.clock_ms))
+    assert state.clock_ms == 50 and times == []
+    advance(state, None, 75, lambda s: times.append(s.clock_ms))
+    assert state.clock_ms == 125 and times == [125]
+    with pytest.raises(ValueError):
+        advance(state, None, 0)

@@ -199,6 +199,17 @@ def test_decode_run_both_modes(capsys, tmp_path):
     assert truncated["mean_emitted_tokens"] / full["mean_emitted_tokens"] < 0.45
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_decode_run_without_records_is_typed_error(capsys, tmp_path, text):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "decode", "run", "--in", empty)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload == {"error": "EmptyDataset", "message": f"{empty}: no records to decode"}
+
+
 def test_decode_savings_defaults_to_bundled(capsys, tmp_path):
     code, out, _ = run(capsys, "decode", "savings", "--out", tmp_path / "savings")
     assert code == 0
@@ -345,6 +356,29 @@ def test_bench_non_object_line_is_parse_error(capsys, tmp_path, flag, line):
     assert json.loads(err) == {"error": "ParseError", "message": f"{bad}:2: expected a JSON object"}
 
 
+def test_bench_non_list_choices_is_violation_with_file_and_line(capsys, tmp_path):
+    lines = ITEMS.read_text(encoding="utf-8").splitlines()[:2]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(
+        lines[0] + "\n" + json.dumps(dict(json.loads(lines[1]), choices=1.5)) + "\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "bench", "validate", "--in", bad)
+    assert code == 1
+    assert json.loads(out)["total"] == 1
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert payload["message"] == f"{bad}: 1 schema violations"
+    assert payload["violations"] == ["line 2: field 'choices': binary items offer Yes/No"]
+    code, out, err = run(capsys, "bench", "score", "--items", bad, "--predictions", PREDICTIONS)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValidationError",
+        "message": "line 2: field 'choices': binary items offer Yes/No",
+    }
+
+
 def test_bench_gen_validates_cleanly(capsys, tmp_path):
     out_path = tmp_path / "items.jsonl"
     code, out, _ = run(
@@ -398,6 +432,22 @@ def test_report_combines_sections(capsys, tmp_path):
     assert set(combined) == {"suite", "token_savings", "benchmark", "reference_latencies"}
     assert combined["benchmark"]["macro_average"] == 63.61
     assert combined["token_savings"]["ratio"] < 0.45
+
+
+@pytest.mark.parametrize("flag", ["--suite", "--savings", "--bench"])
+@pytest.mark.parametrize("text", ["[1]", "5", "{"])
+def test_report_input_that_is_not_an_object_is_parse_error(capsys, tmp_path, flag, text):
+    suite = tmp_path / "suite.json"
+    suite.write_text("{}", encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    paths = {"--suite": suite, flag: bad}
+    code, out, err = run(capsys, "report", *(x for kv in paths.items() for x in kv))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ParseError"
+    assert payload["message"].startswith(f"{bad}:1: ")
 
 
 def declared_console_scripts():

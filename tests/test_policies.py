@@ -2,7 +2,16 @@
 
 import pytest
 
-from combatkit.actions import ActionCategory, ActionEvent, ActionMode, ActionSet, parse_action_text
+from combatkit import policies
+from combatkit.actions import (
+    ActionCategory,
+    ActionEvent,
+    ActionMode,
+    ActionSet,
+    parse_action_text,
+    render_action,
+    render_explanation,
+)
 from combatkit.aot import TRUNC_TOKEN, serialize_stage3
 from combatkit.decoding import DecodeMode, decode
 from combatkit.errors import ObservationSchemaError, ReplayExhausted
@@ -217,3 +226,41 @@ def test_decide_answers_each_rule_with_one_shared_set():
         assert first == expected
         assert first.in_priority_order() is first
         assert p.decide(dict(obs)) is first
+
+
+def _uncached_tokens(actions, game_mode):
+    ordered = actions.in_priority_order()
+    clause = render_action(ordered)
+    context = None if game_mode is None else {"game_mode": game_mode}
+    return serialize_stage3(clause, render_explanation(ordered, context) or clause).split()
+
+
+def test_serialization_cache_matches_uncached_text():
+    scripted_sets = [
+        policies._HEAL_BACK_OFF, policies._DODGE, policies._COMBO, policies._LIGHT,
+        policies._STEP_IN, policies._SPRINT_IN, policies._HEAVY,
+    ]
+    for game_mode in ("BMW", "SSDT"):
+        for actions in scripted_sets:
+            expected = _uncached_tokens(actions, game_mode)
+            assert list(policies._serialize(actions, game_mode)) == expected
+            assert list(policies._serialize(actions, game_mode)) == expected  # from the cache
+    # the random policy's whole answer space, plus a set out of priority order
+    random_sets = [
+        ActionSet.of(ActionEvent.hold(c, s) if c.hold_capable else ActionEvent.tap(c))
+        for c in ActionCategory
+        for s in RandomPolicy._HOLD_CHOICES
+    ]
+    random_sets.append(
+        ActionSet.of(
+            ActionEvent.hold(ActionCategory.MOVE_BACK, 1.0), ActionEvent.tap(ActionCategory.HEAL)
+        )
+    )
+    for actions in random_sets:
+        assert list(policies._serialize(actions, None)) == _uncached_tokens(actions, None)
+    # what a random policy streams is the uncached text of what it decided
+    p = RandomPolicy(seed=0)
+    for _ in range(40):
+        tokens = list(p.observe([_obs()]))
+        decided = decode(iter(tokens), DecodeMode.TRUNCATED).actions
+        assert tokens == _uncached_tokens(decided, None)
