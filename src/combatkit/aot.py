@@ -12,7 +12,8 @@ Serialized forms::
     stage 1/2:  [explanation] [action clause] <eos>
     stage 3:    [action clause] <trunc> [explanation] <eos>
 
-where ``<trunc>``/``<eos>`` are configurable literal sentinel strings.
+where ``<trunc>``/``<eos>`` are the literal sentinels ``TRUNC_TOKEN`` and
+``EOS_TOKEN``.
 The action clause of every record parses back to the record's actions.
 """
 
@@ -89,8 +90,6 @@ class StageConfig:
     seed: int = 0
     merge_window_ms: int = 50
     tap_threshold_ms: int = 200
-    trunc_token: str = TRUNC_TOKEN
-    eos_token: str = EOS_TOKEN
 
     def __post_init__(self) -> None:
         if self.n <= 0 or self.m <= 0 or self.k_frames <= 0:
@@ -140,26 +139,18 @@ class AoTRecord:
         )
 
 
-def serialize_stage3(
-    action_text: str,
-    explanation: str,
-    trunc_token: str = TRUNC_TOKEN,
-    eos_token: str = EOS_TOKEN,
-) -> str:
+def serialize_stage3(action_text: str, explanation: str) -> str:
     """Action-first serialization with the truncation sentinel."""
     if explanation:
-        return f"[{action_text}] {trunc_token} [{explanation}] {eos_token}"
-    return f"[{action_text}] {trunc_token} {eos_token}"
+        return f"[{action_text}] {TRUNC_TOKEN} [{explanation}] {EOS_TOKEN}"
+    return f"[{action_text}] {TRUNC_TOKEN} {EOS_TOKEN}"
 
 
-def _serialize(
-    stage: int, action_text: str, explanation: str, cfg: StageConfig
-) -> str:
-    if stage == 3:
-        return serialize_stage3(action_text, explanation, cfg.trunc_token, cfg.eos_token)
+def _serialize(action_text: str, explanation: str) -> str:
+    """Explanation-first serialization of stage-1 and stage-2 records."""
     if explanation:
-        return f"[{explanation}] [{action_text}] {cfg.eos_token}"
-    return f"[{action_text}] {cfg.eos_token}"
+        return f"[{explanation}] [{action_text}] {EOS_TOKEN}"
+    return f"[{action_text}] {EOS_TOKEN}"
 
 
 # ------------------------------------------------------------- alignment
@@ -249,7 +240,7 @@ def build_video_aot(aligned: AlignedSession, cfg: StageConfig | None = None) -> 
                 actions=window_actions,
                 action_text=action_text,
                 explanation=explanation,
-                serialized=_serialize(1, action_text, explanation, cfg),
+                serialized=_serialize(action_text, explanation),
             )
         )
     return records
@@ -314,7 +305,7 @@ def build_frames_aot(aligned: AlignedSession, cfg: StageConfig | None = None) ->
                 actions=action_set.events,
                 action_text=action_text,
                 explanation=explanation,
-                serialized=_serialize(2, action_text, explanation, cfg),
+                serialized=_serialize(action_text, explanation),
             )
         )
     return FramesAotResult(tuple(records), tuple(skipped))
@@ -322,18 +313,17 @@ def build_frames_aot(aligned: AlignedSession, cfg: StageConfig | None = None) ->
 
 # --------------------------------------------------------------- stage 3
 
-def to_truncated_form(record: AoTRecord, cfg: StageConfig | None = None) -> AoTRecord:
+def to_truncated_form(record: AoTRecord) -> AoTRecord:
     """Reorder a stage-2 record to action-first truncated form.
 
     Idempotent on stage-3 records.
     """
-    cfg = cfg or StageConfig()
     if record.stage not in (2, 3):
         raise ValueError(f"truncated form applies to stage 2/3 records, got stage {record.stage}")
     return replace(
         record,
         stage=3,
-        serialized=_serialize(3, record.action_text, record.explanation, cfg),
+        serialized=serialize_stage3(record.action_text, record.explanation),
     )
 
 

@@ -5,7 +5,8 @@ fixed phase loop (idle, telegraph, strike, recovery) whose durations and
 power come from the task config; the player acts through the ten-action
 vocabulary. Everything advances on a fixed tick, all randomness flows
 from one seeded generator, and observations are rendered at a fixed
-8-frames-per-second cadence into a bounded ring buffer.
+8-frames-per-second cadence; the runner keeps every frame and samples
+3 of the last 9 at each decision.
 
 Numbers not pinned by the task grid (speeds, ranges, cast times, damage
 scaling) are invented constants, kept configurable on ``ArenaConfig``
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .actions import ActionCategory, ActionMode, ActionSet
 from .errors import InsufficientHistory
@@ -35,7 +36,6 @@ __all__ = [
     "ArenaConfig",
     "TaskConfig",
     "ArenaState",
-    "FrameRing",
     "load_task_configs",
     "iter_tasks",
     "new_arena",
@@ -152,7 +152,6 @@ class ArenaConfig:
     burn_dps: float = 20.0
     player_max_hp: float = 1000.0
     cycle_cap: int = 200
-    buffer_frames: int = 32
     token_budget: int = 256
 
     def __post_init__(self) -> None:
@@ -162,8 +161,6 @@ class ArenaConfig:
             raise ValueError("frame_interval_ms must be a multiple of tick_ms")
         if self.min_cycle_ms <= 0:
             raise ValueError("min_cycle_ms must be positive")
-        if self.buffer_frames < 9:
-            raise ValueError("buffer must hold at least the 9-frame sampling window")
 
 
 @dataclass(frozen=True, slots=True)
@@ -546,42 +543,19 @@ def render_observation(state: ArenaState) -> ObservationFrame:
     )
 
 
-# --------------------------------------------------------- frame buffer
+# ------------------------------------------------------- frame sampling
 
 FRAME_SAMPLE_WINDOW = 9
 FRAME_SAMPLE_OFFSETS = (0, 4, 8)
 
 
-class FrameRing:
-    """Bounded buffer of the most recent observation frames."""
-
-    def __init__(self, capacity: int = 32):
-        if capacity < FRAME_SAMPLE_WINDOW:
-            raise ValueError("ring must hold at least the sampling window")
-        self._capacity = capacity
-        self._frames: list[ObservationFrame] = []
-        self.total_recorded = 0
-
-    def record(self, frame: ObservationFrame) -> None:
-        self._frames.append(frame)
-        if len(self._frames) > self._capacity:
-            del self._frames[0]
-        self.total_recorded += 1
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-    def last(self, n: int) -> list[ObservationFrame]:
-        return self._frames[-n:]
-
-
-def sample_frames(ring: FrameRing) -> list[ObservationFrame]:
+def sample_frames(frames: Sequence[ObservationFrame]) -> list[ObservationFrame]:
     """Evenly pick 3 of the last 9 frames (window offsets 0, 4, 8)."""
-    if len(ring) < FRAME_SAMPLE_WINDOW:
+    if len(frames) < FRAME_SAMPLE_WINDOW:
         raise InsufficientHistory(
-            f"need {FRAME_SAMPLE_WINDOW} buffered frames, have {len(ring)}"
+            f"need {FRAME_SAMPLE_WINDOW} recorded frames, have {len(frames)}"
         )
-    window = ring.last(FRAME_SAMPLE_WINDOW)
+    window = frames[-FRAME_SAMPLE_WINDOW:]
     return [window[i] for i in FRAME_SAMPLE_OFFSETS]
 
 

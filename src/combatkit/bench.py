@@ -348,9 +348,7 @@ def _rule_table_gold(frame: ObservationFrame, judge: ScriptedPolicy) -> str:
     return "C"
 
 
-def derive_gold(
-    item: BenchItem, frames: Mapping[str, ObservationFrame], judge: ScriptedPolicy | None = None
-) -> str:
+def derive_gold(item: BenchItem, frames: Mapping[str, ObservationFrame]) -> str:
     """Recompute an item's gold from its referenced frames."""
     last = frames[item.frame_refs[-1]]
     if item.subtask == "enemy_health":
@@ -364,7 +362,7 @@ def derive_gold(
     if item.subtask == "current_state":
         return "Yes" if last.enemy_stunned_ms > 0 else "No"
     if item.category is Category.REASONING:
-        return _rule_table_gold(last, judge or ScriptedPolicy())
+        return _rule_table_gold(last, ScriptedPolicy())
     raise ValueError(f"unknown subtask {item.subtask!r}")
 
 
@@ -506,10 +504,11 @@ def write_items(items: Iterable[BenchItem], path: str | Path) -> Path:
 
 
 def read_items(path: str | Path) -> list[BenchItem]:
-    """Load a benchmark file; raises its first violation, if any."""
+    """Load a benchmark file; raises its first violation, naming the file."""
     rows = _checked_rows(path)
     for checked in rows:
         if isinstance(checked, ValidationError):
+            checked.path = str(Path(path))
             raise checked
     return rows
 

@@ -91,11 +91,15 @@ def _read_json_object(p: str | Path) -> dict:
 
 
 def _csv_path(out: str | Path) -> Path:
-    """``out`` as a report's CSV path; ``write_report`` puts the JSON beside it."""
+    """``out`` as a report's CSV path; ``write_report`` puts the JSON beside it.
+
+    A final ``.csv`` or ``.json`` is replaced and any other suffix kept, so
+    ``run.v2.csv`` and ``run.v2`` both give ``run.v2.csv``.
+    """
     base = Path(out)
     if base.suffix in (".csv", ".json"):
         base = base.with_suffix("")
-    return base.with_suffix(".csv")
+    return base.with_name(base.name + ".csv")
 
 
 def _command_parser(parser: argparse.ArgumentParser, args: argparse.Namespace):
@@ -218,7 +222,7 @@ def _cmd_aot_build(args) -> int:
         records = list(result.records)
         skipped = len(result.skipped)
         if args.stage == 3:
-            records = [to_truncated_form(r, cfg) for r in records]
+            records = [to_truncated_form(r) for r in records]
     write_records(records, args.out)
     _print_json({"out": args.out, "records": len(records), "skipped": skipped})
     return 0
@@ -451,14 +455,33 @@ def _cmd_bench_score(args) -> int:
 
 # ----------------------------------------------------------------- report
 
+def _suite_rows(suite: dict, path: str | Path) -> list[dict]:
+    """The suite report's rows, each checked for the fields ``report`` prints."""
+    where = str(Path(path))
+    rows = suite.get("rows", [])
+    if not isinstance(rows, list):
+        raise ParseError(where, 1, "suite 'rows' must be a list")
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict) or "task_id" not in row:
+            raise ParseError(where, 1, f"suite rows[{i}] must be an object with a task_id")
+        for key in ("success_rate", "mean_latency_ms"):
+            if not isinstance(row.get(key), (int, float)):
+                raise ParseError(where, 1, f"suite rows[{i}].{key} must be a number")
+    return rows
+
+
 def _cmd_report(args) -> int:
     suite = _read_json_object(args.suite)
+    suite_rows = _suite_rows(suite, args.suite)
     savings = (
         _read_json_object(args.savings)
         if args.savings
         else token_savings_report(bundled_stage3_path()).to_json_dict()
     )
     bench_part = _read_json_object(args.bench) if args.bench else None
+    accuracies = bench_part.get("accuracies", {}) if bench_part else {}
+    if not isinstance(accuracies, dict):
+        raise ParseError(str(Path(args.bench)), 1, "benchmark 'accuracies' must be an object")
     combined = {
         "suite": suite,
         "token_savings": savings,
@@ -470,7 +493,7 @@ def _cmd_report(args) -> int:
         ("suite", "policy", suite.get("policy", "")),
         ("suite", "seed", suite.get("seed", "")),
     ]
-    for row in suite.get("rows", []):
+    for row in suite_rows:
         rows.append(
             ("suite", f"task_{row['task_id']}_success_rate", f"{row['success_rate']:.4f}")
         )
@@ -481,7 +504,7 @@ def _cmd_report(args) -> int:
         if key in savings:
             rows.append(("token_savings", key, savings[key]))
     if bench_part:
-        for name, value in sorted(bench_part.get("accuracies", {}).items()):
+        for name, value in sorted(accuracies.items()):
             rows.append(("benchmark", f"{name}_accuracy", value))
         rows.append(("benchmark", "macro_average", bench_part.get("macro_average", "")))
     for ref in REFERENCE_LATENCIES:

@@ -110,8 +110,6 @@ def decode(
     stream: Iterable[str],
     mode: DecodeMode = DecodeMode.TRUNCATED,
     budget: int = DEFAULT_TOKEN_BUDGET,
-    trunc_token: str = TRUNC_TOKEN,
-    eos_token: str = EOS_TOKEN,
 ) -> DecodeResult:
     """Consume a token stream and recover the decision's action set.
 
@@ -127,11 +125,11 @@ def decode(
     stop = StopReason.BUDGET
     start = time.perf_counter()
     for token in stream:
-        if mode is DecodeMode.TRUNCATED and token == trunc_token:
+        if mode is DecodeMode.TRUNCATED and token == TRUNC_TOKEN:
             stop = StopReason.TRUNC
             break
         emitted.append(token)
-        if token == eos_token:
+        if token == EOS_TOKEN:
             stop = StopReason.EOS
             break
         if len(emitted) >= budget:
@@ -163,10 +161,7 @@ class SavingsReport:
         }
 
 
-def token_savings_report(
-    records: Sequence[AoTRecord] | str | Path,
-    trunc_token: str = TRUNC_TOKEN,
-) -> SavingsReport:
+def token_savings_report(records: Sequence[AoTRecord] | str | Path) -> SavingsReport:
     """Mean whitespace-token counts: full serialization vs. pre-sentinel.
 
     Records without the sentinel contribute their full length to both
@@ -181,6 +176,6 @@ def token_savings_report(
     for record in records:
         tokens = record.serialized.split()
         full_total += len(tokens)
-        trunc_total += tokens.index(trunc_token) if trunc_token in tokens else len(tokens)
+        trunc_total += tokens.index(TRUNC_TOKEN) if TRUNC_TOKEN in tokens else len(tokens)
     n = len(records)
     return SavingsReport(n, full_total / n, trunc_total / n)

@@ -130,16 +130,26 @@ class ConfigError(CombatkitError):
 # ---------------------------------------------------------------- bench
 
 class ValidationError(CombatkitError):
-    """A benchmark item violated the schema."""
+    """A benchmark item violated the schema.
+
+    A reader that knows the item's file sets ``path``; the message then
+    starts ``path:line:`` as a ``ParseError``'s does.
+    """
+
+    path: str | None = None
 
     def __init__(self, line: int, field: str, reason: str = ""):
-        msg = f"line {line}: field {field!r}"
-        if reason:
-            msg += f": {reason}"
-        super().__init__(msg)
+        super().__init__(line, field, reason)
         self.line = line
         self.field = field
         self.reason = reason
+
+    def __str__(self) -> str:
+        where = f"line {self.line}" if self.path is None else f"{self.path}:{self.line}"
+        msg = f"{where}: field {self.field!r}"
+        if self.reason:
+            msg += f": {self.reason}"
+        return msg
 
 
 class GenerationShortfall(CombatkitError):

@@ -8,9 +8,10 @@ a category alignment penalty is added. The combined action loss is
 scaled by the critical action's priority weight and added to the plain
 language-model loss.
 
-Every analytic gradient here is verified against central differences;
-``finite_diff_check`` is the reusable checker behind the ``loss check``
-CLI command and the acceptance suite.
+Every analytic gradient here is verified against central differences.
+``gradient_check_rows`` is the batched checker behind the ``loss check``
+CLI command and the acceptance suite; ``finite_diff_check``, one
+gradient at a time, is the scalar reference the tests compare against.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from .actions import (
     render_explanation,
 )
 from .aot import AoTRecord, serialize_stage3
-from .decoding import TokenStream
 from .errors import ObservationSchemaError, ReplayExhausted
 
 __all__ = ["Policy", "ScriptedPolicy", "ReplayPolicy", "RandomPolicy"]
@@ -55,17 +54,17 @@ def _feature(obs: Any, name: str) -> Any:
 class Policy:
     """Base class: one ``observe`` call per decision cycle."""
 
-    def __init__(self, tokens_per_second: float | None = None):
-        self.tokens_per_second = tokens_per_second
+    def __init__(self):
         self.call_count = 0
 
-    def observe(self, frames: Sequence[Any]) -> TokenStream:
+    def observe(self, frames: Sequence[Any]) -> tuple[str, ...]:
+        """The answer's stage-3 tokens, ready for ``decode``."""
         if not frames:
             raise ObservationSchemaError("observe needs at least one frame")
         self.call_count += 1
-        return TokenStream(self._tokens(frames), self.tokens_per_second)
+        return self._tokens(frames)
 
-    def _tokens(self, frames: Sequence[Any]) -> Sequence[str]:
+    def _tokens(self, frames: Sequence[Any]) -> tuple[str, ...]:
         raise NotImplementedError
 
 
@@ -96,6 +95,14 @@ def _telegraph_remaining(telegraph: Any) -> int:
     return int(telegraph["remaining_ms"])
 
 
+# The scripted rule table's thresholds: health fraction below which it
+# heals, attack and sprint distances in metres, and how soon before a
+# strike lands it dodges.
+_LOW_HP = 0.3
+_ATTACK_RANGE = 2.2
+_SPRINT_RANGE = 6.0
+_DODGE_WINDOW_MS = 400
+
 # The scripted rule table's answers, built once: action sets are immutable.
 _HEAL_BACK_OFF = ActionSet.of(
     ActionEvent.tap(ActionCategory.HEAL), ActionEvent.hold(ActionCategory.MOVE_BACK, 1.0)
@@ -122,21 +129,9 @@ class ScriptedPolicy(Policy):
     keeping actions short while a far-off strike winds up.
     """
 
-    def __init__(
-        self,
-        game_mode: str = "BMW",
-        tokens_per_second: float | None = None,
-        low_hp: float = 0.3,
-        attack_range: float = 2.2,
-        sprint_range: float = 6.0,
-        dodge_window_ms: int = 400,
-    ):
-        super().__init__(tokens_per_second)
+    def __init__(self, game_mode: str = "BMW"):
+        super().__init__()
         self.game_mode = game_mode.upper()
-        self.low_hp = low_hp
-        self.attack_range = attack_range
-        self.sprint_range = sprint_range
-        self.dodge_window_ms = dodge_window_ms
 
     def decide(self, obs: Any) -> ActionSet:
         # every feature is required, even those the firing rule ignores
@@ -144,25 +139,25 @@ class ScriptedPolicy(Policy):
             player_hp, _, player_pos, enemy_pos, telegraph,
             heal_charges, immobilize_ready, stunned_ms,
         ) = [_feature(obs, name) for name in _REQUIRED_FEATURES]
-        if player_hp < self.low_hp and heal_charges > 0:
+        if player_hp < _LOW_HP and heal_charges > 0:
             return _HEAL_BACK_OFF
         remaining = _telegraph_remaining(telegraph)
-        if 0 <= remaining <= self.dodge_window_ms:
+        if 0 <= remaining <= _DODGE_WINDOW_MS:
             return _DODGE
         px, py = player_pos
         ex, ey = enemy_pos
         distance = math.hypot(ex - px, ey - py)
-        in_range = distance <= self.attack_range
+        in_range = distance <= _ATTACK_RANGE
         if immobilize_ready and stunned_ms <= 0 and in_range:
             return _COMBO
-        if remaining > self.dodge_window_ms:
+        if remaining > _DODGE_WINDOW_MS:
             # strike still winding up: stay on short actions so the next
             # decision lands inside the dodge window
             return _LIGHT if in_range else _STEP_IN
         # approach commitments stay short: a telegraph may have started
         # just after the sampled frame, and the strike must not land
         # before the next decision can react
-        if distance > self.sprint_range:
+        if distance > _SPRINT_RANGE:
             return _SPRINT_IN
         if not in_range:
             return _STEP_IN
@@ -170,36 +165,26 @@ class ScriptedPolicy(Policy):
             return _HEAVY
         return _LIGHT
 
-    def _tokens(self, frames: Sequence[Any]) -> Sequence[str]:
+    def _tokens(self, frames: Sequence[Any]) -> tuple[str, ...]:
         return _serialize(self.decide(frames[-1]), self.game_mode)
 
 
 class ReplayPolicy(Policy):
     """Feed a recorded dataset's serializations back, one per cycle."""
 
-    def __init__(
-        self,
-        records: Sequence[AoTRecord],
-        wrap: bool = False,
-        tokens_per_second: float | None = None,
-    ):
-        super().__init__(tokens_per_second)
+    def __init__(self, records: Sequence[AoTRecord]):
+        super().__init__()
         if not records:
             raise ReplayExhausted("replay needs at least one record")
         self._records = list(records)
         self._cursor = 0
-        self.wrap = wrap
 
-    def _tokens(self, frames: Sequence[Any]) -> Sequence[str]:
+    def _tokens(self, frames: Sequence[Any]) -> tuple[str, ...]:
         if self._cursor >= len(self._records):
-            if not self.wrap:
-                raise ReplayExhausted(
-                    f"replay dataset exhausted after {len(self._records)} records"
-                )
-            self._cursor = 0
+            raise ReplayExhausted(f"replay dataset exhausted after {len(self._records)} records")
         record = self._records[self._cursor]
         self._cursor += 1
-        return record.serialized.split()
+        return tuple(record.serialized.split())
 
 
 class RandomPolicy(Policy):
@@ -208,11 +193,11 @@ class RandomPolicy(Policy):
     _CATEGORIES = tuple(ActionCategory)
     _HOLD_CHOICES = (0.25, 0.5, 1.0)
 
-    def __init__(self, seed: int = 0, tokens_per_second: float | None = None):
-        super().__init__(tokens_per_second)
+    def __init__(self, seed: int = 0):
+        super().__init__()
         self._rng = random.Random(seed)
 
-    def _tokens(self, frames: Sequence[Any]) -> Sequence[str]:
+    def _tokens(self, frames: Sequence[Any]) -> tuple[str, ...]:
         category = self._rng.choice(self._CATEGORIES)
         if category.hold_capable:
             event = ActionEvent.hold(category, self._rng.choice(self._HOLD_CHOICES))

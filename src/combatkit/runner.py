@@ -1,11 +1,10 @@
 """Pause-infer-act episode loop, transcripts, session export, and suites.
 
-Each decision cycle: the arena accumulates frames into the ring buffer,
-3 of the last 9 are sampled, the sim clock freezes while the policy
-streams its answer and the decoder recovers an action set, then the set
-executes tick by tick until done. Inference time never leaks into the
-sim clock, so paced and unpaced runs of the same policy produce the
-same world trajectory.
+Each decision cycle: the episode keeps every rendered frame, 3 of the
+last 9 are sampled, the sim clock freezes while the policy answers and
+the decoder recovers an action set, then the set executes tick by tick
+until done. Inference time never leaks into the sim clock, so the world
+trajectory does not depend on how long the policy takes to answer.
 
 Suite reports are byte-identical across reruns with the same seed:
 their latency column is simulated from emitted token counts at a fixed
@@ -22,9 +21,9 @@ from typing import Sequence
 
 from .actions import ActionCategory, ActionMode, ActionSet
 from .arena import (
+    FRAME_SAMPLE_WINDOW,
     ArenaConfig,
     ArenaState,
-    FrameRing,
     GameMode,
     ObservationFrame,
     TaskConfig,
@@ -146,13 +145,10 @@ def run_episode(
     """Run one duel to success, defeat, or the cycle cap."""
     cfg = cfg or ArenaConfig()
     state = new_arena(task, cfg, seed)
-    ring = FrameRing(cfg.buffer_frames)
     frames: list[ObservationFrame] = []
 
     def capture(state: ArenaState) -> None:
-        frame = render_observation(state)
-        ring.record(frame)
-        frames.append(frame)
+        frames.append(render_observation(state))
 
     capture(state)  # frame at t=0; advance captures one every frame interval
 
@@ -172,9 +168,9 @@ def run_episode(
             failure_reason = "cycle_cap"
             break
 
-        while len(ring) < 9:
+        while len(frames) < FRAME_SAMPLE_WINDOW:
             advance(state, None, cfg.tick_ms, capture)
-        sampled = sample_frames(ring)
+        sampled = sample_frames(frames)
 
         # sim clock pauses here: inference happens between ticks
         decision_t = state.clock_ms
@@ -347,7 +343,6 @@ def run_suite(
     repeats: int = 10,
     seed: int = 0,
     policy_name: str = "scripted",
-    cfg: ArenaConfig | None = None,
     pace_tokens_per_second: float = DEFAULT_PACE_TOKENS_PER_SECOND,
 ) -> SuiteReport:
     """Run every task `repeats` times and aggregate per-task rows.
@@ -356,7 +351,6 @@ def run_suite(
     report independent of host speed; rerunning with the same seed
     yields byte-identical CSV/JSON.
     """
-    cfg = cfg or ArenaConfig()
     rows: list[SuiteRow] = []
     for task in tasks:
         successes = 0
@@ -365,7 +359,7 @@ def run_suite(
         for repeat in range(repeats):
             ep_seed = episode_seed(seed, task.task_id, repeat)
             policy = make_policy(policy_name, task, ep_seed)
-            report, _ = run_episode(task, policy, mode, ep_seed, cfg)
+            report, _ = run_episode(task, policy, mode, ep_seed)
             successes += int(report.success)
             latency_total += (
                 report.mean_emitted_tokens / pace_tokens_per_second * 1000.0
@@ -393,20 +387,20 @@ def collect_transcripts(
     tasks: Sequence[TaskConfig],
     seed: int = 0,
     episodes_per_task: int = 1,
-    policy_names: Sequence[str] = ("scripted", "random"),
-    mode: DecodeMode = DecodeMode.TRUNCATED,
-    cfg: ArenaConfig | None = None,
 ) -> list[EpisodeTranscript]:
-    """Deterministic transcript corpus for dataset and benchmark builds."""
-    cfg = cfg or ArenaConfig()
+    """Deterministic transcript corpus for dataset and benchmark builds.
+
+    Each task gets truncated-mode episodes from the scripted and the
+    random policy.
+    """
     transcripts: list[EpisodeTranscript] = []
     for task in tasks:
-        for name in policy_names:
+        for name in ("scripted", "random"):
             for repeat in range(episodes_per_task):
                 ep_seed = episode_seed(seed, task.task_id, repeat) + (
                     0 if name == "scripted" else 500_009
                 )
                 policy = make_policy(name, task, ep_seed)
-                _, transcript = run_episode(task, policy, mode, ep_seed, cfg)
+                _, transcript = run_episode(task, policy, seed=ep_seed)
                 transcripts.append(transcript)
     return transcripts

@@ -12,7 +12,6 @@ from combatkit.arena import (
     FRAME_SAMPLE_WINDOW,
     ArenaConfig,
     Difficulty,
-    FrameRing,
     GameMode,
     ObservationFrame,
     PlayerStatus,
@@ -69,8 +68,6 @@ def _run(state, ticks, commander=None):
 def test_config_validation():
     with pytest.raises(ValueError):
         ArenaConfig(frame_interval_ms=130)  # not a tick multiple
-    with pytest.raises(ValueError):
-        ArenaConfig(buffer_frames=8)
     with pytest.raises(ValueError):
         ArenaConfig(tick_ms=0)
     cfg = ArenaConfig()
@@ -338,10 +335,7 @@ def test_observation_payload_round_trip():
     assert (back.enemy_telegraph is None) == (obs.enemy_telegraph is None)
 
 
-def test_frame_ring_and_sampling():
-    with pytest.raises(ValueError):
-        FrameRing(capacity=8)
-    ring = FrameRing(capacity=9)
+def test_frame_sampling():
     frames = []
     for i in range(12):
         f = ObservationFrame(
@@ -357,17 +351,12 @@ def test_frame_ring_and_sampling():
             enemy_stunned_ms=0,
         )
         frames.append(f)
-        ring.record(f)
-    assert ring.total_recorded == 12
     # last 9 are frames 3..11; offsets 0, 4, 8 pick 3, 7, 11
-    picked = sample_frames(ring)
+    picked = sample_frames(frames)
     assert [f.t_ms for f in picked] == [3 * 125, 7 * 125, 11 * 125]
     assert FRAME_SAMPLE_WINDOW == 9 and FRAME_SAMPLE_OFFSETS == (0, 4, 8)
-    short = FrameRing(capacity=16)
-    for f in frames[:8]:
-        short.record(f)
     with pytest.raises(InsufficientHistory):
-        sample_frames(short)
+        sample_frames(frames[:8])
 
 
 def test_iter_tasks_selectors():

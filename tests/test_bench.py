@@ -323,4 +323,5 @@ def test_read_items_raises_first_violation(tmp_path):
     with pytest.raises(ValidationError) as err:
         read_items(p)
     assert (err.value.line, err.value.field) == (2, "gold")
+    assert str(err.value).startswith(f"{p}:2: field 'gold'")
     assert [v.line for v in validate_dataset(p).violations] == [2, 4]

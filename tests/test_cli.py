@@ -172,6 +172,24 @@ def test_loss_check_csv_table(capsys, tmp_path):
     assert all(row["max_rel_error"] < 1e-4 for row in stored["rows"])
 
 
+@pytest.mark.parametrize(
+    "out_name, written",
+    [
+        ("run.v2.csv", ("run.v2.csv", "run.v2.json")),
+        ("x.json", ("x.csv", "x.json")),
+        ("x.csv", ("x.csv", "x.json")),
+    ],
+)
+def test_loss_check_out_keeps_inner_suffix(capsys, tmp_path, out_name, written):
+    code, out, err = run(
+        capsys, "loss", "check", "--points", 1, "--dim", 4, "--out", tmp_path / out_name
+    )
+    assert code == 0 and err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
+    assert (tmp_path / written[0]).read_text() == out
+    assert len(json.loads((tmp_path / written[1]).read_text())["rows"]) == 3
+
+
 def test_loss_check_zero_tolerance_fails(capsys):
     code, out, err = run(capsys, "loss", "check", "--points", 2, "--dim", 4, "--tolerance", 0.0)
     assert code == 1
@@ -375,8 +393,23 @@ def test_bench_non_list_choices_is_violation_with_file_and_line(capsys, tmp_path
     assert code == 1 and out == ""
     assert json.loads(err) == {
         "error": "ValidationError",
-        "message": "line 2: field 'choices': binary items offer Yes/No",
+        "message": f"{bad}:2: field 'choices': binary items offer Yes/No",
     }
+
+
+def test_bench_score_invalid_item_names_items_file(capsys, tmp_path):
+    lines = ITEMS.read_text(encoding="utf-8").splitlines()[:3]
+    bad = tmp_path / "items.jsonl"
+    bad.write_text(
+        "\n".join([*lines[:2], json.dumps(dict(json.loads(lines[2]), gold="Perhaps"))]) + "\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "bench", "score", "--items", bad, "--predictions", PREDICTIONS)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert payload["message"].startswith(f"{bad}:3: field 'gold'")
 
 
 def test_bench_gen_validates_cleanly(capsys, tmp_path):
@@ -448,6 +481,31 @@ def test_report_input_that_is_not_an_object_is_parse_error(capsys, tmp_path, fla
     payload = json.loads(err)
     assert payload["error"] == "ParseError"
     assert payload["message"].startswith(f"{bad}:1: ")
+
+
+@pytest.mark.parametrize(
+    "flag, payload, reason",
+    [
+        ("--suite", {"rows": [1]}, "suite rows[0] must be an object with a task_id"),
+        (
+            "--suite",
+            {"rows": [{"task_id": 1, "success_rate": None, "mean_latency_ms": 1.0}]},
+            "suite rows[0].success_rate must be a number",
+        ),
+        ("--bench", {"accuracies": [60.0]}, "benchmark 'accuracies' must be an object"),
+    ],
+    ids=["row-not-object", "null-number", "accuracies-not-object"],
+)
+def test_report_malformed_section_is_parse_error(capsys, tmp_path, flag, payload, reason):
+    suite = tmp_path / "suite.json"
+    suite.write_text("{}", encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    paths = {"--suite": suite, flag: bad}
+    code, out, err = run(capsys, "report", *(x for kv in paths.items() for x in kv))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "ParseError", "message": f"{bad}:1: {reason}"}
 
 
 def declared_console_scripts():

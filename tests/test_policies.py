@@ -116,8 +116,8 @@ def test_observe_serializes_decision_round_trip():
 
 def test_observe_full_stream_carries_mode_specific_explanation():
     ssdt = ScriptedPolicy(game_mode="SSDT")
-    stream = ssdt.observe([_obs(enemy_telegraph={"remaining_ms": 100}, enemy_pos=(1.0, 0.0))])
-    tokens = list(stream)
+    tokens = ssdt.observe([_obs(enemy_telegraph={"remaining_ms": 100}, enemy_pos=(1.0, 0.0))])
+    assert isinstance(tokens, tuple)
     text = " ".join(tokens)
     assert "needs to block to avoid" in text
     assert TRUNC_TOKEN in tokens
@@ -137,12 +137,6 @@ def test_replay_policy_plays_records_in_order():
     assert second.actions.categories() == {ActionCategory.DODGE}
     with pytest.raises(ReplayExhausted):
         list(p.observe([_obs()]))
-    wrapping = ReplayPolicy(records, wrap=True)
-    seen = [
-        decode(wrapping.observe([_obs()]), DecodeMode.TRUNCATED).actions.key()
-        for _ in range(4)
-    ]
-    assert seen[0] == seen[2] and seen[1] == seen[3]
     with pytest.raises(ReplayExhausted):
         ReplayPolicy([])
 
