@@ -152,12 +152,6 @@ class ActionEvent:
     def hold_ms(cls, category: ActionCategory, duration_ms: int) -> "ActionEvent":
         return cls(category, ActionMode.HOLD, duration_ms)
 
-    @property
-    def duration_s(self) -> float | None:
-        if self.duration_ms is None:
-            return None
-        return self.duration_ms / 1000.0
-
 
 @dataclass(frozen=True, slots=True)
 class ActionSet:

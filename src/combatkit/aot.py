@@ -77,10 +77,12 @@ EOS_TOKEN = "⟨EOS⟩"
 
 @dataclass(frozen=True, slots=True)
 class StageConfig:
-    """Knobs shared by the dataset builders.
+    """Settings of the dataset builders and the train/val split.
 
     n frames per stage-1 window at m frames/sec, k_frames of history per
-    stage-2 record, and a train fraction for splitting.
+    stage-2 record, merge_window_ms to merge near-simultaneous actions
+    into one stage-2 decision, and a train fraction and seed for
+    splitting.
     """
 
     n: int = 20
@@ -89,7 +91,6 @@ class StageConfig:
     split_fraction: float = 0.95
     seed: int = 0
     merge_window_ms: int = 50
-    tap_threshold_ms: int = 200
 
     def __post_init__(self) -> None:
         if self.n <= 0 or self.m <= 0 or self.k_frames <= 0:
@@ -164,10 +165,9 @@ class AlignedSession:
     alignment: AlignmentResult
 
 
-def align_session(session: TrackSession, cfg: StageConfig | None = None) -> AlignedSession:
-    cfg = cfg or StageConfig()
+def align_session(session: TrackSession) -> AlignedSession:
     gated = gate_session(session)
-    actions = coalesce_events(gated.raw_events, cfg.tap_threshold_ms)
+    actions = coalesce_events(gated.raw_events)
     alignment = align_actions_to_frames(actions, gated.frames)
     return AlignedSession(gated, tuple(actions), alignment)
 

@@ -152,7 +152,6 @@ class ArenaConfig:
     burn_dps: float = 20.0
     player_max_hp: float = 1000.0
     cycle_cap: int = 200
-    token_budget: int = 256
 
     def __post_init__(self) -> None:
         if self.tick_ms <= 0 or self.frame_interval_ms <= 0:

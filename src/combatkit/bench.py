@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .arena import ObservationFrame, PlayerStatus
 from .errors import GenerationShortfall, ParseError, UNPARSEABLE, ValidationError
@@ -39,8 +39,6 @@ __all__ = [
     "normalize_answer",
     "score",
     "generate_synthetic",
-    "derive_gold",
-    "frame_lookup",
     "write_items",
     "read_items",
     "read_predictions",
@@ -330,15 +328,6 @@ def score(items: Sequence[BenchItem], predictions: Mapping[str, str]) -> BenchRe
 
 # ------------------------------------------------------------- generation
 
-def frame_lookup(transcripts: Sequence[EpisodeTranscript]) -> dict[str, ObservationFrame]:
-    """Map 'episodekey:frameindex' refs to their observation frames."""
-    table: dict[str, ObservationFrame] = {}
-    for transcript in transcripts:
-        for i, frame in enumerate(transcript.frames):
-            table[f"{transcript.episode_key}:{i}"] = frame
-    return table
-
-
 def _rule_table_gold(frame: ObservationFrame, judge: ScriptedPolicy) -> str:
     lead = judge.decide(frame).in_priority_order().events[0].category
     if lead is ActionCategory.HEAL:
@@ -348,22 +337,17 @@ def _rule_table_gold(frame: ObservationFrame, judge: ScriptedPolicy) -> str:
     return "C"
 
 
-def derive_gold(item: BenchItem, frames: Mapping[str, ObservationFrame]) -> str:
-    """Recompute an item's gold from its referenced frames."""
-    last = frames[item.frame_refs[-1]]
-    if item.subtask == "enemy_health":
-        return "Yes" if last.enemy_hp >= HEALTH_HIGH_THRESHOLD else "No"
-    if item.subtask == "own_health":
-        return "Yes" if last.player_hp >= HEALTH_HIGH_THRESHOLD else "No"
-    if item.subtask == "own_abnormal_status":
-        return "Yes" if last.player_status is not PlayerStatus.NORMAL else "No"
-    if item.subtask == "action_intention":
-        return "Yes" if last.enemy_telegraph is not None else "No"
-    if item.subtask == "current_state":
-        return "Yes" if last.enemy_stunned_ms > 0 else "No"
-    if item.category is Category.REASONING:
-        return _rule_table_gold(last, ScriptedPolicy())
-    raise ValueError(f"unknown subtask {item.subtask!r}")
+# Yes/no subtask -> (frames an item references, whether the last of them
+# makes the gold "Yes").
+_BINARY_RULES: dict[str, tuple[int, Callable[[ObservationFrame], bool]]] = {
+    "enemy_health": (1, lambda f: f.enemy_hp >= HEALTH_HIGH_THRESHOLD),
+    "own_health": (1, lambda f: f.player_hp >= HEALTH_HIGH_THRESHOLD),
+    "own_abnormal_status": (1, lambda f: f.player_status is not PlayerStatus.NORMAL),
+    "action_intention": (3, lambda f: f.enemy_telegraph is not None),
+    "current_state": (3, lambda f: f.enemy_stunned_ms > 0),
+}
+# Reasoning items reference 4 frames; their gold is the rule table's letter.
+_REASONING_WINDOW = 4
 
 
 def _allocate(targets: Mapping[str, int], total: int) -> dict[str, int]:
@@ -430,29 +414,15 @@ def generate_synthetic(
         pools[subtask].setdefault(gold, []).append((refs, gold))
 
     for transcript in transcripts:
-        key = transcript.episode_key
-        frames = transcript.frames
-        for i, frame in enumerate(frames):
-            ref = (f"{key}:{i}",)
-            put("enemy_health", "Yes" if frame.enemy_hp >= HEALTH_HIGH_THRESHOLD else "No", ref)
-            put("own_health", "Yes" if frame.player_hp >= HEALTH_HIGH_THRESHOLD else "No", ref)
-            put(
-                "own_abnormal_status",
-                "Yes" if frame.player_status is not PlayerStatus.NORMAL else "No",
-                ref,
-            )
-            if i >= 2:
-                window3 = tuple(f"{key}:{j}" for j in range(i - 2, i + 1))
-                put(
-                    "action_intention",
-                    "Yes" if frame.enemy_telegraph is not None else "No",
-                    window3,
-                )
-                put("current_state", "Yes" if frame.enemy_stunned_ms > 0 else "No", window3)
-            if i >= 3:
-                window4 = tuple(f"{key}:{j}" for j in range(i - 3, i + 1))
+        refs = [f"{transcript.episode_key}:{i}" for i in range(len(transcript.frames))]
+        for i, frame in enumerate(transcript.frames):
+            for subtask, (window, says_yes) in _BINARY_RULES.items():
+                if i + 1 >= window:
+                    gold = "Yes" if says_yes(frame) else "No"
+                    put(subtask, gold, tuple(refs[i + 1 - window : i + 1]))
+            if i + 1 >= _REASONING_WINDOW:
                 gold = _rule_table_gold(frame, judge)
-                put(_GOLD_TO_SUBTASK[gold], gold, window4)
+                put(_GOLD_TO_SUBTASK[gold], gold, tuple(refs[i + 1 - _REASONING_WINDOW : i + 1]))
 
     items: list[BenchItem] = []
     seq = 0

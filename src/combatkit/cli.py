@@ -9,8 +9,10 @@ for ``agent`` and ``aot split``.
 File outputs are deterministic given the seed: rerunning a subcommand
 on identical inputs rewrites byte-identical files, and no subcommand
 mutates its inputs. Measured wall-clock numbers appear only on stdout,
-never in written reports. Failures print a machine-readable JSON object
-to stderr and exit 1; usage errors exit 2.
+never in written reports. A command that writes a CSV report with its
+JSON sibling (``--out``) names both files in one line on stderr.
+Failures print a machine-readable JSON object to stderr and exit 1;
+usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -44,7 +46,13 @@ from .bench import (
     validate_dataset,
     write_items,
 )
-from .decoding import DecodeMode, TokenStream, decode, token_savings_report
+from .decoding import (
+    DEFAULT_TOKEN_BUDGET,
+    DecodeMode,
+    TokenStream,
+    decode,
+    token_savings_report,
+)
 from .errors import CombatkitError, ConfigError, EmptyDataset, ParseError
 from .loss import gradient_check_rows
 from .rows import csv_text, json_text, write_jsonl, write_report
@@ -56,6 +64,7 @@ from .runner import (
     make_policy,
     run_episode,
     run_suite,
+    simulated_latency_ms,
     write_suite_report,
 )
 from .tracker import export_session, import_session
@@ -100,6 +109,11 @@ def _csv_path(out: str | Path) -> Path:
     if base.suffix in (".csv", ".json"):
         base = base.with_suffix("")
     return base.with_name(base.name + ".csv")
+
+
+def _note_written(paths: tuple[Path, Path]) -> None:
+    """Name a written report's CSV and JSON on stderr; stdout carries the result."""
+    sys.stderr.write(f"wrote {paths[0]} and {paths[1]}\n")
 
 
 def _command_parser(parser: argparse.ArgumentParser, args: argparse.Namespace):
@@ -173,7 +187,7 @@ def _cmd_track_import(args) -> int:
 
 def _cmd_track_align(args) -> int:
     session = import_session(_require_path(args.dir))
-    aligned = align_session(session, StageConfig(tap_threshold_ms=args.tap_threshold_ms))
+    aligned = align_session(session)
     out = write_jsonl(
         Path(args.out) if args.out else Path(args.dir) / "aligned.jsonl",
         (
@@ -207,13 +221,9 @@ def _cmd_track_export(args) -> int:
 def _cmd_aot_build(args) -> int:
     session = import_session(_require_path(args.dir))
     cfg = StageConfig(
-        n=args.n,
-        m=args.m,
-        k_frames=args.k_frames,
-        tap_threshold_ms=args.tap_threshold_ms,
-        merge_window_ms=args.merge_window_ms,
+        n=args.n, m=args.m, k_frames=args.k_frames, merge_window_ms=args.merge_window_ms
     )
-    aligned = align_session(session, cfg)
+    aligned = align_session(session)
     skipped = 0
     if args.stage == 1:
         records = build_video_aot(aligned, cfg)
@@ -266,7 +276,7 @@ def _cmd_loss_check(args) -> int:
     )
     sys.stdout.write(text)
     if args.out:
-        write_report(_csv_path(args.out), text, {"seed": args.seed, "rows": rows})
+        _note_written(write_report(_csv_path(args.out), text, {"seed": args.seed, "rows": rows}))
     worst = max(row["max_rel_error"] for row in rows)
     if worst >= args.tolerance:
         _fail(
@@ -331,7 +341,7 @@ def _cmd_decode_savings(args) -> int:
                 )
             ],
         )
-        write_report(_csv_path(args.out), text, payload)
+        _note_written(write_report(_csv_path(args.out), text, payload))
     _print_json(payload)
     return 0
 
@@ -358,7 +368,7 @@ def _cmd_agent_run(args) -> int:
         # wall-clock is measurement noise; files stay seed-deterministic
         written.pop("mean_inference_wall_ms", None)
         written["mean_latency_ms"] = round(
-            report.mean_emitted_tokens / args.pace_tokens_per_second * 1000.0, 3
+            simulated_latency_ms(report, args.pace_tokens_per_second), 3
         )
         (out / "report.json").write_text(json_text(written), encoding="utf-8")
     _print_json(shown)
@@ -376,7 +386,7 @@ def _cmd_agent_suite(args) -> int:
         pace_tokens_per_second=args.pace_tokens_per_second,
     )
     if args.out:
-        write_suite_report(report, _csv_path(args.out))
+        _note_written(write_suite_report(report, _csv_path(args.out)))
     sys.stdout.write(report.to_csv())
     return 0
 
@@ -449,7 +459,7 @@ def _cmd_bench_score(args) -> int:
         ]
         rows.append(("macro_average", "", "", f"{report.macro_average:.2f}"))
         text = csv_text(("category", "correct", "total", "accuracy"), rows)
-        write_report(_csv_path(args.out), text, report.to_json_dict())
+        _note_written(write_report(_csv_path(args.out), text, report.to_json_dict()))
     return 0
 
 
@@ -513,7 +523,7 @@ def _cmd_report(args) -> int:
     text = csv_text(("section", "metric", "value"), rows)
 
     if args.out:
-        write_report(_csv_path(args.out), text, combined)
+        _note_written(write_report(_csv_path(args.out), text, combined))
     sys.stdout.write(text)
     return 0
 
@@ -539,13 +549,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = track.add_parser("align", parents=[common], help="coalesce and frame-align actions")
     p.add_argument("--dir", required=True)
     p.add_argument("--out")
-    p.add_argument("--tap-threshold-ms", type=int, default=200)
     p.set_defaults(func=_cmd_track_align)
     p = track.add_parser("export", parents=[common], help="re-export in canonical form")
     p.add_argument("--dir", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_track_export)
 
+    stage = StageConfig()
     aot_sub = sub.add_parser("aot", help="dataset construction").add_subparsers(
         dest="subcommand", required=True
     )
@@ -553,17 +563,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True)
     p.add_argument("--stage", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--k-frames", type=int, default=4)
-    p.add_argument("--tap-threshold-ms", type=int, default=200)
-    p.add_argument("--merge-window-ms", type=int, default=50)
+    p.add_argument("--n", type=int, default=stage.n)
+    p.add_argument("--m", type=int, default=stage.m)
+    p.add_argument("--k-frames", type=int, default=stage.k_frames)
+    p.add_argument("--merge-window-ms", type=int, default=stage.merge_window_ms)
     p.set_defaults(func=_cmd_aot_build)
     p = aot_sub.add_parser("split", parents=[common], help="seeded train/val partition")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--train-out", required=True)
     p.add_argument("--val-out", required=True)
-    p.add_argument("--split", type=float, default=0.95)
+    p.add_argument("--split", type=float, default=stage.split_fraction)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_aot_split)
     p = aot_sub.add_parser("stats", parents=[common], help="dataset summary")
@@ -588,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = dec.add_parser("run", parents=[common], help="decode each record in a dataset")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--mode", choices=("truncated", "full"), default="truncated")
-    p.add_argument("--budget", type=int, default=256)
+    p.add_argument("--budget", type=int, default=DEFAULT_TOKEN_BUDGET)
     p.add_argument("--pace", type=float, default=None, help="tokens per second pacing")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_decode_run)

@@ -145,6 +145,18 @@ def contrastive_gradients(pair: EmbeddingPair, matched: bool) -> tuple[np.ndarra
     return sign * dcos_dv, sign * dcos_da
 
 
+def _clamped_nll(p: float | np.ndarray) -> np.ndarray:
+    """``-log p`` elementwise, with ``p`` clamped below at ``PROB_CLAMP``."""
+    return -np.log(np.maximum(p, PROB_CLAMP))
+
+
+def _alignment_gradient(probs: np.ndarray, rank: int) -> np.ndarray:
+    """Gradient of ``-log probs[rank]`` (clamped) w.r.t. ``probs``."""
+    grad = np.zeros_like(probs)
+    grad[rank] = -1.0 / max(float(probs[rank]), PROB_CLAMP)
+    return grad
+
+
 def alignment_term(pred: ActionPrediction, c_star: ActionCategory) -> float:
     """Negative log-probability of the critical category, clamped at 1e-12."""
     p = pred.prob_of(c_star)
@@ -152,16 +164,12 @@ def alignment_term(pred: ActionPrediction, c_star: ActionCategory) -> float:
         warnings.warn(
             f"p({c_star.name}) = {p!r} clamped to {PROB_CLAMP}", ClampedProbability
         )
-        p = PROB_CLAMP
-    return -math.log(p)
+    return float(_clamped_nll(p))
 
 
 def alignment_gradient(pred: ActionPrediction, c_star: ActionCategory) -> np.ndarray:
     """Analytic gradient of ``alignment_term`` w.r.t. the raw probabilities."""
-    grad = np.zeros_like(pred.probs)
-    p = max(pred.prob_of(c_star), PROB_CLAMP)
-    grad[c_star.priority_rank] = -1.0 / p
-    return grad
+    return _alignment_gradient(pred.probs, c_star.priority_rank)
 
 
 def composite_loss(
@@ -297,6 +305,9 @@ def gradient_check_rows(
     term (w.r.t. the probability vector). Each point's perturbed
     embeddings are evaluated as one stack, and the push branch's numeric
     gradient is the pull's negated, which is exact in IEEE arithmetic.
+    The alignment row runs the array code behind ``alignment_term`` and
+    ``alignment_gradient`` on the raw probabilities, with no
+    ``ActionPrediction`` built per point.
 
     The contrastive steps are ``h``. The alignment check is relative to
     ``p``: coordinate ``i`` steps by ``h * p[i]``, because ``-log p``
@@ -327,12 +338,8 @@ def gradient_check_rows(
         probs = rng.exponential(size=len(PRIORITY_ORDER))
         probs = probs / probs.sum()
         idx = PRIORITY_ORDER[int(rng.integers(len(PRIORITY_ORDER)))].priority_rank
-        analytic = np.zeros_like(probs)
-        analytic[idx] = -1.0 / max(float(probs[idx]), PROB_CLAMP)
-        numeric = _central_differences(
-            lambda rows: -np.log(np.maximum(rows[:, idx], PROB_CLAMP)), probs, h * probs
-        )
-        record("alignment", analytic, numeric)
+        numeric = _central_differences(lambda rows: _clamped_nll(rows[:, idx]), probs, h * probs)
+        record("alignment", _alignment_gradient(probs, idx), numeric)
 
     return [
         {

@@ -48,6 +48,7 @@ __all__ = [
     "REFERENCE_LATENCIES",
     "DEFAULT_PACE_TOKENS_PER_SECOND",
     "run_episode",
+    "simulated_latency_ms",
     "transcript_to_session",
     "run_suite",
     "collect_transcripts",
@@ -177,7 +178,7 @@ def run_episode(
         wall_start = time.perf_counter()
         stream = policy.observe(sampled)
         try:
-            result = decode(stream, mode, cfg.token_budget)
+            result = decode(stream, mode)
             actions: ActionSet | None = result.actions
             emitted = result.emitted_count
             stop_reason = result.stop_reason.value
@@ -329,6 +330,15 @@ def episode_seed(base_seed: int, task_id: int, repeat: int) -> int:
     return base_seed * 1_000_003 + task_id * 1_009 + repeat
 
 
+def simulated_latency_ms(report: EpisodeReport, pace_tokens_per_second: float) -> float:
+    """An episode's per-decision latency if its tokens streamed at a fixed pace.
+
+    It depends only on emitted token counts, so reports that carry it
+    stay independent of host speed.
+    """
+    return report.mean_emitted_tokens / pace_tokens_per_second * 1000.0
+
+
 def make_policy(name: str, task: TaskConfig, seed: int) -> Policy:
     if name == "scripted":
         return ScriptedPolicy(game_mode=task.game_mode.value)
@@ -361,9 +371,7 @@ def run_suite(
             policy = make_policy(policy_name, task, ep_seed)
             report, _ = run_episode(task, policy, mode, ep_seed)
             successes += int(report.success)
-            latency_total += (
-                report.mean_emitted_tokens / pace_tokens_per_second * 1000.0
-            )
+            latency_total += simulated_latency_ms(report, pace_tokens_per_second)
             cycles_total += report.decision_cycles
         rows.append(
             SuiteRow(

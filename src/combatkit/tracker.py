@@ -43,16 +43,12 @@ __all__ = [
     "TimedAction",
     "AlignedSample",
     "AlignmentResult",
-    "DEFAULT_TAP_THRESHOLD_MS",
     "coalesce_events",
     "align_actions_to_frames",
     "gate_session",
     "export_session",
     "import_session",
 ]
-
-DEFAULT_TAP_THRESHOLD_MS = 200
-
 
 class Edge(Enum):
     DOWN = "down"
@@ -154,14 +150,12 @@ class TimedAction:
     t_ms: int
 
 
-def coalesce_events(
-    raw: Sequence[RawInputEvent], tap_threshold_ms: int = DEFAULT_TAP_THRESHOLD_MS
-) -> list[TimedAction]:
+def coalesce_events(raw: Sequence[RawInputEvent]) -> list[TimedAction]:
     """Pair down/up edges per binding into timestamped action events.
 
-    Tap-only categories always become taps (the threshold marks the
-    nominal press length); hold-capable categories always carry their
-    held duration. Unmatched edges raise.
+    The category decides tap vs hold, not the press length: tap-only
+    categories always become taps, and hold-capable categories always
+    carry their held duration. Unmatched edges raise.
     """
     held: dict[str, list[int]] = {}
     out: list[TimedAction] = []

@@ -157,7 +157,6 @@ def test_action_event_validation():
         ActionEvent(ActionCategory.MOVE_FWD, ActionMode.HOLD, None)
     ev = ActionEvent.hold(ActionCategory.SPRINT, 0.5)
     assert ev.duration_ms == 500
-    assert ev.duration_s == 0.5
 
 
 def test_action_set_rejects_duplicates():
@@ -334,7 +333,7 @@ def _corpus_action_texts() -> list[str]:
     ]
     golden = Path(__file__).parent / "data" / "golden_session"
     cfg = StageConfig(n=4, k_frames=1)
-    aligned = align_session(import_session(golden), cfg)
+    aligned = align_session(import_session(golden))
     stage2 = build_frames_aot(aligned, cfg).records
     built = [*build_video_aot(aligned, cfg), *stage2, *(to_truncated_form(r) for r in stage2)]
     texts.extend(r.action_text for r in built)

@@ -132,7 +132,7 @@ def test_stage1_resample_prefers_nearest_frame():
     frame_ts = list(range(0, 2550, 125))
     session = _session(frame_ts, [("space", 40, 90)])
     cfg = StageConfig(n=10, m=10)
-    records = build_video_aot(align_session(session, cfg), cfg)
+    records = build_video_aot(align_session(session), cfg)
     refs = records[0].frame_refs
     # grid targets 0,100,...,900; nearest frames: 0,125,250,250,375,500,625,750,750,875
     assert refs == (1, 2, 3, 3, 4, 5, 6, 7, 7, 8)

@@ -2,19 +2,19 @@
 
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from combatkit.arena import PlayerStatus, load_task_configs
+from combatkit.actions import ActionCategory
+from combatkit.arena import PlayerStatus, Telegraph, load_task_configs
 from combatkit.bench import (
     CANONICAL_COUNTS,
     HEALTH_HIGH_THRESHOLD,
     SUBTASK_COUNTS,
     BenchItem,
     Category,
-    derive_gold,
-    frame_lookup,
     generate_synthetic,
     normalize_answer,
     read_items,
@@ -30,6 +30,7 @@ from combatkit.errors import (
     ParseError,
     ValidationError,
 )
+from combatkit.policies import ScriptedPolicy
 from combatkit.runner import collect_transcripts
 
 DATA = Path(__file__).parent / "data"
@@ -37,6 +38,34 @@ ITEMS_PATH = DATA / "bench_items.jsonl"
 PREDICTIONS_PATH = DATA / "bench_predictions.jsonl"
 
 TASKS = load_task_configs()
+
+# The paper's gold rules, stated here apart from bench.py: subtask ->
+# (frames an item references, gold of the last referenced frame).
+_ORACLE = {
+    "enemy_health": (1, lambda f: f.enemy_hp >= 0.5),
+    "own_health": (1, lambda f: f.player_hp >= 0.5),
+    "own_abnormal_status": (1, lambda f: f.player_status is not PlayerStatus.NORMAL),
+    "action_intention": (3, lambda f: f.enemy_telegraph is not None),
+    "current_state": (3, lambda f: f.enemy_stunned_ms > 0),
+}
+_LETTER = {ActionCategory.HEAL: "A", ActionCategory.DODGE: "B"}
+
+
+def _frames_by_ref(transcripts):
+    return {f"{t.episode_key}:{i}": f for t in transcripts for i, f in enumerate(t.frames)}
+
+
+def _oracle_gold(item, frames):
+    """The item's gold recomputed from its frames; also checks its frame window."""
+    episode, last = item.frame_refs[-1].rsplit(":", 1)
+    last = int(last)
+    window = _ORACLE[item.subtask][0] if item.subtask in _ORACLE else 4
+    assert item.frame_refs == tuple(f"{episode}:{j}" for j in range(last - window + 1, last + 1))
+    frame = frames[item.frame_refs[-1]]
+    if item.subtask in _ORACLE:
+        return "Yes" if _ORACLE[item.subtask][1](frame) else "No"
+    lead = ScriptedPolicy().decide(frame).in_priority_order().events[0].category
+    return _LETTER.get(lead, "C")
 
 
 def _item(**over):
@@ -218,19 +247,39 @@ def test_score_counts_missing_and_unparseable_as_wrong():
     assert report.unparseable_predictions == 1
 
 
-def test_derive_gold_thresholds_and_rule_table():
-    transcripts = collect_transcripts([TASKS[1]], seed=0, episodes_per_task=1)
-    frames = frame_lookup(transcripts)
-    ref = next(iter(frames))
-    f = frames[ref]
-    assert derive_gold(_item(frame_refs=(ref,)), frames) == (
-        "Yes" if f.enemy_hp >= 0.5 else "No"
+def test_generated_golds_at_thresholds_and_rule_table():
+    # Hand-built episodes on either side of every rule: health exactly at
+    # and just below 0.5, burning or not, a strike telegraphed or not,
+    # stunned for 1 ms or not; the rule table heals, dodges or attacks.
+    base = collect_transcripts([TASKS[1]], seed=0, episodes_per_task=1)[0]
+    low = replace(
+        base.frames[0], player_hp=0.5, enemy_hp=0.4999, player_pos=(0.0, 0.0),
+        enemy_pos=(1.0, 0.0), enemy_telegraph=None, player_status=PlayerStatus.NORMAL,
+        heal_charges=3, immobilize_ready=False, enemy_stunned_ms=0,
     )
-    assert derive_gold(
-        _item(subtask="own_abnormal_status", frame_refs=(ref,)), frames
-    ) == ("Yes" if f.player_status is not PlayerStatus.NORMAL else "No")
-    with pytest.raises(ValueError):
-        derive_gold(_item(subtask="mystery", frame_refs=(ref,)), frames)
+    high = replace(
+        low, player_hp=0.4999, enemy_hp=0.5, enemy_telegraph=Telegraph("strike", 100),
+        player_status=PlayerStatus.BURNING, enemy_stunned_ms=1,
+    )
+    heal = replace(low, player_hp=0.2)
+    transcripts = [
+        replace(base, seed=seed, frames=(frame,) * 6)
+        for seed, frame in enumerate((high, low, heal), start=1)
+    ]
+    targets = {Category.GATHERING: 20, Category.COMPREHENSION: 8, Category.REASONING: 7}
+    items = generate_synthetic(transcripts, targets, seed=0)
+    assert len(items) == 35
+    frames = _frames_by_ref(transcripts)
+    for item in items:
+        assert item.gold == _oracle_gold(item, frames)
+    # each binary gold appears on both sides; "Yes" for enemy health, say,
+    # only comes from the frame exactly at 0.5
+    assert {(item.subtask, item.gold) for item in items} == {
+        *((subtask, gold) for subtask in _ORACLE for gold in ("Yes", "No")),
+        ("answer_restore_health", "A"),
+        ("answer_dodge_attack", "B"),
+        ("answer_attack_enemy", "C"),
+    }
 
 
 def test_generate_synthetic_small_targets():
@@ -248,12 +297,10 @@ def test_generate_synthetic_small_targets():
     assert report.subtask_counts["own_abnormal_status"] == 3  # 36 * 36/360 = 3.6
     ids = [i.item_id for i in items]
     assert len(set(ids)) == len(ids)
-    # golds round-trip against the frames that produced them
-    frames = frame_lookup(transcripts)
+    # every gold is the oracle's, read off the frames the item references
+    frames = _frames_by_ref(transcripts)
     for item in items:
-        assert derive_gold(item, frames) == item.gold
-        for ref in item.frame_refs:
-            assert ref in frames
+        assert item.gold == _oracle_gold(item, frames)
     # deterministic for a fixed seed
     again = generate_synthetic(transcripts, targets, seed=0)
     assert [i.to_json_dict() for i in again] == [i.to_json_dict() for i in items]

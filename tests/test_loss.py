@@ -13,6 +13,7 @@ from combatkit.actions import (
     ActionSet,
     default_schedule,
 )
+from combatkit import loss
 from combatkit.errors import (
     ClampedProbability,
     ConfigError,
@@ -283,6 +284,17 @@ def test_alignment_check_steps_relative_to_probability():
     assert rows[2]["step"] == 1e-5
     assert rows[2]["analytic_grad_norm"] > 1000.0
     assert rows[2]["max_rel_error"] < 1e-4
+
+
+@pytest.mark.parametrize("helper", ["_alignment_gradient", "_clamped_nll"])
+def test_alignment_check_runs_the_library_code(monkeypatch, helper):
+    # Doubling the code behind alignment_gradient (or the clamped -log p
+    # behind alignment_term) must show up in the checker's alignment row.
+    exact = getattr(loss, helper)
+    monkeypatch.setattr(loss, helper, lambda *args: 2.0 * exact(*args))
+    rows = {row["component"]: row for row in gradient_check_rows(0, 5, 8)}
+    assert rows["alignment"]["max_rel_error"] > 0.1
+    assert rows["contrastive_pull"]["max_rel_error"] < 1e-4
 
 
 def test_gradient_check_rows_rejects_step_out_of_range():
