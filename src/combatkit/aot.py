@@ -23,7 +23,7 @@ import bisect
 import importlib.resources
 import random
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 

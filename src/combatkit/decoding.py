@@ -10,10 +10,12 @@ emission is always a prefix of the full one.
 
 from __future__ import annotations
 
+import functools
 import re
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -96,7 +98,19 @@ class DecodeResult:
         return len(self.emitted_tokens)
 
 
-def _extract_actions(emitted: Sequence[str], stop_reason: StopReason) -> ActionSet:
+# Bound on the clause memo; far above the distinct emissions of the
+# shipped policies (a few dozen answers, in two decoding modes).
+_EXTRACT_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_EXTRACT_CACHE_SIZE)
+def _extract_actions(emitted: tuple[str, ...], stop_reason: StopReason) -> ActionSet:
+    """The first bracketed clause of an emission that parses as an action set.
+
+    Memoized: policies repeat a few answers thousands of times, and the
+    result is immutable. A failure is not cached, so an emission without
+    a valid clause raises ``ActionParseError`` on every call.
+    """
     text = " ".join(emitted)
     for match in _BRACKET_RE.finditer(text):
         try:
@@ -121,23 +135,24 @@ def decode(
     """
     if budget <= 0:
         raise ValueError("token budget must be positive")
-    emitted: list[str] = []
+    # full mode has no truncation sentinel; None equals no token
+    trunc_token = TRUNC_TOKEN if mode is DecodeMode.TRUNCATED else None
+    tokens: list[str] = []
     stop = StopReason.BUDGET
     start = time.perf_counter()
-    for token in stream:
-        if mode is DecodeMode.TRUNCATED and token == TRUNC_TOKEN:
+    # islice pulls at most ``budget`` tokens, so a paced stream never
+    # sleeps for a token past the budget or the stopping sentinel
+    for token in islice(stream, budget):
+        if token == trunc_token:
             stop = StopReason.TRUNC
             break
-        emitted.append(token)
+        tokens.append(token)
         if token == EOS_TOKEN:
             stop = StopReason.EOS
             break
-        if len(emitted) >= budget:
-            stop = StopReason.BUDGET
-            break
     wall_ms = (time.perf_counter() - start) * 1000.0
-    actions = _extract_actions(emitted, stop)
-    return DecodeResult(tuple(emitted), actions, stop, wall_ms)
+    emitted = tuple(tokens)
+    return DecodeResult(emitted, _extract_actions(emitted, stop), stop, wall_ms)
 
 
 # ---------------------------------------------------------- token savings

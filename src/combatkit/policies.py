@@ -187,20 +187,27 @@ class ReplayPolicy(Policy):
         return tuple(record.serialized.split())
 
 
+# The random policy's hold durations in seconds, and its whole answer
+# space built once, one entry per category in declaration order: a
+# tap-only category's answer, or a hold-capable one's answers per hold
+# duration. Drawing an entry, then an answer for a hold, consumes the
+# generator exactly as drawing a category, then a duration, would.
+_HOLD_CHOICES = (0.25, 0.5, 1.0)
+_RANDOM_ANSWERS = tuple(
+    (None, tuple(_serialize(ActionSet.of(ActionEvent.hold(c, s)), None) for s in _HOLD_CHOICES))
+    if c.hold_capable
+    else (_serialize(ActionSet.of(ActionEvent.tap(c)), None), None)
+    for c in ActionCategory
+)
+
+
 class RandomPolicy(Policy):
     """Uniform-random single action per cycle; the comparison baseline."""
-
-    _CATEGORIES = tuple(ActionCategory)
-    _HOLD_CHOICES = (0.25, 0.5, 1.0)
 
     def __init__(self, seed: int = 0):
         super().__init__()
         self._rng = random.Random(seed)
 
     def _tokens(self, frames: Sequence[Any]) -> tuple[str, ...]:
-        category = self._rng.choice(self._CATEGORIES)
-        if category.hold_capable:
-            event = ActionEvent.hold(category, self._rng.choice(self._HOLD_CHOICES))
-        else:
-            event = ActionEvent.tap(category)
-        return _serialize(ActionSet.of(event), None)
+        tap, holds = self._rng.choice(_RANDOM_ANSWERS)
+        return tap if holds is None else self._rng.choice(holds)

@@ -24,7 +24,6 @@ from .arena import (
     FRAME_SAMPLE_WINDOW,
     ArenaConfig,
     ArenaState,
-    GameMode,
     ObservationFrame,
     TaskConfig,
     advance,
@@ -169,8 +168,10 @@ def run_episode(
             failure_reason = "cycle_cap"
             break
 
-        while len(frames) < FRAME_SAMPLE_WINDOW:
-            advance(state, None, cfg.tick_ms, capture)
+        if len(frames) < FRAME_SAMPLE_WINDOW:
+            # first decision: one run of ticks fills the sampling window
+            missing = FRAME_SAMPLE_WINDOW - len(frames)
+            advance(state, None, missing * cfg.frame_interval_ms, capture)
         sampled = sample_frames(frames)
 
         # sim clock pauses here: inference happens between ticks

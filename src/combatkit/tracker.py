@@ -23,7 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Sequence
 
-from .actions import ActionEvent, ActionMode, binding_to_category
+from .actions import ActionEvent, binding_to_category
 from .errors import (
     DanglingPress,
     NoFrames,

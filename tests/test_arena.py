@@ -335,6 +335,21 @@ def test_observation_payload_round_trip():
     assert (back.enemy_telegraph is None) == (obs.enemy_telegraph is None)
 
 
+def test_frames_are_immutable_and_replace_keeps_the_type():
+    state = _arena(seed=4)
+    _run(state, 60)
+    frame = render_observation(state)
+    with pytest.raises(AttributeError):
+        frame.player_hp = 0.5
+    changed = frame._replace(player_hp=0.25, enemy_telegraph=None)
+    assert type(changed) is ObservationFrame
+    assert (changed.player_hp, frame.player_hp) == (0.25, render_observation(state).player_hp)
+    assert hash(frame) == hash(render_observation(state))
+    back = ObservationFrame.from_payload(changed.to_payload())
+    assert type(back) is ObservationFrame
+    assert back.to_payload() == changed.to_payload()
+
+
 def test_frame_sampling():
     frames = []
     for i in range(12):
@@ -461,6 +476,22 @@ def test_advance_equals_repeated_steps(task_id):
     assert fused_frames == stepped_frames
     assert [f.t_ms for f in fused_frames] == list(range(interval, fused.clock_ms + 1, interval))
     assert _digest(fused, fused_frames) == _SCRIPT_DIGESTS[task_id]
+
+
+@pytest.mark.parametrize("task_id", [1, 10, 13])
+def test_window_fill_in_one_advance_equals_single_ticks(task_id):
+    # the runner fills the first sampling window with one advance of the
+    # missing frame intervals, where it once advanced a tick at a time
+    task = load_task_configs()[task_id]
+    one, ticked = new_arena(task, seed=task_id), new_arena(task, seed=task_id)
+    one_frames, ticked_frames = [render_observation(one)], [render_observation(ticked)]
+    interval, tick = one.cfg.frame_interval_ms, one.cfg.tick_ms
+    advance(one, None, 8 * interval, lambda s: one_frames.append(render_observation(s)))
+    for _ in range(40):
+        advance(ticked, None, tick, lambda s: ticked_frames.append(render_observation(s)))
+    assert ticked.clock_ms == 1000 and len(ticked_frames) == FRAME_SAMPLE_WINDOW
+    assert _snapshot(one) == _snapshot(ticked)
+    assert one_frames == ticked_frames
 
 
 def test_advance_rounds_up_to_whole_ticks():

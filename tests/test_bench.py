@@ -252,16 +252,16 @@ def test_generated_golds_at_thresholds_and_rule_table():
     # and just below 0.5, burning or not, a strike telegraphed or not,
     # stunned for 1 ms or not; the rule table heals, dodges or attacks.
     base = collect_transcripts([TASKS[1]], seed=0, episodes_per_task=1)[0]
-    low = replace(
-        base.frames[0], player_hp=0.5, enemy_hp=0.4999, player_pos=(0.0, 0.0),
+    low = base.frames[0]._replace(
+        player_hp=0.5, enemy_hp=0.4999, player_pos=(0.0, 0.0),
         enemy_pos=(1.0, 0.0), enemy_telegraph=None, player_status=PlayerStatus.NORMAL,
         heal_charges=3, immobilize_ready=False, enemy_stunned_ms=0,
     )
-    high = replace(
-        low, player_hp=0.4999, enemy_hp=0.5, enemy_telegraph=Telegraph("strike", 100),
+    high = low._replace(
+        player_hp=0.4999, enemy_hp=0.5, enemy_telegraph=Telegraph("strike", 100),
         player_status=PlayerStatus.BURNING, enemy_stunned_ms=1,
     )
-    heal = replace(low, player_hp=0.2)
+    heal = low._replace(player_hp=0.2)
     transcripts = [
         replace(base, seed=seed, frames=(frame,) * 6)
         for seed, frame in enumerate((high, low, heal), start=1)

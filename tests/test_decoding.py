@@ -108,6 +108,41 @@ def test_truncated_decode_skips_post_sentinel_pacing():
     assert res_full.emitted_count > res.emitted_count + 1
 
 
+def test_paced_stream_past_the_budget_is_pulled_budget_times():
+    # each pulled token of a paced stream costs one sleep; the decoder
+    # pulls none past the budget, so the stream still holds the next one
+    tokens = ["[press", "space]"] + [f"filler{i}" for i in range(40)] + [EOS_TOKEN]
+    for mode in DecodeMode:
+        naps = []
+        stream = TokenStream(tokens, tokens_per_second=100.0, sleep=naps.append)
+        res = decode(stream, mode, budget=12)
+        assert res.stop_reason is StopReason.BUDGET
+        assert res.emitted_tokens == tuple(tokens[:12])
+        assert len(naps) == 12
+        assert next(stream) == tokens[12]
+    # a sentinel pulled as the budget-th token still ends the decode on itself
+    res = decode(iter(["[press", "r]", TRUNC_TOKEN, "x"]), DecodeMode.TRUNCATED, budget=3)
+    assert (res.stop_reason, res.emitted_count) == (StopReason.TRUNC, 2)
+    res = decode(iter(["[press", "r]", EOS_TOKEN, "x"]), DecodeMode.FULL, budget=3)
+    assert (res.stop_reason, res.emitted_count) == (StopReason.EOS, 3)
+
+
+def test_same_unparseable_emission_raises_on_every_call():
+    # the clause memo stores no exceptions: a repeated bad emission fails afresh
+    text = f"[not an action] [hold w {EOS_TOKEN}"
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ActionParseError) as err:
+            decode(TokenStream.from_text(text), DecodeMode.FULL)
+        errors.append(err.value)
+    assert errors[0] is not errors[1]
+    assert str(errors[0]) == str(errors[1])
+    assert errors[0].stop_reason == errors[1].stop_reason == "eos"
+    # a good emission decodes to the one memoized action set
+    first, again = (decode(TokenStream.from_text(SAMPLE)) for _ in range(2))
+    assert again.actions is first.actions
+
+
 def test_decode_result_count_property():
     res = DecodeResult(("a", "b"), decode(TokenStream.from_text(SAMPLE)).actions, StopReason.EOS, 0.0)
     assert res.emitted_count == 2

@@ -1,5 +1,7 @@
 """Scripted rule table, replay source, and the random baseline."""
 
+import random
+
 import pytest
 
 from combatkit import policies
@@ -152,6 +154,23 @@ def test_random_policy_deterministic_per_seed():
     assert a != c
 
 
+def test_random_answers_match_events_built_from_the_same_draws():
+    # the answer table stands in for building the event per draw: a
+    # category, then a hold duration for a hold-capable one
+    categories, hold_choices = tuple(ActionCategory), (0.25, 0.5, 1.0)
+    for seed in (0, 1, 7, 2024):
+        policy, rng = RandomPolicy(seed=seed), random.Random(seed)
+        for _ in range(500):
+            category = rng.choice(categories)
+            if category.hold_capable:
+                event = ActionEvent.hold(category, rng.choice(hold_choices))
+            else:
+                event = ActionEvent.tap(category)
+            expected = policies._serialize(ActionSet.of(event), None)
+            assert policy.observe([_obs()]) == expected
+        assert policy._rng.getstate() == rng.getstate()
+
+
 def test_random_policy_emits_one_valid_action():
     p = RandomPolicy(seed=3)
     for _ in range(50):
@@ -243,7 +262,7 @@ def test_serialization_cache_matches_uncached_text():
     random_sets = [
         ActionSet.of(ActionEvent.hold(c, s) if c.hold_capable else ActionEvent.tap(c))
         for c in ActionCategory
-        for s in RandomPolicy._HOLD_CHOICES
+        for s in policies._HOLD_CHOICES
     ]
     random_sets.append(
         ActionSet.of(
