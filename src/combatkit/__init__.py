@@ -5,101 +5,11 @@ itself: input tracking and frame alignment, three-stage action-of-thought
 dataset construction, the action-weighted loss with gradient checking,
 truncated streaming decode, a pause-infer-act execution loop against a
 deterministic combat arena, and a combat-understanding benchmark.
+
+Import each name from the module that defines it, e.g.
+``from combatkit.runner import run_suite``; the package root holds only
+``__version__``. Only ``combatkit.loss`` (and ``combatkit.cli``, which
+imports it) needs numpy.
 """
 
-from .actions import (
-    ActionCategory,
-    ActionEvent,
-    ActionMode,
-    ActionSet,
-    PRIORITY_ORDER,
-    PrioritySchedule,
-    default_schedule,
-    parse_action_text,
-    priority_match,
-    render_action,
-    render_explanation,
-    weight_schedule,
-)
-from .aot import (
-    AoTRecord,
-    StageConfig,
-    align_session,
-    build_frames_aot,
-    build_video_aot,
-    load_bundled_stage3,
-    split_dataset,
-    to_truncated_form,
-)
-from .arena import ArenaConfig, GameMode, ObservationFrame, TaskConfig, load_task_configs
-from .bench import BenchItem, Category, generate_synthetic, score, validate_dataset
-from .decoding import DecodeMode, DecodeResult, TokenStream, decode, token_savings_report
-from .loss import LossBreakdown, composite_loss, finite_diff_check, gradient_check_rows
-from .policies import Policy, RandomPolicy, ReplayPolicy, ScriptedPolicy
-from .runner import EpisodeReport, run_episode, run_suite
-from .tracker import (
-    AlignmentResult,
-    TrackSession,
-    align_actions_to_frames,
-    coalesce_events,
-    export_session,
-    import_session,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "ActionCategory",
-    "ActionEvent",
-    "ActionMode",
-    "ActionSet",
-    "PRIORITY_ORDER",
-    "PrioritySchedule",
-    "default_schedule",
-    "parse_action_text",
-    "priority_match",
-    "render_action",
-    "render_explanation",
-    "weight_schedule",
-    "AoTRecord",
-    "StageConfig",
-    "align_session",
-    "build_frames_aot",
-    "build_video_aot",
-    "load_bundled_stage3",
-    "split_dataset",
-    "to_truncated_form",
-    "ArenaConfig",
-    "GameMode",
-    "ObservationFrame",
-    "TaskConfig",
-    "load_task_configs",
-    "BenchItem",
-    "Category",
-    "generate_synthetic",
-    "score",
-    "validate_dataset",
-    "DecodeMode",
-    "DecodeResult",
-    "TokenStream",
-    "decode",
-    "token_savings_report",
-    "LossBreakdown",
-    "composite_loss",
-    "finite_diff_check",
-    "gradient_check_rows",
-    "Policy",
-    "RandomPolicy",
-    "ReplayPolicy",
-    "ScriptedPolicy",
-    "EpisodeReport",
-    "run_episode",
-    "run_suite",
-    "AlignmentResult",
-    "TrackSession",
-    "align_actions_to_frames",
-    "coalesce_events",
-    "export_session",
-    "import_session",
-]

@@ -13,9 +13,11 @@ Action text is a tiny total grammar::
 
 ``parse_action_text`` and ``render_action`` are exact inverses over valid
 values, with durations kept in integer milliseconds so round trips cannot
-drift. Both parsers are memoized: their results are immutable, and a
-corpus repeats a few dozen distinct clauses thousands of times. Errors
-are not cached, so malformed text raises afresh on every call.
+drift. ``parse_action_events`` is memoized: its results are immutable,
+and a corpus repeats a few dozen distinct clauses thousands of times.
+Errors are not cached, so malformed text raises afresh on every call.
+``parse_action_text`` is not: its one library caller, the decoder,
+memoizes each emission's result itself.
 """
 
 from __future__ import annotations
@@ -300,7 +302,7 @@ def _strip_brackets(text: str) -> str:
     return t
 
 
-# Bound on each parser's memo; far above the distinct clauses of a corpus.
+# Bound on the event parser's memo; far above the distinct clauses of a corpus.
 _PARSE_CACHE_SIZE = 1024
 
 
@@ -318,7 +320,6 @@ def parse_action_events(text: str) -> tuple[ActionEvent, ...]:
     return tuple(_parse_clause(c) for c in t.split(","))
 
 
-@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_action_text(text: str) -> ActionSet:
     """Parse one decision cycle's action clause into an ActionSet."""
     return ActionSet(parse_action_events(text))

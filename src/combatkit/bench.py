@@ -448,21 +448,7 @@ def generate_synthetic(
         total = int(targets.get(category, 0))
         alloc = _allocate(SUBTASK_COUNTS[category], total)
         for subtask, want in alloc.items():
-            if category is Category.REASONING:
-                # subtask is the gold option; no cross-gold balancing
-                gold = {v: k for k, v in _GOLD_TO_SUBTASK.items()}[subtask]
-                pool = pools[subtask].get(gold, [])
-                if len(pool) < want:
-                    raise GenerationShortfall(
-                        f"{category.value}/{subtask}", want, len(pool)
-                    )
-                rng.shuffle(pool)
-                chosen = pool[:want]
-            else:
-                chosen = _pick_balanced(
-                    pools[subtask], want, rng, subtask, category.value
-                )
-            for refs, gold in chosen:
+            for refs, gold in _pick_balanced(pools[subtask], want, rng, subtask, category.value):
                 emit(category, subtask, refs, gold)
     return items
 

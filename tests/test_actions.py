@@ -353,7 +353,6 @@ def test_memoized_parse_equals_uncached_parse():
 
 def test_parse_caches_are_bounded():
     assert parse_action_events.cache_info().maxsize is not None
-    assert parse_action_text.cache_info().maxsize is not None
 
 
 def test_parse_errors_are_not_cached():

@@ -310,12 +310,15 @@ def test_generate_synthetic_small_targets():
 
 def test_generate_synthetic_shortfall():
     transcripts = collect_transcripts([TASKS[1]], seed=0, episodes_per_task=1)
-    with pytest.raises(GenerationShortfall):
+    with pytest.raises(GenerationShortfall) as err:
         generate_synthetic(
             transcripts,
             {Category.GATHERING: 10, Category.COMPREHENSION: 4, Category.REASONING: 100_000},
             seed=0,
         )
+    assert err.value.category == "reasoning/answer_restore_health"
+    assert err.value.wanted == 14286
+    assert err.value.available == 0
 
 
 def test_items_io_round_trip(tmp_path):

@@ -21,17 +21,22 @@ def build_fixtures(monkeypatch):
     return module
 
 
-def test_rebuilt_fixtures_equal_committed_files(build_fixtures, tmp_path):
-    build_fixtures.build_stage3(tmp_path / "stage3_sample.jsonl")
-    build_fixtures.build_bench(tmp_path / "bench_items.jsonl", tmp_path / "bench_predictions.jsonl")
-    build_fixtures.build_golden_session(tmp_path / "golden_session")
+def assert_equal_committed(out: Path) -> None:
+    """The fixtures rebuilt under ``out`` equal the committed files byte for byte."""
     committed = {
         "stage3_sample.jsonl": ROOT / "src" / "combatkit" / "data" / "stage3_sample.jsonl",
         "bench_items.jsonl": DATA / "bench_items.jsonl",
         "bench_predictions.jsonl": DATA / "bench_predictions.jsonl",
         **{f"golden_session/{p.name}": p for p in (DATA / "golden_session").iterdir()},
     }
-    rebuilt = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    rebuilt = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
     assert rebuilt == sorted(committed)
     for name, path in committed.items():
-        assert (tmp_path / name).read_bytes() == path.read_bytes(), f"{name} differs from {path}"
+        assert (out / name).read_bytes() == path.read_bytes(), f"{name} differs from {path}"
+
+
+def test_rebuilt_fixtures_equal_committed_files(build_fixtures, tmp_path):
+    build_fixtures.build_stage3(tmp_path / "stage3_sample.jsonl")
+    build_fixtures.build_bench(tmp_path / "bench_items.jsonl", tmp_path / "bench_predictions.jsonl")
+    build_fixtures.build_golden_session(tmp_path / "golden_session")
+    assert_equal_committed(tmp_path)

@@ -1,16 +1,28 @@
-"""Every name a package module imports is used by that module.
+"""What the package modules import.
 
-The scan reads each module under ``src/combatkit`` with ``ast``: a name
-bound by an import statement counts as used when the module loads it,
-reaches an attribute through it, or lists it in ``__all__``.
+Every name a package module imports is used by that module. The scan
+reads each module under ``src/combatkit`` with ``ast``: a name bound by
+an import statement counts as used when the module loads it, reaches an
+attribute through it, or lists it in ``__all__``.
+
+Only ``combatkit.loss`` and ``combatkit.cli`` need numpy: with numpy
+blocked, the other modules import and write the pinned suite reports and
+the committed fixtures byte for byte.
 """
 
 from __future__ import annotations
 
 import ast
+import hashlib
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "combatkit"
+from test_fixtures import assert_equal_committed
+from test_runner import SUITE_DIGESTS
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_DIR = ROOT / "src" / "combatkit"
 
 # (module, name) pairs imported on purpose without being used.
 ALLOWED_UNUSED = {
@@ -81,3 +93,58 @@ def test_scan_flags_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(path) == ["sample.py:1 imports 'field' and never uses it"]
+
+
+# Run as `python -c NUMPY_FREE_RUN REPO_ROOT OUT_DIR`: blocks numpy, imports
+# the core modules, then writes the seed-0 suite reports to OUT_DIR/suite
+# and the rebuilt fixtures to OUT_DIR/fixtures.
+NUMPY_FREE_RUN = """
+import importlib, importlib.util, sys
+from pathlib import Path
+
+sys.modules["numpy"] = None  # from here on, `import numpy` raises ImportError
+root, out = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path.insert(0, str(root / "src"))
+for name in ("actions", "aot", "arena", "bench", "decoding", "errors", "policies", "rows",
+             "runner", "tracker"):
+    importlib.import_module(f"combatkit.{name}")
+try:
+    import combatkit.loss
+except ImportError:
+    pass
+else:
+    sys.exit("combatkit.loss imported with numpy blocked")
+
+from combatkit.arena import iter_tasks, load_task_configs
+from combatkit.decoding import DecodeMode
+from combatkit.runner import run_suite, write_suite_report
+
+tasks = load_task_configs()
+for policy in ("scripted", "random"):
+    for mode in ("truncated", "full"):
+        report = run_suite(iter_tasks(tasks, "all"), DecodeMode(mode), 2, 0, policy)
+        write_suite_report(report, out / "suite" / f"{policy}-{mode}.csv")
+
+spec = importlib.util.spec_from_file_location("build_fixtures", root / "scripts" / "build_fixtures.py")
+fixtures = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(fixtures)
+fixtures.build_stage3(out / "fixtures" / "stage3_sample.jsonl")
+fixtures.build_bench(out / "fixtures" / "bench_items.jsonl",
+                     out / "fixtures" / "bench_predictions.jsonl")
+fixtures.build_golden_session(out / "fixtures" / "golden_session")
+"""
+
+
+def test_core_runs_without_numpy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_RUN, str(ROOT), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for (policy, mode), pinned in SUITE_DIGESTS.items():
+        digests = tuple(
+            hashlib.sha256((tmp_path / "suite" / f"{policy}-{mode}.{ext}").read_bytes()).hexdigest()
+            for ext in ("csv", "json")
+        )
+        assert digests == pinned, (policy, mode)
+    assert_equal_committed(tmp_path / "fixtures")
