@@ -43,12 +43,11 @@ __all__ = [
     "ActionMode",
     "ActionEvent",
     "ActionSet",
-    "PrioritySchedule",
     "PRIORITY_ORDER",
+    "PRIORITY_WEIGHTS",
     "TAP_ONLY",
     "NO_ACTION_TEXT",
     "weight_schedule",
-    "default_schedule",
     "priority_match",
     "binding_to_category",
     "parse_action_text",
@@ -212,37 +211,13 @@ def weight_schedule(k: int) -> list[float]:
     return [0.01 + (w - lo) / (hi - lo) * 0.09 for w in raw]
 
 
-@dataclass(frozen=True, slots=True)
-class PrioritySchedule:
-    """A priority ordering of categories plus their per-rank loss weights."""
-
-    order: tuple[ActionCategory, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.order) != len(self.weights):
-            raise InvalidArity("order and weights must have equal length")
-        if len(set(self.order)) != len(self.order):
-            raise DuplicateAction("priority order repeats a category")
-        for a, b in zip(self.weights, self.weights[1:]):
-            if not a > b:
-                raise InvalidArity("weights must be strictly decreasing")
-
-    def rank(self, category: ActionCategory) -> int:
-        return self.order.index(category)
-
-    def weight(self, category: ActionCategory) -> float:
-        return self.weights[self.rank(category)]
-
-
-def default_schedule() -> PrioritySchedule:
-    return PrioritySchedule(PRIORITY_ORDER, tuple(weight_schedule(len(PRIORITY_ORDER))))
+# Loss weight of each priority rank, most critical first.
+PRIORITY_WEIGHTS: tuple[float, ...] = tuple(weight_schedule(len(PRIORITY_ORDER)))
 
 
 def priority_match(
     label: ActionSet | Iterable[ActionEvent],
     output: ActionSet | Iterable[ActionEvent],
-    schedule: PrioritySchedule | None = None,
 ) -> tuple[ActionCategory, bool]:
     """Pick the critical labelled action and test the output for it.
 
@@ -250,11 +225,10 @@ def priority_match(
     priority rank. The output matches iff it contains c* as a category;
     event order, modes, and durations play no part.
     """
-    sched = schedule or default_schedule()
     label_events = list(label)
     if not label_events:
         raise EmptyLabel("cannot match against an empty label")
-    c_star = min((ev.category for ev in label_events), key=sched.rank)
+    c_star = min((ev.category for ev in label_events), key=lambda c: c.priority_rank)
     out_categories = {ev.category for ev in output}
     return c_star, c_star in out_categories
 

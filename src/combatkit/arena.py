@@ -9,8 +9,8 @@ from one seeded generator, and observations are rendered at a fixed
 3 of the last 9 at each decision.
 
 Numbers not pinned by the task grid (speeds, ranges, cast times, damage
-scaling) are invented constants, kept configurable on ``ArenaConfig``
-and in the versioned task file.
+scaling) are invented constants, kept on ``ArenaConfig`` and in the
+versioned task file.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .actions import ActionCategory, ActionSet
 from .errors import InsufficientHistory
@@ -130,40 +130,35 @@ class ObservationFrame(NamedTuple):
         )
 
 
-@dataclass(frozen=True, slots=True)
 class ArenaConfig:
-    """Engine constants. Defaults are the shipped balance."""
+    """Engine constants: the shipped balance, read off the class.
 
-    tick_ms: int = 25
-    frame_interval_ms: int = 125          # 8 frames per second
-    walk_speed_mps: float = 3.0
-    sprint_multiplier: float = 1.6
-    iframe_ms: int = 400                  # dodge invulnerability window
-    block_window_ms: int = 600            # SSDT: block arms for this long
-    heal_fraction: float = 0.30
-    heal_charges: int = 3
-    heal_cast_ms: int = 500
-    immobilize_cooldown_ms: int = 20_000
-    immobilize_stun_ms: int = 4_000
-    player_attack: float = 100.0
-    player_defense: float = 600.0
-    defense_constant: float = 1000.0      # incoming = power * K / (K + defense)
-    attack_range_m: float = 2.2
-    light_attack_delay_ms: int = 250
-    tap_press_ms: int = 50                # synthesized tap edge length
-    min_cycle_ms: int = 250               # every action set advances at least this
-    burn_duration_ms: int = 3_000
-    burn_dps: float = 20.0
-    player_max_hp: float = 1000.0
-    cycle_cap: int = 200
+    The frame grid needs a positive tick, a frame interval of whole
+    ticks and a positive ``min_cycle_ms``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.tick_ms <= 0 or self.frame_interval_ms <= 0:
-            raise ValueError("tick_ms and frame_interval_ms must be positive")
-        if self.frame_interval_ms % self.tick_ms != 0:
-            raise ValueError("frame_interval_ms must be a multiple of tick_ms")
-        if self.min_cycle_ms <= 0:
-            raise ValueError("min_cycle_ms must be positive")
+    tick_ms = 25
+    frame_interval_ms = 125          # 8 frames per second
+    walk_speed_mps = 3.0
+    sprint_multiplier = 1.6
+    iframe_ms = 400                  # dodge invulnerability window
+    block_window_ms = 600            # SSDT: block arms for this long
+    heal_fraction = 0.30
+    heal_charges = 3
+    heal_cast_ms = 500
+    immobilize_cooldown_ms = 20_000
+    immobilize_stun_ms = 4_000
+    player_attack = 100.0
+    player_defense = 600.0
+    defense_constant = 1000.0        # incoming = power * K / (K + defense)
+    attack_range_m = 2.2
+    light_attack_delay_ms = 250
+    tap_press_ms = 50                # synthesized tap edge length
+    min_cycle_ms = 250               # every action set advances at least this
+    burn_duration_ms = 3_000
+    burn_dps = 20.0
+    player_max_hp = 1000.0
+    cycle_cap = 200
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,7 +228,6 @@ class _Phase(Enum):
 class ArenaState:
     """Mutable duel state. All times are sim-clock milliseconds."""
 
-    cfg: ArenaConfig
     task: TaskConfig
     rng: random.Random
     clock_ms: int = 0
@@ -274,26 +268,24 @@ class ArenaState:
         return self.enemy_hp > 0.0
 
 
-def _jitter_ticks(rng: random.Random, cfg: ArenaConfig, spread_ticks: int = 3) -> int:
-    return rng.randint(-spread_ticks, spread_ticks) * cfg.tick_ms
+def _jitter_ticks(rng: random.Random, spread_ticks: int = 3) -> int:
+    return rng.randint(-spread_ticks, spread_ticks) * ArenaConfig.tick_ms
 
 
-def new_arena(task: TaskConfig, cfg: ArenaConfig | None = None, seed: int = 0) -> ArenaState:
-    cfg = cfg or ArenaConfig()
+def new_arena(task: TaskConfig, seed: int = 0) -> ArenaState:
     rng = random.Random(seed)
     distance = task.initial_distance_m + rng.uniform(-0.5, 0.5)
     state = ArenaState(
-        cfg=cfg,
         task=task,
         rng=rng,
-        player_hp=cfg.player_max_hp,
+        player_hp=ArenaConfig.player_max_hp,
         enemy_hp=task.enemy_max_hp,
         player_pos=[0.0, 0.0],
         enemy_pos=[0.0, max(1.0, distance)],
-        heal_charges=cfg.heal_charges,
+        heal_charges=ArenaConfig.heal_charges,
     )
     state.phase = _Phase.IDLE
-    state.phase_ends_at = task.idle_ms + _jitter_ticks(rng, cfg)
+    state.phase_ends_at = task.idle_ms + _jitter_ticks(rng)
     return state
 
 
@@ -306,40 +298,41 @@ _MOVE_DIRECTION = {
 
 
 def _apply_commands(state: ArenaState, commands: ActionSet) -> None:
-    cfg, now = state.cfg, state.clock_ms
+    now = state.clock_ms
     for event in commands.in_priority_order():
         cat = event.category
         if cat is ActionCategory.HEAL:
             if state.heal_charges > 0:
                 state.heal_charges -= 1
-                state.pending_heal_at = now + cfg.heal_cast_ms
+                state.pending_heal_at = now + ArenaConfig.heal_cast_ms
                 state.log("heal_start", charges_left=state.heal_charges)
             else:
                 state.log("heal_noop", reason="no charges")
         elif cat is ActionCategory.IMMOBILIZE:
             if now >= state.immobilize_ready_at:
-                state.enemy_stunned_until = now + cfg.immobilize_stun_ms
-                state.immobilize_ready_at = now + cfg.immobilize_cooldown_ms
+                state.enemy_stunned_until = now + ArenaConfig.immobilize_stun_ms
+                state.immobilize_ready_at = now + ArenaConfig.immobilize_cooldown_ms
                 if state.phase is _Phase.TELEGRAPH:
                     # freezing mid-windup cancels the strike outright
                     state.phase = _Phase.RECOVERY
                 state.phase_ends_at = state.enemy_stunned_until + state.task.recovery_ms
-                state.log("immobilize", stun_ms=cfg.immobilize_stun_ms)
+                state.log("immobilize", stun_ms=ArenaConfig.immobilize_stun_ms)
             else:
                 state.log("immobilize_noop", ready_in_ms=state.immobilize_ready_at - now)
         elif cat is ActionCategory.DODGE:
             if state.task.game_mode is GameMode.SSDT:
-                state.block_until = now + cfg.block_window_ms
-                state.log("block_armed", window_ms=cfg.block_window_ms)
+                state.block_until = now + ArenaConfig.block_window_ms
+                state.log("block_armed", window_ms=ArenaConfig.block_window_ms)
             else:
-                state.iframes_until = now + cfg.iframe_ms
-                state.log("dodge", iframe_ms=cfg.iframe_ms)
+                state.iframes_until = now + ArenaConfig.iframe_ms
+                state.log("dodge", iframe_ms=ArenaConfig.iframe_ms)
         elif cat is ActionCategory.LIGHT_ATTACK:
-            state.pending_attacks.append((now + cfg.light_attack_delay_ms, cfg.player_attack))
+            lands_at = now + ArenaConfig.light_attack_delay_ms
+            state.pending_attacks.append((lands_at, ArenaConfig.player_attack))
             state.log("light_attack_started")
         elif cat is ActionCategory.HEAVY_ATTACK:
             held_s = (event.duration_ms or 0) / 1000.0
-            damage = cfg.player_attack * (1.0 + held_s)
+            damage = ArenaConfig.player_attack * (1.0 + held_s)
             state.pending_attacks.append((now + (event.duration_ms or 0), damage))
             state.log("heavy_attack_started", held_s=held_s, damage=damage)
         elif cat in _MOVE_DIRECTION:
@@ -372,10 +365,9 @@ def _run_ticks(
     state: ArenaState,
     commands: ActionSet | None,
     ticks: int,
-    dt: int,
     on_frame: Callable[[ArenaState], None] | None,
 ) -> None:
-    """The tick engine: apply the onsets of ``commands``, then run ``ticks`` ticks of ``dt``.
+    """The tick engine: apply the onsets of ``commands``, then run ``ticks`` ticks.
 
     A tick runs, in order: player movement from the open hold windows,
     the scheduled heal, the player attacks due by its end, the enemy's
@@ -386,14 +378,15 @@ def _run_ticks(
     """
     if commands is not None:
         _apply_commands(state, commands)
-    cfg, task = state.cfg, state.task
+    task = state.task
+    dt = ArenaConfig.tick_ms
     hypot = math.hypot
     idle, telegraph, recovery = _Phase.IDLE, _Phase.TELEGRAPH, _Phase.RECOVERY
-    frame_interval = cfg.frame_interval_ms
-    walk_speed = cfg.walk_speed_mps
-    sprint_speed = walk_speed * cfg.sprint_multiplier
+    frame_interval = ArenaConfig.frame_interval_ms
+    walk_speed = ArenaConfig.walk_speed_mps
+    sprint_speed = walk_speed * ArenaConfig.sprint_multiplier
     chase_m = task.chase_speed_mps * dt / 1000.0
-    burn_dps = cfg.burn_dps
+    burn_dps = ArenaConfig.burn_dps
 
     t0 = state.clock_ms
     px, py = state.player_pos
@@ -428,8 +421,8 @@ def _run_ticks(
 
         # scheduled heal
         if heal_at is not None and t0 < heal_at <= t1:
-            healed = cfg.heal_fraction * cfg.player_max_hp
-            player_hp = min(cfg.player_max_hp, player_hp + healed)
+            healed = ArenaConfig.heal_fraction * ArenaConfig.player_max_hp
+            player_hp = min(ArenaConfig.player_max_hp, player_hp + healed)
             heal_at = state.pending_heal_at = None
             state.clock_ms = t0
             state.log("heal_applied", amount=healed)
@@ -439,7 +432,7 @@ def _run_ticks(
             _, damage = pending.pop(0)
             state.clock_ms = t0
             distance = hypot(ex - px, ey - py)
-            if distance <= cfg.attack_range_m:
+            if distance <= ArenaConfig.attack_range_m:
                 enemy_hp = max(0.0, enemy_hp - damage)
                 state.log("player_hit", damage=damage, enemy_hp=enemy_hp)
             else:
@@ -468,17 +461,17 @@ def _run_ticks(
                     elif task.game_mode is GameMode.BMW and state.iframes_until >= t0:
                         state.log("enemy_strike", outcome="dodged", strike=strike)
                     else:
-                        damage = task.strike_power * cfg.defense_constant / (
-                            cfg.defense_constant + cfg.player_defense
+                        damage = task.strike_power * ArenaConfig.defense_constant / (
+                            ArenaConfig.defense_constant + ArenaConfig.player_defense
                         )
                         player_hp = max(0.0, player_hp - damage)
                         if task.applies_burning:
-                            burning_until = state.burning_until = t0 + cfg.burn_duration_ms
+                            burning_until = state.burning_until = t0 + ArenaConfig.burn_duration_ms
                         state.log("enemy_strike", outcome="hit", strike=strike, damage=damage)
                     phase, phase_ends_at = recovery, t1 + task.recovery_ms
                 else:
                     phase = idle
-                    phase_ends_at = t1 + task.idle_ms + _jitter_ticks(state.rng, cfg)
+                    phase_ends_at = t1 + task.idle_ms + _jitter_ticks(state.rng)
 
         # burning damage over time
         if burning_until > t0 and player_hp > 0:
@@ -501,28 +494,25 @@ def advance(
 ) -> ArenaState:
     """Apply a command set's onsets, then tick until ``duration_ms`` have passed.
 
-    Ticks are whole ``cfg.tick_ms`` steps, so the clock stops at the
-    first tick boundary at or past start + ``duration_ms``.
+    Ticks are whole ``ArenaConfig.tick_ms`` steps, so the clock stops at
+    the first tick boundary at or past start + ``duration_ms``.
     ``on_frame(state)`` runs after every tick that ends on a multiple of
-    ``cfg.frame_interval_ms``; it reads the state and must not change it.
+    ``ArenaConfig.frame_interval_ms``; it reads the state and must not
+    change it.
     """
     if duration_ms <= 0:
         raise ValueError("duration_ms must be positive")
-    tick = state.cfg.tick_ms
-    _run_ticks(state, commands, -(-duration_ms // tick), tick, on_frame)
+    _run_ticks(state, commands, -(-duration_ms // ArenaConfig.tick_ms), on_frame)
     return state
 
 
-def step(state: ArenaState, commands: ActionSet | None, dt_ms: int | None = None) -> ArenaState:
+def step(state: ArenaState, commands: ActionSet | None) -> ArenaState:
     """Apply a command set's onsets, then advance one tick.
 
     ``commands`` may be None for a plain time step. Taps take effect at
     the current clock; holds open timed windows that later ticks honor.
     """
-    dt = state.cfg.tick_ms if dt_ms is None else dt_ms
-    if dt <= 0:
-        raise ValueError("dt_ms must be positive")
-    _run_ticks(state, commands, 1, dt, None)
+    _run_ticks(state, commands, 1, None)
     return state
 
 
@@ -538,7 +528,7 @@ def render_observation(state: ArenaState) -> ObservationFrame:
     player_pos, enemy_pos = state.player_pos, state.enemy_pos
     return ObservationFrame(
         now,
-        max(0.0, state.player_hp / state.cfg.player_max_hp),
+        max(0.0, state.player_hp / ArenaConfig.player_max_hp),
         max(0.0, enemy_hp / state.task.enemy_max_hp),
         (player_pos[0], player_pos[1]),
         (enemy_pos[0], enemy_pos[1]),
@@ -566,16 +556,11 @@ def sample_frames(frames: Sequence[ObservationFrame]) -> list[ObservationFrame]:
     return [window[i] for i in FRAME_SAMPLE_OFFSETS]
 
 
-def iter_tasks(
-    tasks: dict[int, TaskConfig], selector: str | Iterable[int] = "all"
-) -> list[TaskConfig]:
+def iter_tasks(tasks: dict[int, TaskConfig], selector: str) -> list[TaskConfig]:
     """Resolve a task selector: 'all' or an id list like '1,2,11'."""
     if selector == "all":
         return [tasks[k] for k in sorted(tasks)]
-    if isinstance(selector, str):
-        ids = [int(part) for part in selector.split(",") if part.strip()]
-    else:
-        ids = list(selector)
+    ids = [int(part) for part in selector.split(",") if part.strip()]
     missing = [i for i in ids if i not in tasks]
     if missing:
         raise KeyError(f"unknown task ids: {missing}")

@@ -377,16 +377,12 @@ def _pick_balanced(
     out: list = []
     cursors = {k: 0 for k in order}
     while len(out) < want:
-        progressed = False
         for k in order:
             if len(out) >= want:
                 break
             if cursors[k] < len(pools[k]):
                 out.append(pools[k][cursors[k]])
                 cursors[k] += 1
-                progressed = True
-        if not progressed:
-            break
     return out
 
 

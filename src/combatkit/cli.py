@@ -35,7 +35,7 @@ from .aot import (
     to_truncated_form,
     write_records,
 )
-from .arena import ArenaConfig, iter_tasks, load_task_configs
+from .arena import iter_tasks, load_task_configs
 from .bench import (
     CANONICAL_COUNTS,
     Category,
@@ -357,13 +357,12 @@ def _cmd_agent_run(args) -> int:
     if len(tasks) != 1:
         raise ValueError(f"agent run needs exactly one task, got {len(tasks)}")
     task = tasks[0]
-    cfg = ArenaConfig()
     policy = make_policy(args.policy, task, args.seed)
-    report, transcript = run_episode(task, policy, DecodeMode(args.mode), args.seed, cfg)
+    report, transcript = run_episode(task, policy, DecodeMode(args.mode), args.seed)
     shown = report.to_json_dict()
     if args.out:
         out = Path(args.out)
-        export_transcript(transcript, out / "session", cfg)
+        export_transcript(transcript, out / "session")
         written = dict(shown)
         # wall-clock is measurement noise; files stay seed-deterministic
         written.pop("mean_inference_wall_ms", None)

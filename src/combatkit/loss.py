@@ -23,14 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .actions import (
-    PRIORITY_ORDER,
-    ActionCategory,
-    ActionSet,
-    PrioritySchedule,
-    default_schedule,
-    priority_match,
-)
+from .actions import PRIORITY_ORDER, PRIORITY_WEIGHTS, ActionCategory, ActionSet, priority_match
 from .errors import ClampedProbability, ConfigError, DegenerateEmbedding, NumericFailure
 
 __all__ = [
@@ -122,10 +115,24 @@ class LossBreakdown:
 
 # ------------------------------------------------------------ loss terms
 
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair, as ``np.dot`` computes it on one row."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _row_cosines(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``cos(v, a)`` for each row pair of two ``(n, d)`` stacks.
+
+    ``cosine_similarity`` runs this on a one-row stack, and the gradient
+    checker on its stacks of perturbed points, so both use one formula.
+    """
+    return _row_dots(v, a) / (np.sqrt(_row_dots(v, v)) * np.sqrt(_row_dots(a, a)))
+
+
 def cosine_similarity(v: np.ndarray, a: np.ndarray) -> float:
     v = _as_vector(v, "v")
     a = _as_vector(a, "a")
-    return float(np.dot(v, a) / (np.linalg.norm(v) * np.linalg.norm(a)))
+    return float(_row_cosines(v[None], a[None])[0])
 
 
 def contrastive_term(pair: EmbeddingPair, matched: bool) -> float:
@@ -177,20 +184,19 @@ def composite_loss(
     pred: ActionPrediction,
     label: ActionSet,
     l_lang: float,
-    schedule: PrioritySchedule | None = None,
 ) -> LossBreakdown:
     """Weighted action loss on top of the language loss.
 
     Matched decisions pay only the pull; mismatched decisions pay the
-    push plus the category alignment penalty. The weight is the critical
-    action's schedule entry.
+    push plus the category alignment penalty. The weight is
+    ``PRIORITY_WEIGHTS[c_star.priority_rank]``, the critical action's
+    rank weight.
     """
-    sched = schedule or default_schedule()
-    c_star, matched = priority_match(label, pred.output_set, sched)
+    c_star, matched = priority_match(label, pred.output_set)
     l_con = contrastive_term(pair, matched)
     l_align = 0.0 if matched else alignment_term(pred, c_star)
     l_act = l_con + l_align
-    alpha = sched.weight(c_star)
+    alpha = PRIORITY_WEIGHTS[c_star.priority_rank]
     total = l_lang + alpha * l_act
     if not math.isfinite(total):
         raise NumericFailure(f"composite loss is non-finite: {total!r}")
@@ -236,20 +242,10 @@ def _max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(err.max(initial=0.0))
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot product of each row pair, as ``np.dot`` computes it on one row."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-
-
 def _pull_rows(points: np.ndarray, dim: int) -> np.ndarray:
-    """``1 - cos(v, a)`` for every row ``[v | a]`` of a stack of points.
-
-    The dot products and norms are taken as ``cosine_similarity`` takes
-    them, so each value equals ``contrastive_term`` on that row.
-    """
-    v, a = points[:, :dim], points[:, dim:]
-    cos = _row_dots(v, a) / (np.sqrt(_row_dots(v, v)) * np.sqrt(_row_dots(a, a)))
-    return 1.0 - cos
+    """``1 - cos(v, a)`` for every row ``[v | a]`` of a stack of points:
+    ``contrastive_term``'s pull, through the same ``_row_cosines``."""
+    return 1.0 - _row_cosines(points[:, :dim], points[:, dim:])
 
 
 def _pull_numeric_gradient(flat: np.ndarray, dim: int, h: float) -> np.ndarray:

@@ -119,20 +119,20 @@ class EpisodeTranscript:
         return f"t{self.task.task_id}s{self.seed}"
 
 
-def _busy_ms(cfg: ArenaConfig, actions: ActionSet) -> int:
+def _busy_ms(actions: ActionSet) -> int:
     worst = 0
     for event in actions:
         if event.mode is ActionMode.HOLD:
             worst = max(worst, event.duration_ms or 0)
         elif event.category is ActionCategory.HEAL:
-            worst = max(worst, cfg.heal_cast_ms)
+            worst = max(worst, ArenaConfig.heal_cast_ms)
         elif event.category is ActionCategory.DODGE:
-            worst = max(worst, cfg.iframe_ms)
+            worst = max(worst, ArenaConfig.iframe_ms)
         elif event.category is ActionCategory.LIGHT_ATTACK:
-            worst = max(worst, cfg.light_attack_delay_ms)
+            worst = max(worst, ArenaConfig.light_attack_delay_ms)
         else:
-            worst = max(worst, cfg.tap_press_ms)
-    return max(cfg.min_cycle_ms, worst)
+            worst = max(worst, ArenaConfig.tap_press_ms)
+    return max(ArenaConfig.min_cycle_ms, worst)
 
 
 def run_episode(
@@ -140,11 +140,9 @@ def run_episode(
     policy: Policy,
     mode: DecodeMode = DecodeMode.TRUNCATED,
     seed: int = 0,
-    cfg: ArenaConfig | None = None,
 ) -> tuple[EpisodeReport, EpisodeTranscript]:
     """Run one duel to success, defeat, or the cycle cap."""
-    cfg = cfg or ArenaConfig()
-    state = new_arena(task, cfg, seed)
+    state = new_arena(task, seed)
     frames: list[ObservationFrame] = []
 
     def capture(state: ArenaState) -> None:
@@ -164,14 +162,14 @@ def run_episode(
         if not state.player_alive:
             failure_reason = "player_defeated"
             break
-        if len(cycles) >= cfg.cycle_cap:
+        if len(cycles) >= ArenaConfig.cycle_cap:
             failure_reason = "cycle_cap"
             break
 
         if len(frames) < FRAME_SAMPLE_WINDOW:
             # first decision: one run of ticks fills the sampling window
             missing = FRAME_SAMPLE_WINDOW - len(frames)
-            advance(state, None, missing * cfg.frame_interval_ms, capture)
+            advance(state, None, missing * ArenaConfig.frame_interval_ms, capture)
         sampled = sample_frames(frames)
 
         # sim clock pauses here: inference happens between ticks
@@ -191,9 +189,9 @@ def run_episode(
         wall_ms = (time.perf_counter() - wall_start) * 1000.0
 
         if actions is not None and len(actions) > 0:
-            advance(state, actions, _busy_ms(cfg, actions) + cfg.tick_ms, capture)
+            advance(state, actions, _busy_ms(actions) + ArenaConfig.tick_ms, capture)
         else:
-            advance(state, None, cfg.min_cycle_ms, capture)
+            advance(state, None, ArenaConfig.min_cycle_ms, capture)
 
         cycles.append(
             CycleRecord(
@@ -232,15 +230,12 @@ def run_episode(
 
 # ------------------------------------------------------- session export
 
-def transcript_to_session(
-    transcript: EpisodeTranscript, cfg: ArenaConfig | None = None
-) -> TrackSession:
+def transcript_to_session(transcript: EpisodeTranscript) -> TrackSession:
     """Rebuild the raw input/frame record a tracker would have captured.
 
     Taps become short down/up pairs, holds keep their exact duration, so
     coalescing the exported session reproduces the commanded events.
     """
-    cfg = cfg or ArenaConfig()
     recorder = SessionRecorder(
         meta={
             "epoch_ms": "0",
@@ -258,17 +253,18 @@ def transcript_to_session(
         for event in cycle.actions.in_priority_order():
             binding = event.category.binding
             device = "mouse" if "mouse" in binding else "keyboard"
-            span = cfg.tap_press_ms if event.mode is ActionMode.TAP else (event.duration_ms or 1)
+            if event.mode is ActionMode.TAP:
+                span = ArenaConfig.tap_press_ms
+            else:
+                span = event.duration_ms or 1
             recorder.add_event(device, binding, Edge.DOWN, cycle.t_ms)
             recorder.add_event(device, binding, Edge.UP, cycle.t_ms + span)
     recorder.add_interval(0, transcript.report.sim_duration_ms)
     return recorder.freeze()
 
 
-def export_transcript(
-    transcript: EpisodeTranscript, out_dir: str | Path, cfg: ArenaConfig | None = None
-) -> Path:
-    return export_session(transcript_to_session(transcript, cfg), out_dir)
+def export_transcript(transcript: EpisodeTranscript, out_dir: str | Path) -> Path:
+    return export_session(transcript_to_session(transcript), out_dir)
 
 
 # ----------------------------------------------------------------- suite

@@ -11,7 +11,6 @@ from combatkit.actions import (
     PRIORITY_ORDER,
     ActionEvent,
     ActionSet,
-    default_schedule,
     weight_schedule,
 )
 from combatkit.aot import (
@@ -166,7 +165,7 @@ def test_criterion_3_gradients_match_finite_differences():
 def test_criterion_4_action_loss_branches_over_10000_pairs():
     rng = random.Random(4)
     vec_rng = np.random.default_rng(4)
-    schedule = default_schedule()
+    weights = weight_schedule(len(PRIORITY_ORDER))
     matched_seen = mismatched_seen = 0
     t0 = time.perf_counter()
     for _ in range(10_000):
@@ -181,7 +180,7 @@ def test_criterion_4_action_loss_branches_over_10000_pairs():
         l_lang = float(vec_rng.random() * 4.0)
 
         breakdown = composite_loss(
-            EmbeddingPair(v, a), ActionPrediction(probs, output), label, l_lang, schedule
+            EmbeddingPair(v, a), ActionPrediction(probs, output), label, l_lang
         )
 
         # independent recomputation from first principles
@@ -193,7 +192,7 @@ def test_criterion_4_action_loss_branches_over_10000_pairs():
 
         assert breakdown.c_star is c_star
         assert breakdown.matched is matched
-        assert breakdown.alpha == schedule.weight(c_star)
+        assert breakdown.alpha == weights[list(PRIORITY_ORDER).index(c_star)]
         assert breakdown.l_act == pytest.approx(expected_act, rel=1e-9, abs=1e-12)
         if matched:
             matched_seen += 1

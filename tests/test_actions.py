@@ -10,14 +10,13 @@ import pytest
 from combatkit.actions import (
     NO_ACTION_TEXT,
     PRIORITY_ORDER,
+    PRIORITY_WEIGHTS,
     TAP_ONLY,
     ActionCategory,
     ActionEvent,
     ActionMode,
     ActionSet,
-    PrioritySchedule,
     binding_to_category,
-    default_schedule,
     explanation_for_event,
     parse_action_events,
     parse_action_text,
@@ -125,25 +124,11 @@ def test_weight_schedule_degenerate_and_invalid():
         weight_schedule(2.0)  # type: ignore[arg-type]
 
 
-def test_default_schedule_consistency():
-    sched = default_schedule()
-    assert sched.order == PRIORITY_ORDER
-    assert list(sched.weights) == weight_schedule(10)
-    assert sched.weight(ActionCategory.HEAL) == pytest.approx(0.1)
-    assert sched.weight(ActionCategory.HEAVY_ATTACK) == pytest.approx(0.01)
-    assert sched.rank(ActionCategory.DODGE) == 2
-
-
-def test_priority_schedule_validation():
-    with pytest.raises(InvalidArity):
-        PrioritySchedule(PRIORITY_ORDER, (0.1, 0.05))
-    with pytest.raises(InvalidArity):
-        # not strictly decreasing
-        PrioritySchedule(PRIORITY_ORDER[:2], (0.05, 0.05))
-    with pytest.raises(DuplicateAction):
-        PrioritySchedule(
-            (ActionCategory.HEAL, ActionCategory.HEAL), (0.1, 0.05)
-        )
+def test_priority_weights_consistency():
+    assert list(PRIORITY_WEIGHTS) == weight_schedule(len(PRIORITY_ORDER))
+    assert PRIORITY_WEIGHTS[ActionCategory.HEAL.priority_rank] == pytest.approx(0.1)
+    assert PRIORITY_WEIGHTS[ActionCategory.HEAVY_ATTACK.priority_rank] == pytest.approx(0.01)
+    assert ActionCategory.DODGE.priority_rank == 2
 
 
 def test_action_event_validation():

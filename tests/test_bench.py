@@ -17,6 +17,7 @@ from combatkit.bench import (
     Category,
     generate_synthetic,
     normalize_answer,
+    _pick_balanced,
     read_items,
     read_predictions,
     score,
@@ -319,6 +320,18 @@ def test_generate_synthetic_shortfall():
     assert err.value.category == "reasoning/answer_restore_health"
     assert err.value.wanted == 14286
     assert err.value.available == 0
+
+
+def test_pick_balanced_alternates_golds_then_drains_the_larger_pool():
+    pools = {"yes": [f"y{i}" for i in range(6)], "no": ["n0", "n1"]}
+    picked = _pick_balanced(pools, 7, random.Random(0), "sub", "cat")
+    # golds alternate in sorted order while both pools last
+    assert [p[0] for p in picked] == ["n", "y", "n", "y", "y", "y", "y"]
+    assert len(set(picked)) == 7
+    assert len(_pick_balanced(pools, 8, random.Random(0), "sub", "cat")) == 8
+    with pytest.raises(GenerationShortfall) as err:
+        _pick_balanced(pools, 9, random.Random(0), "sub", "cat")
+    assert (err.value.category, err.value.wanted, err.value.available) == ("cat/sub", 9, 8)
 
 
 def test_items_io_round_trip(tmp_path):

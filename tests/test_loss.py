@@ -8,10 +8,10 @@ import pytest
 
 from combatkit.actions import (
     PRIORITY_ORDER,
+    PRIORITY_WEIGHTS,
     ActionCategory,
     ActionEvent,
     ActionSet,
-    default_schedule,
 )
 from combatkit import loss
 from combatkit.errors import (
@@ -124,7 +124,7 @@ def test_composite_loss_matched_branch():
     assert out.l_con == pytest.approx(1.0)
     assert out.l_align == 0.0
     assert out.l_act == pytest.approx(1.0)
-    assert out.alpha == pytest.approx(default_schedule().weight(ActionCategory.DODGE))
+    assert out.alpha == pytest.approx(PRIORITY_WEIGHTS[ActionCategory.DODGE.priority_rank])
     assert out.total == pytest.approx(2.0 + out.alpha * 1.0)
 
 
@@ -157,7 +157,6 @@ def test_composite_loss_branch_property_loop():
     rng = random.Random(4242)
     np_rng = np.random.default_rng(4242)
     cats = list(ActionCategory)
-    sched = default_schedule()
     for _ in range(300):
         label_cats = rng.sample(cats, rng.randrange(1, 4))
         out_cats = rng.sample(cats, rng.randrange(0, 4))
@@ -165,14 +164,14 @@ def test_composite_loss_branch_property_loop():
         probs = np_rng.exponential(size=10)
         probs /= probs.sum()
         pred = _pred(probs, *out_cats)
-        out = composite_loss(pair, pred, _label(*label_cats), l_lang=1.5, schedule=sched)
+        out = composite_loss(pair, pred, _label(*label_cats), l_lang=1.5)
         c_star = min(label_cats, key=lambda c: c.priority_rank)
         matched = c_star in out_cats
         pull = 1.0 - cosine_similarity(pair.v_eos, pair.a_eos)
         expect_act = pull if matched else (-pull - math.log(max(probs[c_star.priority_rank], PROB_CLAMP)))
         assert out.c_star is c_star and out.matched == matched
         assert out.l_act == pytest.approx(expect_act, rel=1e-12, abs=1e-12)
-        assert out.alpha == pytest.approx(sched.weights[c_star.priority_rank])
+        assert out.alpha == pytest.approx(PRIORITY_WEIGHTS[c_star.priority_rank])
         assert out.total == pytest.approx(1.5 + out.alpha * expect_act, rel=1e-12)
 
 
@@ -295,6 +294,21 @@ def test_alignment_check_runs_the_library_code(monkeypatch, helper):
     rows = {row["component"]: row for row in gradient_check_rows(0, 5, 8)}
     assert rows["alignment"]["max_rel_error"] > 0.1
     assert rows["contrastive_pull"]["max_rel_error"] < 1e-4
+
+
+def test_contrastive_check_runs_the_library_code(monkeypatch):
+    # contrastive_term and the checker's pull and push rows share
+    # _row_cosines, so doubling it must change the term and show up in
+    # both rows.
+    pair = random_pair(np.random.default_rng(0), 8)
+    before = contrastive_term(pair, True)
+    exact = loss._row_cosines
+    monkeypatch.setattr(loss, "_row_cosines", lambda *args: 2.0 * exact(*args))
+    assert contrastive_term(pair, True) != before
+    rows = {row["component"]: row for row in gradient_check_rows(0, 5, 8)}
+    assert rows["contrastive_pull"]["max_rel_error"] > 0.1
+    assert rows["contrastive_push"]["max_rel_error"] > 0.1
+    assert rows["alignment"]["max_rel_error"] < 1e-4
 
 
 def test_gradient_check_rows_rejects_step_out_of_range():

@@ -7,7 +7,7 @@ import pytest
 
 from combatkit.actions import ActionCategory, ActionMode
 from combatkit.aot import align_session
-from combatkit.arena import ArenaConfig, iter_tasks, load_task_configs
+from combatkit.arena import FRAME_SAMPLE_WINDOW, ArenaConfig, iter_tasks, load_task_configs
 from combatkit.decoding import DecodeMode
 from combatkit.policies import RandomPolicy, ScriptedPolicy
 from combatkit.runner import (
@@ -22,7 +22,7 @@ from combatkit.runner import (
     transcript_to_session,
     write_suite_report,
 )
-from combatkit.tracker import import_session
+from combatkit.tracker import Edge, import_session
 
 TASKS = load_task_configs()
 
@@ -42,14 +42,9 @@ def test_scripted_episode_wins_task_one():
     assert report.sim_duration_ms > 0
     assert transcript.report == report
     assert transcript.episode_key == "t1s11"
-    # frames land exactly on the 125 ms grid, and on any other valid grid
+    # frames land exactly on the 125 ms grid
     ts = [f.t_ms for f in transcript.frames]
     assert ts == list(range(0, ts[-1] + 1, 125))
-    _, other = run_episode(
-        TASKS[1], ScriptedPolicy(), seed=11, cfg=ArenaConfig(tick_ms=20, frame_interval_ms=100)
-    )
-    ts = [f.t_ms for f in other.frames]
-    assert len(ts) > 9 and ts == list(range(0, ts[-1] + 1, 100))
 
 
 def test_episode_determinism():
@@ -103,17 +98,31 @@ def test_transcript_to_session_layout():
     # coalescing the synthesized edges reproduces the commanded actions
     aligned = align_session(session)
     assert len(aligned.actions) == commanded
+    edges = {(e.binding, e.edge, e.t_ms) for e in session.raw_events}
     for cycle in transcript.cycles:
         if not cycle.actions:
             continue
         for event in cycle.actions:
-            if event.mode is ActionMode.HOLD:
+            if event.mode is ActionMode.TAP:
+                up_at = cycle.t_ms + ArenaConfig.tap_press_ms
+                assert (event.category.binding, Edge.UP, up_at) in edges
+            else:
                 match = [
                     ta
                     for ta in aligned.actions
                     if ta.t_ms == cycle.t_ms and ta.event.category is event.category
                 ]
                 assert match and match[0].event.duration_ms == event.duration_ms
+
+
+def test_cycles_advance_by_whole_ticks_and_at_least_min_cycle():
+    _, transcript = run_episode(TASKS[1], ScriptedPolicy(), seed=11)
+    times = [c.t_ms for c in transcript.cycles]
+    # the first decision waits for a full sampling window of frames
+    assert times[0] == (FRAME_SAMPLE_WINDOW - 1) * ArenaConfig.frame_interval_ms
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    assert gaps and all(g >= ArenaConfig.min_cycle_ms for g in gaps)
+    assert all(g % ArenaConfig.tick_ms == 0 for g in gaps)
 
 
 def test_export_transcript_files(tmp_path):
