@@ -134,7 +134,8 @@ class ArenaConfig:
     """Engine constants: the shipped balance, read off the class.
 
     The frame grid needs a positive tick, a frame interval of whole
-    ticks and a positive ``min_cycle_ms``.
+    ticks and a positive ``min_cycle_ms``; ``_check_frame_grid`` checks
+    this when the module loads.
     """
 
     tick_ms = 25
@@ -159,6 +160,18 @@ class ArenaConfig:
     burn_dps = 20.0
     player_max_hp = 1000.0
     cycle_cap = 200
+
+
+def _check_frame_grid(cfg: type[ArenaConfig]) -> None:
+    if cfg.tick_ms <= 0:
+        raise ValueError("tick_ms must be positive")
+    if cfg.frame_interval_ms <= 0 or cfg.frame_interval_ms % cfg.tick_ms:
+        raise ValueError("frame_interval_ms must be a positive multiple of tick_ms")
+    if cfg.min_cycle_ms <= 0:
+        raise ValueError("min_cycle_ms must be positive")
+
+
+_check_frame_grid(ArenaConfig)
 
 
 @dataclass(frozen=True, slots=True)

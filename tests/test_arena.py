@@ -16,6 +16,7 @@ from combatkit.arena import (
     ObservationFrame,
     PlayerStatus,
     TaskConfig,
+    _check_frame_grid,
     advance,
     iter_tasks,
     load_task_configs,
@@ -71,6 +72,26 @@ def test_config_validation():
     assert ArenaConfig.frame_interval_ms % ArenaConfig.tick_ms == 0
     assert ArenaConfig.frame_interval_ms // ArenaConfig.tick_ms == 5
     assert ArenaConfig.min_cycle_ms > 0
+    _check_frame_grid(ArenaConfig)
+
+    class OffGrid(ArenaConfig):
+        frame_interval_ms = 130  # not a tick multiple
+
+    class NoTick(ArenaConfig):
+        tick_ms = 0
+
+    with pytest.raises(ValueError, match="frame_interval_ms"):
+        _check_frame_grid(OffGrid)
+    with pytest.raises(ValueError, match="tick_ms"):
+        _check_frame_grid(NoTick)
+
+
+def test_config_rejects_nonpositive_min_cycle():
+    class Stalled(ArenaConfig):
+        min_cycle_ms = 0
+
+    with pytest.raises(ValueError, match="min_cycle_ms"):
+        _check_frame_grid(Stalled)
 
 
 def test_bundled_task_grid():
