@@ -8,8 +8,8 @@ deterministic combat arena, and a combat-understanding benchmark.
 
 Import each name from the module that defines it, e.g.
 ``from combatkit.runner import run_suite``; the package root holds only
-``__version__``. Only ``combatkit.loss`` (and ``combatkit.cli``, which
-imports it) needs numpy.
+``__version__``. Only ``combatkit.loss`` (and the ``loss check`` verb,
+which loads it when it runs) needs numpy.
 """
 
 __version__ = "0.1.0"

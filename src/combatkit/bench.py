@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .arena import ObservationFrame, PlayerStatus
-from .errors import GenerationShortfall, ParseError, UNPARSEABLE, ValidationError
+from .errors import ConfigError, GenerationShortfall, ParseError, UNPARSEABLE, ValidationError
 from .policies import ScriptedPolicy
 from .actions import ActionCategory
 from .rows import read_jsonl, write_jsonl
@@ -394,10 +394,16 @@ def generate_synthetic(
     """Build a benchmark from episode transcripts, deterministically.
 
     Subtask volumes follow the canonical grid scaled to the requested
-    category totals. Raises GenerationShortfall when the transcripts
-    cannot supply a subtask.
+    category totals. A negative total is a ConfigError naming its
+    category. Raises GenerationShortfall when the transcripts cannot
+    supply a subtask.
     """
     targets = dict(target_counts or CANONICAL_COUNTS)
+    for category in Category:
+        if targets.get(category, 0) < 0:
+            raise ConfigError(
+                f"category {category.value}: target count {targets[category]} is negative"
+            )
     rng = random.Random(seed)
     judge = ScriptedPolicy()
 

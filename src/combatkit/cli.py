@@ -53,8 +53,7 @@ from .decoding import (
     decode,
     token_savings_report,
 )
-from .errors import CombatkitError, ConfigError, EmptyDataset, ParseError
-from .loss import gradient_check_rows
+from .errors import CombatkitError, ConfigError, EmptyDataset, MissingDependency, ParseError
 from .rows import csv_text, json_text, write_jsonl, write_report
 from .runner import (
     DEFAULT_PACE_TOKENS_PER_SECOND,
@@ -70,6 +69,25 @@ from .runner import (
 from .tracker import export_session, import_session
 
 __all__ = ["build_parser", "main"]
+
+
+def __getattr__(name: str):
+    """Import ``combatkit.loss``, and so numpy, the first time ``gradient_check_rows`` is read.
+
+    Only ``loss check`` needs numpy, so every other command starts without
+    it. The function is then stored as this module's attribute, where
+    ``_cmd_loss_check`` looks it up on each call.
+    """
+    if name != "gradient_check_rows":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    try:
+        from .loss import gradient_check_rows
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise MissingDependency("loss check needs numpy, which is not installed") from None
+    globals()[name] = gradient_check_rows
+    return gradient_check_rows
 
 
 def _print_json(obj) -> None:
@@ -261,7 +279,8 @@ _LOSS_COLUMNS = ("component", "analytic_grad_norm", "fd_grad_norm", "max_rel_err
 
 
 def _cmd_loss_check(args) -> int:
-    rows = gradient_check_rows(seed=args.seed, points=args.points, dim=args.dim, h=args.step)
+    check = sys.modules[__name__].gradient_check_rows
+    rows = check(seed=args.seed, points=args.points, dim=args.dim, h=args.step)
     text = csv_text(
         _LOSS_COLUMNS,
         (
@@ -362,13 +381,14 @@ def _cmd_agent_run(args) -> int:
     shown = report.to_json_dict()
     if args.out:
         out = Path(args.out)
-        export_transcript(transcript, out / "session")
         written = dict(shown)
         # wall-clock is measurement noise; files stay seed-deterministic
         written.pop("mean_inference_wall_ms", None)
+        # before any file is written, so a bad pace leaves none behind
         written["mean_latency_ms"] = round(
             simulated_latency_ms(report, args.pace_tokens_per_second), 3
         )
+        export_transcript(transcript, out / "session")
         (out / "report.json").write_text(json_text(written), encoding="utf-8")
     _print_json(shown)
     return 0

@@ -127,6 +127,10 @@ class ConfigError(CombatkitError):
     """A config file or setting is malformed, out of range, or unknown."""
 
 
+class MissingDependency(CombatkitError):
+    """A command needs a package that is not installed, such as numpy for ``loss check``."""
+
+
 # ---------------------------------------------------------------- bench
 
 class ValidationError(CombatkitError):

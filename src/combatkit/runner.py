@@ -33,7 +33,7 @@ from .arena import (
     step,  # not called here; perfbench/tracing.py wraps it as runner.step
 )
 from .decoding import DecodeMode, decode
-from .errors import ActionParseError
+from .errors import ActionParseError, ConfigError
 from .policies import Policy, RandomPolicy, ScriptedPolicy
 from .rows import csv_text, write_report
 from .tracker import Edge, SessionRecorder, TrackSession, export_session
@@ -327,12 +327,21 @@ def episode_seed(base_seed: int, task_id: int, repeat: int) -> int:
     return base_seed * 1_000_003 + task_id * 1_009 + repeat
 
 
+def _check_pace(pace_tokens_per_second: float) -> None:
+    if not pace_tokens_per_second > 0:
+        raise ConfigError(
+            f"pace must be a positive number of tokens per second, got {pace_tokens_per_second}"
+        )
+
+
 def simulated_latency_ms(report: EpisodeReport, pace_tokens_per_second: float) -> float:
     """An episode's per-decision latency if its tokens streamed at a fixed pace.
 
     It depends only on emitted token counts, so reports that carry it
-    stay independent of host speed.
+    stay independent of host speed. A pace that is not positive is a
+    ``ConfigError``.
     """
+    _check_pace(pace_tokens_per_second)
     return report.mean_emitted_tokens / pace_tokens_per_second * 1000.0
 
 
@@ -356,8 +365,12 @@ def run_suite(
 
     Latency is simulated (emitted tokens at the fixed pace), keeping the
     report independent of host speed; rerunning with the same seed
-    yields byte-identical CSV/JSON.
+    yields byte-identical CSV/JSON. Fewer than one repeat or a pace that
+    is not positive is a ``ConfigError``, raised before any episode runs.
     """
+    if repeats < 1:
+        raise ConfigError(f"repeats must be at least 1, got {repeats}")
+    _check_pace(pace_tokens_per_second)
     rows: list[SuiteRow] = []
     for task in tasks:
         successes = 0

@@ -27,6 +27,7 @@ from combatkit.bench import (
 )
 from combatkit.errors import (
     UNPARSEABLE,
+    ConfigError,
     GenerationShortfall,
     ParseError,
     ValidationError,
@@ -320,6 +321,17 @@ def test_generate_synthetic_shortfall():
     assert err.value.category == "reasoning/answer_restore_health"
     assert err.value.wanted == 14286
     assert err.value.available == 0
+
+
+@pytest.mark.parametrize("category", list(Category))
+def test_generate_synthetic_rejects_a_negative_target(category):
+    targets = {Category.GATHERING: 4, Category.COMPREHENSION: 4, Category.REASONING: 4}
+    transcripts = collect_transcripts([TASKS[1]], seed=0, episodes_per_task=1)
+    with pytest.raises(ConfigError, match=f"category {category.value}: target count -5"):
+        generate_synthetic(transcripts, {**targets, category: -5}, seed=0)
+    # a zero target still leaves its category out
+    items = generate_synthetic(transcripts, {**targets, category: 0}, seed=0)
+    assert len(items) == 8 and category not in {item.category for item in items}
 
 
 def test_pick_balanced_alternates_golds_then_drains_the_larger_pool():

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -27,6 +28,11 @@ SCRIPT_HEADER = re.compile(r"\[\s*([^\]]+?)\s*\]\s*(?:#.*)?")
 SCRIPT_ENTRY = re.compile(r"""["']?([\w.-]+)["']?\s*=\s*(["'])(.*?)\2\s*(?:#.*)?""")
 ENTRY_POINT = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*:[A-Za-z_]\w*")
 SCRIPT_TIMEOUT_S = 60
+
+# `loss check` is the one verb that needs numpy; every other test here runs without it
+needs_numpy = pytest.mark.skipif(
+    importlib.util.find_spec("numpy") is None, reason="loss check needs numpy"
+)
 
 TRUNC = "⟨TRUNC⟩"
 EOS = "⟨EOS⟩"
@@ -215,6 +221,7 @@ def test_aot_stats_summarizes_bundled(capsys):
 
 # ------------------------------------------------------------------- loss
 
+@needs_numpy
 def test_loss_check_csv_table(capsys, tmp_path):
     code, out, err = run(
         capsys, "loss", "check", "--points", 5, "--dim", 8, "--out", tmp_path / "grad"
@@ -233,6 +240,7 @@ def test_loss_check_csv_table(capsys, tmp_path):
     assert all(row["max_rel_error"] < 1e-4 for row in stored["rows"])
 
 
+@needs_numpy
 @pytest.mark.parametrize(
     "out_name, written",
     [
@@ -251,6 +259,7 @@ def test_loss_check_out_keeps_inner_suffix(capsys, tmp_path, out_name, written):
     assert len(json.loads((tmp_path / written[1]).read_text())["rows"]) == 3
 
 
+@needs_numpy
 def test_loss_check_matches_pinned_digests(capsys, tmp_path):
     # sha256 taken when the alignment row still held its own copy of the
     # gradient and -log p; running the library's code must not move a byte
@@ -267,6 +276,7 @@ def test_loss_check_matches_pinned_digests(capsys, tmp_path):
     )
 
 
+@needs_numpy
 def test_loss_check_zero_tolerance_fails(capsys):
     code, out, err = run(capsys, "loss", "check", "--points", 2, "--dim", 4, "--tolerance", 0.0)
     assert code == 1
@@ -342,6 +352,29 @@ def test_agent_suite_csv_and_file_determinism(capsys, tmp_path):
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "suite.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("agent", "suite", "--tasks", "1", "--seed", 0, "--repeats", 0), "repeats must be"),
+        (("agent", "suite", "--tasks", "1", "--seed", 0, "--repeats", -1), "repeats must be"),
+        (("agent", "suite", "--tasks", "1", "--seed", 0, "--pace-tokens-per-second", 0),
+         "pace must be"),
+        (("agent", "run", "--task", 1, "--seed", 0, "--pace-tokens-per-second", -4),
+         "pace must be"),
+        (("bench", "gen", "--seed", 0, "--tasks", "1", "--gathering", -5),
+         "category gathering: target count -5 is negative"),
+    ],
+    ids=lambda v: " ".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_out_of_range_counts_and_pace_are_config_errors(capsys, tmp_path, argv, reason):
+    code, out, err = run(capsys, *argv, "--out", tmp_path / "out")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError" and reason in payload["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_agent_seed_is_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["agent", "run", "--task", "1"])
@@ -373,6 +406,7 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     assert "unknown setting 'bogus'" in payload["message"]
 
 
+@needs_numpy
 def test_config_values_convert_like_flags(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": "7", "points": "2"}))
@@ -525,7 +559,7 @@ def test_bench_score_reproduces_fixture_numbers(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("loss", "check", "--points", 1, "--dim", 4),
+        pytest.param(("loss", "check", "--points", 1, "--dim", 4), marks=needs_numpy),
         ("agent", "suite", "--tasks", "1", "--repeats", 1, "--seed", 0),
         ("bench", "score", "--items", ITEMS, "--predictions", PREDICTIONS),
         ("report", "--suite", "{suite}"),
@@ -680,6 +714,7 @@ def test_installed_console_script_serves_this_checkout():
     )
 
 
+@needs_numpy
 @pytest.mark.parametrize("points", [0, -1])
 def test_loss_check_rejects_fewer_than_one_point(capsys, points):
     code, out, err = run(capsys, "loss", "check", "--points", points, "--dim", 4)

@@ -5,24 +5,33 @@ reads each module under ``src/combatkit`` with ``ast``: a name bound by
 an import statement counts as used when the module loads it, reaches an
 attribute through it, or lists it in ``__all__``.
 
-Only ``combatkit.loss`` and ``combatkit.cli`` need numpy: with numpy
-blocked, the other modules import and write the pinned suite reports and
-the committed fixtures byte for byte.
+Only ``combatkit.loss`` and the ``loss check`` verb need numpy. With
+numpy blocked, every other module, ``combatkit.cli`` included, imports
+and writes the pinned suite reports and the committed fixtures byte for
+byte, the other verbs run through ``cli.main`` with the same output as
+with numpy, and ``loss check`` ends in a typed ``MissingDependency``
+error. Importing ``combatkit.cli`` does not load numpy.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
+import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from combatkit.cli import main
 
 from test_fixtures import assert_equal_committed
 from test_runner import SUITE_DIGESTS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_DIR = ROOT / "src" / "combatkit"
+GOLDEN = ROOT / "tests" / "data" / "golden_session"
 
 # (module, name) pairs imported on purpose without being used.
 ALLOWED_UNUSED = {
@@ -95,18 +104,32 @@ def test_scan_flags_an_unused_import(tmp_path):
     assert unused_imports(path) == ["sample.py:1 imports 'field' and never uses it"]
 
 
-# Run as `python -c NUMPY_FREE_RUN REPO_ROOT OUT_DIR`: blocks numpy, imports
-# the core modules, then writes the seed-0 suite reports to OUT_DIR/suite
-# and the rebuilt fixtures to OUT_DIR/fixtures.
+# Every verb but `loss check`, each writing into the working directory.
+CLI_RUNS = [
+    ["aot", "build", "--dir", str(GOLDEN), "--stage", "3", "--n", "2", "--k-frames", "1",
+     "--out", "stage3.jsonl"],
+    ["aot", "stats", "--in", "stage3.jsonl"],
+    ["decode", "run", "--in", "stage3.jsonl", "--out", "decoded.jsonl"],
+    ["bench", "gen", "--out", "items.jsonl", "--seed", "0", "--tasks", "1",
+     "--episodes-per-task", "1", "--gathering", "6", "--comprehension", "4", "--reasoning", "4"],
+    ["agent", "suite", "--tasks", "1", "--repeats", "1", "--seed", "0", "--out", "suite"],
+]
+
+# Run as `python -c NUMPY_FREE_RUN REPO_ROOT OUT_DIR CLI_RUNS_JSON`: blocks
+# numpy, imports the core modules and combatkit.cli, then writes the seed-0
+# suite reports to OUT_DIR/suite and the rebuilt fixtures to
+# OUT_DIR/fixtures. Last it runs each CLI_RUNS argv and `loss check`
+# through cli.main in OUT_DIR/cli, and writes their exit codes and output
+# to OUT_DIR/cli.json.
 NUMPY_FREE_RUN = """
-import importlib, importlib.util, sys
+import contextlib, importlib, importlib.util, io, json, os, sys
 from pathlib import Path
 
 sys.modules["numpy"] = None  # from here on, `import numpy` raises ImportError
 root, out = Path(sys.argv[1]), Path(sys.argv[2])
 sys.path.insert(0, str(root / "src"))
-for name in ("actions", "aot", "arena", "bench", "decoding", "errors", "policies", "rows",
-             "runner", "tracker"):
+for name in ("actions", "aot", "arena", "bench", "cli", "decoding", "errors", "policies",
+             "rows", "runner", "tracker"):
     importlib.import_module(f"combatkit.{name}")
 try:
     import combatkit.loss
@@ -116,6 +139,7 @@ else:
     sys.exit("combatkit.loss imported with numpy blocked")
 
 from combatkit.arena import iter_tasks, load_task_configs
+from combatkit.cli import main
 from combatkit.decoding import DecodeMode
 from combatkit.runner import run_suite, write_suite_report
 
@@ -132,19 +156,69 @@ fixtures.build_stage3(out / "fixtures" / "stage3_sample.jsonl")
 fixtures.build_bench(out / "fixtures" / "bench_items.jsonl",
                      out / "fixtures" / "bench_predictions.jsonl")
 fixtures.build_golden_session(out / "fixtures" / "golden_session")
+
+def run(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return [code, stdout.getvalue(), stderr.getvalue()]
+
+(out / "cli").mkdir()
+os.chdir(out / "cli")
+results = {"runs": [run(argv)[:2] for argv in json.loads(sys.argv[3])],
+           "loss check": run(["loss", "check", "--points", "1", "--dim", "4"])}
+(out / "cli.json").write_text(json.dumps(results), encoding="utf-8")
 """
 
 
-def test_core_runs_without_numpy(tmp_path):
+def _without_wall_time(stdout: str) -> str:
+    # decode run prints the measured wall time per record
+    return re.sub(r'"mean_wall_ms": [-+.0-9e]+', '"mean_wall_ms": null', stdout)
+
+
+def test_core_runs_without_numpy(tmp_path, capsys, monkeypatch):
+    blocked = tmp_path / "blocked"
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_FREE_RUN, str(ROOT), str(tmp_path)],
+        [sys.executable, "-c", NUMPY_FREE_RUN, str(ROOT), str(blocked), json.dumps(CLI_RUNS)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     for (policy, mode), pinned in SUITE_DIGESTS.items():
         digests = tuple(
-            hashlib.sha256((tmp_path / "suite" / f"{policy}-{mode}.{ext}").read_bytes()).hexdigest()
+            hashlib.sha256((blocked / "suite" / f"{policy}-{mode}.{ext}").read_bytes()).hexdigest()
             for ext in ("csv", "json")
         )
         assert digests == pinned, (policy, mode)
-    assert_equal_committed(tmp_path / "fixtures")
+    assert_equal_committed(blocked / "fixtures")
+
+    results = json.loads((blocked / "cli.json").read_text(encoding="utf-8"))
+    code, out, err = results["loss check"]
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "MissingDependency" and "numpy" in payload["message"]
+
+    # the same verbs in this process, which leaves numpy unblocked
+    (tmp_path / "with_numpy").mkdir()
+    monkeypatch.chdir(tmp_path / "with_numpy")
+    for argv, (code, out) in zip(CLI_RUNS, results["runs"], strict=True):
+        assert main(argv) == 0 and code == 0, argv
+        assert _without_wall_time(capsys.readouterr().out) == _without_wall_time(out), argv
+    written = sorted(p.name for p in (blocked / "cli").iterdir())
+    assert written == ["decoded.jsonl", "items.jsonl", "stage3.jsonl", "suite.csv", "suite.json"]
+    assert written == sorted(p.name for p in Path.cwd().iterdir())
+    for name in written:
+        assert (blocked / "cli" / name).read_bytes() == Path(name).read_bytes(), name
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    code = "import json, sys; import combatkit.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "combatkit.cli" in loaded
+    assert [m for m in loaded if m == "combatkit.loss" or m.split(".")[0] == "numpy"] == []

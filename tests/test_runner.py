@@ -5,10 +5,12 @@ import json
 
 import pytest
 
+from combatkit import runner
 from combatkit.actions import ActionCategory, ActionMode
 from combatkit.aot import align_session
 from combatkit.arena import FRAME_SAMPLE_WINDOW, ArenaConfig, iter_tasks, load_task_configs
 from combatkit.decoding import DecodeMode
+from combatkit.errors import ConfigError
 from combatkit.policies import RandomPolicy, ScriptedPolicy
 from combatkit.runner import (
     REFERENCE_LATENCIES,
@@ -19,6 +21,7 @@ from combatkit.runner import (
     make_policy,
     run_episode,
     run_suite,
+    simulated_latency_ms,
     transcript_to_session,
     write_suite_report,
 )
@@ -165,6 +168,32 @@ def test_suite_latency_is_simulated_from_tokens():
     )
     expected = ep_report.mean_emitted_tokens / 40.0 * 1000.0
     assert report.rows[0].mean_latency_ms == pytest.approx(expected)
+
+
+@pytest.mark.parametrize(
+    "setting, reason",
+    [
+        ({"repeats": 0}, "repeats must be at least 1, got 0"),
+        ({"repeats": -1}, "repeats must be at least 1, got -1"),
+        ({"pace_tokens_per_second": 0.0}, "pace must be a positive number"),
+        ({"pace_tokens_per_second": -40.0}, "pace must be a positive number"),
+        ({"pace_tokens_per_second": float("nan")}, "pace must be a positive number"),
+    ],
+)
+def test_suite_rejects_bad_repeats_and_pace_before_any_episode(monkeypatch, setting, reason):
+    def no_episode(*args):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(runner, "run_episode", no_episode)
+    with pytest.raises(ConfigError, match=reason):
+        run_suite([TASKS[1]], **setting)
+
+
+@pytest.mark.parametrize("pace", [0.0, -40.0])
+def test_simulated_latency_rejects_pace_that_is_not_positive(pace):
+    report, _ = run_episode(TASKS[1], ScriptedPolicy(), seed=11)
+    with pytest.raises(ConfigError, match="pace must be a positive number"):
+        simulated_latency_ms(report, pace)
 
 
 def test_suite_reruns_byte_identical(tmp_path):
