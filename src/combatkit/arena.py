@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .actions import ActionCategory, ActionSet
-from .errors import InsufficientHistory
+from .errors import ConfigError, InsufficientHistory
 
 __all__ = [
     "GameMode",
@@ -110,24 +110,6 @@ class ObservationFrame(NamedTuple):
             "immobilize_ready": self.immobilize_ready,
             "enemy_stunned_ms": self.enemy_stunned_ms,
         }
-
-    @classmethod
-    def from_payload(cls, obj: dict) -> "ObservationFrame":
-        tele = obj.get("enemy_telegraph")
-        return cls(
-            t_ms=int(obj["t_ms"]),
-            player_hp=float(obj["player_hp"]),
-            enemy_hp=float(obj["enemy_hp"]),
-            player_pos=(float(obj["player_pos"][0]), float(obj["player_pos"][1])),
-            enemy_pos=(float(obj["enemy_pos"][0]), float(obj["enemy_pos"][1])),
-            enemy_telegraph=(
-                None if tele is None else Telegraph(str(tele["kind"]), int(tele["remaining_ms"]))
-            ),
-            player_status=PlayerStatus(obj["player_status"]),
-            heal_charges=int(obj["heal_charges"]),
-            immobilize_ready=bool(obj["immobilize_ready"]),
-            enemy_stunned_ms=int(obj["enemy_stunned_ms"]),
-        )
 
 
 class ArenaConfig:
@@ -570,11 +552,27 @@ def sample_frames(frames: Sequence[ObservationFrame]) -> list[ObservationFrame]:
 
 
 def iter_tasks(tasks: dict[int, TaskConfig], selector: str) -> list[TaskConfig]:
-    """Resolve a task selector: 'all' or an id list like '1,2,11'."""
+    """Resolve a task selector: 'all' or an id list like '1,2,11'.
+
+    A part that is not an integer, an unknown or repeated id, and a
+    selector that selects nothing are each a ``ConfigError``.
+    """
     if selector == "all":
         return [tasks[k] for k in sorted(tasks)]
-    ids = [int(part) for part in selector.split(",") if part.strip()]
+    where = f"task selector {selector!r}"
+    ids = []
+    for part in selector.split(","):
+        if part.strip():
+            try:
+                ids.append(int(part))
+            except ValueError:
+                raise ConfigError(f"{where}: {part!r} is not a task id") from None
+    if not ids:
+        raise ConfigError(f"{where}: selects no task")
     missing = [i for i in ids if i not in tasks]
     if missing:
-        raise KeyError(f"unknown task ids: {missing}")
+        raise ConfigError(f"{where}: unknown task ids {missing}")
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ConfigError(f"{where}: repeats task ids {repeated}")
     return [tasks[i] for i in ids]

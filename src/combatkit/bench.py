@@ -200,28 +200,21 @@ def _check_item(obj: dict, line: int) -> BenchItem | ValidationError:
     return BenchItem.from_json_dict(obj)
 
 
-def _checked_rows(
-    source: str | Path | Sequence[dict] | Sequence[BenchItem],
-) -> list[BenchItem | ValidationError]:
-    """Each row of a file or sequence, checked: its item or its violation.
+def _checked_rows(path: str | Path) -> list[BenchItem | ValidationError]:
+    """Each line of a JSONL file, checked: its item or its violation.
 
-    A file line that is not a JSON object raises ``ParseError`` at once.
+    A line that is not a JSON object raises ``ParseError`` at once.
     """
-    if not isinstance(source, (str, Path)):
-        return [
-            _check_item(entry.to_json_dict() if isinstance(entry, BenchItem) else entry, lineno)
-            for lineno, entry in enumerate(source, start=1)
-        ]
-    return [_check_item(obj, lineno) for lineno, obj in read_jsonl(source)]
+    return [_check_item(obj, lineno) for lineno, obj in read_jsonl(path)]
 
 
-def validate_dataset(source: str | Path | Sequence[dict] | Sequence[BenchItem]) -> ValidationReport:
+def validate_dataset(path: str | Path) -> ValidationReport:
     """Check schema line by line; always returns counts for the clean rows."""
     counts = {c.value: 0 for c in Category}
     subtask_counts: dict[str, int] = {}
     violations: list[ValidationError] = []
     total = 0
-    for checked in _checked_rows(source):
+    for checked in _checked_rows(path):
         if isinstance(checked, ValidationError):
             violations.append(checked)
             continue

@@ -372,22 +372,18 @@ def _load_tasks(selector: str):
 
 
 def _cmd_agent_run(args) -> int:
-    tasks = _load_tasks(str(args.task))
-    if len(tasks) != 1:
-        raise ValueError(f"agent run needs exactly one task, got {len(tasks)}")
-    task = tasks[0]
+    (task,) = _load_tasks(str(args.task))
     policy = make_policy(args.policy, task, args.seed)
     report, transcript = run_episode(task, policy, DecodeMode(args.mode), args.seed)
+    # checks the pace with or without --out, before any file is written
+    latency_ms = simulated_latency_ms(report, args.pace_tokens_per_second)
     shown = report.to_json_dict()
     if args.out:
         out = Path(args.out)
         written = dict(shown)
         # wall-clock is measurement noise; files stay seed-deterministic
         written.pop("mean_inference_wall_ms", None)
-        # before any file is written, so a bad pace leaves none behind
-        written["mean_latency_ms"] = round(
-            simulated_latency_ms(report, args.pace_tokens_per_second), 3
-        )
+        written["mean_latency_ms"] = round(latency_ms, 3)
         export_transcript(transcript, out / "session")
         (out / "report.json").write_text(json_text(written), encoding="utf-8")
     _print_json(shown)

@@ -114,7 +114,7 @@ class EmptyDatasetWarning(UserWarning):
 # ---------------------------------------------------------------- arena
 
 class ObservationSchemaError(CombatkitError):
-    """A policy received frames missing required features."""
+    """A policy was asked to answer no frames."""
 
 
 class InsufficientHistory(CombatkitError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from typing import Any, Sequence
+from typing import Sequence
 
 from .actions import (
     ActionCategory,
@@ -22,34 +22,10 @@ from .actions import (
     render_explanation,
 )
 from .aot import AoTRecord, serialize_stage3
+from .arena import ObservationFrame
 from .errors import ObservationSchemaError, ReplayExhausted
 
 __all__ = ["Policy", "ScriptedPolicy", "ReplayPolicy", "RandomPolicy"]
-
-_REQUIRED_FEATURES = (
-    "player_hp",
-    "enemy_hp",
-    "player_pos",
-    "enemy_pos",
-    "enemy_telegraph",
-    "heal_charges",
-    "immobilize_ready",
-    "enemy_stunned_ms",
-)
-
-
-_MISSING = object()
-
-
-def _feature(obs: Any, name: str) -> Any:
-    value = getattr(obs, name, _MISSING)
-    if value is not _MISSING:
-        return value
-    try:
-        return obs[name]
-    except (TypeError, KeyError):
-        raise ObservationSchemaError(f"observation lacks feature {name!r}") from None
-
 
 class Policy:
     """Base class: one ``observe`` call per decision cycle."""
@@ -57,14 +33,14 @@ class Policy:
     def __init__(self):
         self.call_count = 0
 
-    def observe(self, frames: Sequence[Any]) -> tuple[str, ...]:
+    def observe(self, frames: Sequence[ObservationFrame]) -> tuple[str, ...]:
         """The answer's stage-3 tokens, ready for ``decode``."""
         if not frames:
             raise ObservationSchemaError("observe needs at least one frame")
         self.call_count += 1
         return self._tokens(frames)
 
-    def _tokens(self, frames: Sequence[Any]) -> tuple[str, ...]:
+    def _tokens(self, frames: Sequence[ObservationFrame]) -> tuple[str, ...]:
         raise NotImplementedError
 
 
@@ -85,14 +61,6 @@ def _serialize(actions: ActionSet, game_mode: str | None) -> tuple[str, ...]:
     context = None if game_mode is None else {"game_mode": game_mode}
     explanation = render_explanation(ordered, context) or clause
     return tuple(serialize_stage3(clause, explanation).split())
-
-
-def _telegraph_remaining(telegraph: Any) -> int:
-    if telegraph is None:
-        return -1
-    if hasattr(telegraph, "remaining_ms"):
-        return int(telegraph.remaining_ms)
-    return int(telegraph["remaining_ms"])
 
 
 # The scripted rule table's thresholds: health fraction below which it
@@ -133,22 +101,19 @@ class ScriptedPolicy(Policy):
         super().__init__()
         self.game_mode = game_mode.upper()
 
-    def decide(self, obs: Any) -> ActionSet:
-        # every feature is required, even those the firing rule ignores
-        (
-            player_hp, _, player_pos, enemy_pos, telegraph,
-            heal_charges, immobilize_ready, stunned_ms,
-        ) = [_feature(obs, name) for name in _REQUIRED_FEATURES]
-        if player_hp < _LOW_HP and heal_charges > 0:
+    def decide(self, obs: ObservationFrame) -> ActionSet:
+        if obs.player_hp < _LOW_HP and obs.heal_charges > 0:
             return _HEAL_BACK_OFF
-        remaining = _telegraph_remaining(telegraph)
+        telegraph = obs.enemy_telegraph
+        remaining = -1 if telegraph is None else telegraph.remaining_ms
         if 0 <= remaining <= _DODGE_WINDOW_MS:
             return _DODGE
-        px, py = player_pos
-        ex, ey = enemy_pos
+        px, py = obs.player_pos
+        ex, ey = obs.enemy_pos
         distance = math.hypot(ex - px, ey - py)
         in_range = distance <= _ATTACK_RANGE
-        if immobilize_ready and stunned_ms <= 0 and in_range:
+        stunned_ms = obs.enemy_stunned_ms
+        if obs.immobilize_ready and stunned_ms <= 0 and in_range:
             return _COMBO
         if remaining > _DODGE_WINDOW_MS:
             # strike still winding up: stay on short actions so the next
@@ -165,7 +130,7 @@ class ScriptedPolicy(Policy):
             return _HEAVY
         return _LIGHT
 
-    def _tokens(self, frames: Sequence[Any]) -> tuple[str, ...]:
+    def _tokens(self, frames: Sequence[ObservationFrame]) -> tuple[str, ...]:
         return _serialize(self.decide(frames[-1]), self.game_mode)
 
 
@@ -179,7 +144,7 @@ class ReplayPolicy(Policy):
         self._records = list(records)
         self._cursor = 0
 
-    def _tokens(self, frames: Sequence[Any]) -> tuple[str, ...]:
+    def _tokens(self, frames: Sequence[ObservationFrame]) -> tuple[str, ...]:
         if self._cursor >= len(self._records):
             raise ReplayExhausted(f"replay dataset exhausted after {len(self._records)} records")
         record = self._records[self._cursor]
@@ -208,6 +173,6 @@ class RandomPolicy(Policy):
         super().__init__()
         self._rng = random.Random(seed)
 
-    def _tokens(self, frames: Sequence[Any]) -> tuple[str, ...]:
+    def _tokens(self, frames: Sequence[ObservationFrame]) -> tuple[str, ...]:
         tap, holds = self._rng.choice(_RANDOM_ANSWERS)
         return tap if holds is None else self._rng.choice(holds)

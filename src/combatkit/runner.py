@@ -409,8 +409,11 @@ def collect_transcripts(
     """Deterministic transcript corpus for dataset and benchmark builds.
 
     Each task gets truncated-mode episodes from the scripted and the
-    random policy.
+    random policy. An ``episodes_per_task`` below 1 is a ``ConfigError``,
+    raised before any episode runs.
     """
+    if episodes_per_task < 1:
+        raise ConfigError(f"episodes_per_task must be at least 1, got {episodes_per_task}")
     transcripts: list[EpisodeTranscript] = []
     for task in tasks:
         for name in ("scripted", "random"):

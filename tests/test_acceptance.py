@@ -27,6 +27,7 @@ from combatkit.bench import (
     read_predictions,
     score,
     validate_dataset,
+    write_items,
 )
 from combatkit.decoding import DecodeMode, TokenStream, decode, token_savings_report
 from combatkit.loss import (
@@ -290,7 +291,7 @@ def test_criterion_7_suite_is_deterministic_and_beats_random_on_easy_tasks(tmp_p
     assert elapsed < 120.0
 
 
-def test_criterion_8_bench_scoring_and_canonical_generation(request):
+def test_criterion_8_bench_scoring_and_canonical_generation(request, tmp_path):
     data = request.path.parent / "data"
     t0 = time.perf_counter()
     items = read_items(data / "bench_items.jsonl")
@@ -301,7 +302,7 @@ def test_criterion_8_bench_scoring_and_canonical_generation(request):
 
     transcripts = collect_transcripts(list(TASKS.values()), seed=0, episodes_per_task=2)
     generated = generate_synthetic(transcripts, seed=0)
-    validation = validate_dataset(generated)
+    validation = validate_dataset(write_items(generated, tmp_path / "items.jsonl"))
     assert validation.ok
     assert validation.counts == CANONICAL_BENCH_COUNTS
     elapsed = time.perf_counter() - t0

@@ -25,7 +25,7 @@ from combatkit.arena import (
     sample_frames,
     step,
 )
-from combatkit.errors import InsufficientHistory
+from combatkit.errors import ConfigError, InsufficientHistory
 
 
 def _task(**over):
@@ -343,18 +343,6 @@ def test_telegraph_hidden_when_stunned_or_dead():
     assert render_observation(state).enemy_telegraph is None
 
 
-def test_observation_payload_round_trip():
-    state = _arena(seed=4)
-    _run(state, 60)
-    obs = render_observation(state)
-    back = ObservationFrame.from_payload(obs.to_payload())
-    assert back.t_ms == obs.t_ms
-    assert back.player_hp == pytest.approx(obs.player_hp, abs=1e-6)
-    assert back.enemy_pos == pytest.approx(obs.enemy_pos, abs=1e-4)
-    assert back.player_status is obs.player_status
-    assert (back.enemy_telegraph is None) == (obs.enemy_telegraph is None)
-
-
 def test_frames_are_immutable_and_replace_keeps_the_type():
     state = _arena(seed=4)
     _run(state, 60)
@@ -365,9 +353,6 @@ def test_frames_are_immutable_and_replace_keeps_the_type():
     assert type(changed) is ObservationFrame
     assert (changed.player_hp, frame.player_hp) == (0.25, render_observation(state).player_hp)
     assert hash(frame) == hash(render_observation(state))
-    back = ObservationFrame.from_payload(changed.to_payload())
-    assert type(back) is ObservationFrame
-    assert back.to_payload() == changed.to_payload()
 
 
 def test_frame_sampling():
@@ -398,8 +383,23 @@ def test_iter_tasks_selectors():
     tasks = load_task_configs()
     assert [t.task_id for t in iter_tasks(tasks, "all")] == list(range(1, 14))
     assert [t.task_id for t in iter_tasks(tasks, "2,11,1")] == [2, 11, 1]
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError, match=r"^task selector '1,99': unknown task ids \[99\]$"):
         iter_tasks(tasks, "1,99")
+
+
+@pytest.mark.parametrize(
+    "selector,reason",
+    [
+        ("1,x", "'x' is not a task id"),
+        ("", "selects no task"),
+        (" , ", "selects no task"),
+        ("1,2,1", "repeats task ids [1]"),
+    ],
+)
+def test_iter_tasks_rejects_bad_selectors(selector, reason):
+    with pytest.raises(ConfigError) as err:
+        iter_tasks(load_task_configs(), selector)
+    assert str(err.value) == f"task selector {selector!r}: {reason}"
 
 
 def _snapshot(state):

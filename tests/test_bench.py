@@ -33,6 +33,7 @@ from combatkit.errors import (
     ValidationError,
 )
 from combatkit.policies import ScriptedPolicy
+from combatkit.rows import write_jsonl
 from combatkit.runner import collect_transcripts
 
 DATA = Path(__file__).parent / "data"
@@ -121,7 +122,7 @@ def test_fixture_dataset_validates_with_canonical_counts():
     assert report.subtask_counts == expected_subtasks
 
 
-def test_validation_flags_schema_violations():
+def test_validation_flags_schema_violations(tmp_path):
     rows = [
         _item().to_json_dict(),
         {"id": "x"},  # missing fields
@@ -141,21 +142,13 @@ def test_validation_flags_schema_violations():
             gold="D",
         ),
     ]
-    report = validate_dataset(rows)
+    report = validate_dataset(write_jsonl(tmp_path / "items.jsonl", rows))
     assert not report.ok
     assert report.total == 1
     assert len(report.violations) == 7
     fields = [v.field for v in report.violations]
     assert "category" in fields and "gold" in fields and "choices" in fields
     assert all(isinstance(v, ValidationError) for v in report.violations)
-
-
-def test_validate_reads_items_and_dicts_alike():
-    items = [_item(), _item(item_id="gathering-00002")]
-    from_items = validate_dataset(items)
-    from_dicts = validate_dataset([i.to_json_dict() for i in items])
-    assert from_items.total == from_dicts.total == 2
-    assert from_items.counts == from_dicts.counts
 
 
 @pytest.mark.parametrize(
@@ -284,13 +277,13 @@ def test_generated_golds_at_thresholds_and_rule_table():
     }
 
 
-def test_generate_synthetic_small_targets():
+def test_generate_synthetic_small_targets(tmp_path):
     transcripts = collect_transcripts(
         [TASKS[1], TASKS[6]], seed=0, episodes_per_task=2
     )
     targets = {Category.GATHERING: 36, Category.COMPREHENSION: 20, Category.REASONING: 21}
     items = generate_synthetic(transcripts, targets, seed=0)
-    report = validate_dataset(items)
+    report = validate_dataset(write_items(items, tmp_path / "items.jsonl"))
     assert report.ok
     assert report.counts == {"gathering": 36, "comprehension": 20, "reasoning": 21}
     # largest-remainder scaling of the canonical subtask mix
@@ -393,8 +386,7 @@ def test_read_items_rejects_non_object_line(tmp_path, line):
 def test_read_items_raises_first_violation(tmp_path):
     good = read_items(ITEMS_PATH)[0].to_json_dict()
     rows = [good, dict(good, gold="Perhaps"), good, dict(good, frame_refs=[])]
-    p = tmp_path / "items.jsonl"
-    p.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    p = write_jsonl(tmp_path / "items.jsonl", rows)
     with pytest.raises(ValidationError) as err:
         read_items(p)
     assert (err.value.line, err.value.field) == (2, "gold")

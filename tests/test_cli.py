@@ -363,6 +363,11 @@ def test_agent_suite_csv_and_file_determinism(capsys, tmp_path):
          "pace must be"),
         (("bench", "gen", "--seed", 0, "--tasks", "1", "--gathering", -5),
          "category gathering: target count -5 is negative"),
+        (("bench", "gen", "--seed", 0, "--tasks", "1", "--episodes-per-task", 0),
+         "episodes_per_task must be at least 1, got 0"),
+        (("agent", "suite", "--tasks", "99", "--seed", 0), "unknown task ids [99]"),
+        (("agent", "suite", "--tasks", "1,1", "--seed", 0), "repeats task ids [1]"),
+        (("bench", "gen", "--seed", 0, "--tasks", ""), "selects no task"),
     ],
     ids=lambda v: " ".join(map(str, v)) if isinstance(v, tuple) else None,
 )
@@ -373,6 +378,15 @@ def test_out_of_range_counts_and_pace_are_config_errors(capsys, tmp_path, argv, 
     payload = json.loads(err)
     assert payload["error"] == "ConfigError" and reason in payload["message"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_agent_run_checks_the_pace_without_out(capsys):
+    code, out, err = run(
+        capsys, "agent", "run", "--task", 1, "--seed", 0, "--pace-tokens-per-second", 0
+    )
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError" and "pace must be" in payload["message"]
 
 
 def test_agent_seed_is_required(capsys):

@@ -15,24 +15,28 @@ from combatkit.actions import (
     render_explanation,
 )
 from combatkit.aot import TRUNC_TOKEN, serialize_stage3
+from combatkit.arena import ObservationFrame, PlayerStatus, Telegraph
 from combatkit.decoding import DecodeMode, decode
 from combatkit.errors import ObservationSchemaError, ReplayExhausted
 from combatkit.policies import Policy, RandomPolicy, ReplayPolicy, ScriptedPolicy
 
 
+_BASE_FRAME = ObservationFrame(
+    t_ms=0,
+    player_hp=1.0,
+    enemy_hp=1.0,
+    player_pos=(0.0, 0.0),
+    enemy_pos=(10.0, 0.0),
+    enemy_telegraph=None,
+    player_status=PlayerStatus.NORMAL,
+    heal_charges=3,
+    immobilize_ready=False,
+    enemy_stunned_ms=0,
+)
+
+
 def _obs(**overrides):
-    base = {
-        "player_hp": 1.0,
-        "enemy_hp": 1.0,
-        "player_pos": (0.0, 0.0),
-        "enemy_pos": (10.0, 0.0),
-        "enemy_telegraph": None,
-        "heal_charges": 3,
-        "immobilize_ready": False,
-        "enemy_stunned_ms": 0,
-    }
-    base.update(overrides)
-    return base
+    return _BASE_FRAME._replace(**overrides)
 
 
 def _cats(actions):
@@ -43,25 +47,28 @@ def test_heal_rule_takes_priority():
     p = ScriptedPolicy()
     obs = _obs(
         player_hp=0.2,
-        enemy_telegraph={"remaining_ms": 100},  # even with a strike incoming
+        enemy_telegraph=Telegraph("slash", 100),  # even with a strike incoming
         enemy_pos=(1.0, 0.0),
     )
     actions = p.decide(obs)
     assert _cats(actions) == {ActionCategory.HEAL, ActionCategory.MOVE_BACK}
     # no charges left: fall through to the dodge rule
-    actions = p.decide(_obs(player_hp=0.2, heal_charges=0, enemy_telegraph={"remaining_ms": 100}))
+    actions = p.decide(
+        _obs(player_hp=0.2, heal_charges=0, enemy_telegraph=Telegraph("slash", 100))
+    )
     assert _cats(actions) == {ActionCategory.DODGE}
 
 
 def test_dodge_rule_window():
     p = ScriptedPolicy()
     for remaining in (0, 1, 399, 400):
-        actions = p.decide(_obs(enemy_telegraph={"remaining_ms": remaining}, enemy_pos=(1.0, 0.0)))
+        obs = _obs(enemy_telegraph=Telegraph("slash", remaining), enemy_pos=(1.0, 0.0))
+        actions = p.decide(obs)
         assert _cats(actions) == {ActionCategory.DODGE}, remaining
     # winding up beyond the window: keep attacking, stay mobile
-    actions = p.decide(_obs(enemy_telegraph={"remaining_ms": 401}, enemy_pos=(1.0, 0.0)))
+    actions = p.decide(_obs(enemy_telegraph=Telegraph("slash", 401), enemy_pos=(1.0, 0.0)))
     assert _cats(actions) == {ActionCategory.LIGHT_ATTACK}
-    actions = p.decide(_obs(enemy_telegraph={"remaining_ms": 900}, enemy_pos=(5.0, 0.0)))
+    actions = p.decide(_obs(enemy_telegraph=Telegraph("slash", 900), enemy_pos=(5.0, 0.0)))
     assert _cats(actions) == {ActionCategory.MOVE_FWD}
     assert actions.events[0].duration_ms == 250
 
@@ -99,15 +106,9 @@ def test_attack_rules_in_range():
     assert heavy.events[0].duration_ms == 1000
 
 
-def test_decide_validates_observation_schema():
-    p = ScriptedPolicy()
-    with pytest.raises(ObservationSchemaError):
-        p.decide({"player_hp": 1.0})
-
-
 def test_observe_serializes_decision_round_trip():
     p = ScriptedPolicy(game_mode="BMW")
-    stream = p.observe([_obs(enemy_telegraph={"remaining_ms": 200}, enemy_pos=(1.0, 0.0))])
+    stream = p.observe([_obs(enemy_telegraph=Telegraph("slash", 200), enemy_pos=(1.0, 0.0))])
     res = decode(stream, DecodeMode.TRUNCATED)
     assert res.actions.categories() == {ActionCategory.DODGE}
     assert p.call_count == 1
@@ -118,7 +119,7 @@ def test_observe_serializes_decision_round_trip():
 
 def test_observe_full_stream_carries_mode_specific_explanation():
     ssdt = ScriptedPolicy(game_mode="SSDT")
-    tokens = ssdt.observe([_obs(enemy_telegraph={"remaining_ms": 100}, enemy_pos=(1.0, 0.0))])
+    tokens = ssdt.observe([_obs(enemy_telegraph=Telegraph("slash", 100), enemy_pos=(1.0, 0.0))])
     assert isinstance(tokens, tuple)
     text = " ".join(tokens)
     assert "needs to block to avoid" in text
@@ -198,18 +199,6 @@ def test_serialized_action_clause_parses_back():
     assert [ev.category for ev in actions] == [ActionCategory.HEAL, ActionCategory.MOVE_BACK]
 
 
-def test_decide_checks_every_feature_before_any_rule():
-    p = ScriptedPolicy()
-    # the heal rule would fire, but a feature it does not read is missing
-    obs = _obs(player_hp=0.1, heal_charges=2)
-    del obs["enemy_stunned_ms"]
-    with pytest.raises(ObservationSchemaError, match="'enemy_stunned_ms'"):
-        p.decide(obs)
-    del obs["heal_charges"]
-    with pytest.raises(ObservationSchemaError, match="'heal_charges'"):
-        p.decide(obs)
-
-
 def test_decide_answers_each_rule_with_one_shared_set():
     p = ScriptedPolicy()
     tap, hold = ActionEvent.tap, ActionEvent.hold
@@ -218,7 +207,7 @@ def test_decide_answers_each_rule_with_one_shared_set():
             _obs(player_hp=0.1),
             ActionSet.of(tap(ActionCategory.HEAL), hold(ActionCategory.MOVE_BACK, 1.0)),
         ),
-        (_obs(enemy_telegraph={"remaining_ms": 100}), ActionSet.of(tap(ActionCategory.DODGE))),
+        (_obs(enemy_telegraph=Telegraph("slash", 100)), ActionSet.of(tap(ActionCategory.DODGE))),
         (
             _obs(immobilize_ready=True, enemy_pos=(2.0, 0.0)),
             ActionSet.of(tap(ActionCategory.IMMOBILIZE), tap(ActionCategory.LIGHT_ATTACK)),
@@ -238,7 +227,7 @@ def test_decide_answers_each_rule_with_one_shared_set():
         first = p.decide(obs)
         assert first == expected
         assert first.in_priority_order() is first
-        assert p.decide(dict(obs)) is first
+        assert p.decide(obs._replace(t_ms=125)) is first
 
 
 def _uncached_tokens(actions, game_mode):

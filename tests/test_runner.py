@@ -231,6 +231,16 @@ def test_collect_transcripts_covers_policies():
     ]
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_collect_transcripts_rejects_fewer_than_one_episode_per_task(monkeypatch, count):
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(runner, "run_episode", no_episode)
+    with pytest.raises(ConfigError, match=f"episodes_per_task must be at least 1, got {count}"):
+        collect_transcripts([TASKS[1]], seed=0, episodes_per_task=count)
+
+
 def test_episode_report_json_rounding():
     report = EpisodeReport(1, "truncated", 0, True, None, 3, 3, 1.23456, 10.98765, 5000)
     d = report.to_json_dict()
