@@ -36,7 +36,7 @@ from .actions import (
     render_explanation,
 )
 from .errors import CombatkitError, EmptyDatasetWarning, ParseError
-from .rows import read_jsonl, write_jsonl
+from .rows import read_jsonl, typed_field, write_jsonl
 from .tracker import (
     AlignedSample,
     AlignmentResult,
@@ -128,15 +128,20 @@ class AoTRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "AoTRecord":
-        action_text = str(obj["action_text"])
+        """A record from its JSON row; a field JSON gave another type is a ``TypeError``."""
+        stage = typed_field(obj, "stage", int)
+        frame_refs = typed_field(obj, "frame_refs", list)
+        if any(type(ref) is not int for ref in frame_refs):
+            raise TypeError(f"field 'frame_refs' holds a non-integer: {frame_refs!r}")
+        action_text = typed_field(obj, "action_text", str)
         return cls(
-            stage=int(obj["stage"]),
-            frame_refs=tuple(int(i) for i in obj["frame_refs"]),
-            question=str(obj["question"]),
+            stage=stage,
+            frame_refs=tuple(frame_refs),
+            question=typed_field(obj, "question", str),
             actions=parse_action_events(action_text),
             action_text=action_text,
-            explanation=str(obj["explanation"]),
-            serialized=str(obj["serialized"]),
+            explanation=typed_field(obj, "explanation", str),
+            serialized=typed_field(obj, "serialized", str),
         )
 
 

@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .actions import ActionCategory, ActionSet
+from .actions import ActionCategory, ActionMode, ActionSet
 from .errors import ConfigError, InsufficientHistory
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "load_task_configs",
     "iter_tasks",
     "new_arena",
-    "advance",
+    "cycle_ms",
     "step",
     "render_observation",
     "sample_frames",
@@ -337,6 +337,28 @@ def _apply_commands(state: ArenaState, commands: ActionSet) -> None:
     state.pending_attacks.sort()
 
 
+# how long each tap keeps the player busy; a hold is busy for its duration
+_TAP_BUSY_MS = {
+    ActionCategory.HEAL: ArenaConfig.heal_cast_ms,
+    ActionCategory.DODGE: ArenaConfig.iframe_ms,
+    ActionCategory.LIGHT_ATTACK: ArenaConfig.light_attack_delay_ms,
+}
+
+
+def cycle_ms(commands: ActionSet | None) -> int:
+    """How long ``step`` runs a decision's ``commands``: ``min_cycle_ms`` for none,
+    else the busiest action, at least ``min_cycle_ms``, plus one tick."""
+    if not commands:
+        return ArenaConfig.min_cycle_ms
+    busiest = max(
+        (event.duration_ms or 0)
+        if event.mode is ActionMode.HOLD
+        else _TAP_BUSY_MS.get(event.category, ArenaConfig.tap_press_ms)
+        for event in commands
+    )
+    return max(ArenaConfig.min_cycle_ms, busiest) + ArenaConfig.tick_ms
+
+
 def _store(
     state: ArenaState,
     clock_ms: int,
@@ -356,21 +378,30 @@ def _store(
     state.phase, state.phase_ends_at = phase, phase_ends_at
 
 
-def _run_ticks(
+def step(
     state: ArenaState,
     commands: ActionSet | None,
-    ticks: int,
-    on_frame: Callable[[ArenaState], None] | None,
-) -> None:
-    """The tick engine: apply the onsets of ``commands``, then run ``ticks`` ticks.
+    duration_ms: int,
+    on_frame: Callable[[ArenaState], None] | None = None,
+) -> ArenaState:
+    """The tick engine: apply the onsets of ``commands`` (or none), then tick ``duration_ms``.
+
+    Ticks are whole ``ArenaConfig.tick_ms`` steps: the clock stops at the
+    first tick boundary at or past start + ``duration_ms``, which must be
+    positive (else ``ValueError``). Taps take effect at once; holds open
+    windows that later ticks honor. ``on_frame(state)`` runs after each
+    tick that ends on a multiple of ``ArenaConfig.frame_interval_ms``; it
+    reads the state and must not change it.
 
     A tick runs, in order: player movement from the open hold windows,
     the scheduled heal, the player attacks due by its end, the enemy's
     chase and phase machine (the strike resolves when the telegraph
-    ends), and burning. The state the loop changes every tick lives in
-    locals and is stored back before each ``on_frame`` call and at the
-    end; log entries carry the tick's start time.
+    ends), and burning. Log entries carry the tick's start time. The
+    loop keeps the state it changes in locals and stores it back before
+    each ``on_frame`` call and at the end.
     """
+    if duration_ms <= 0:
+        raise ValueError("duration_ms must be positive")
     if commands is not None:
         _apply_commands(state, commands)
     task = state.task
@@ -397,7 +428,7 @@ def _run_ticks(
     ]
     moves_expire = min((m[0] for m in moves), default=0)
 
-    for _ in range(ticks):
+    for _ in range(-(-duration_ms // dt)):
         t1 = t0 + dt
 
         # player movement from open hold windows
@@ -479,35 +510,6 @@ def _run_ticks(
             on_frame(state)
 
     _store(state, t0, px, py, ex, ey, player_hp, enemy_hp, phase, phase_ends_at)
-
-
-def advance(
-    state: ArenaState,
-    commands: ActionSet | None,
-    duration_ms: int,
-    on_frame: Callable[[ArenaState], None] | None = None,
-) -> ArenaState:
-    """Apply a command set's onsets, then tick until ``duration_ms`` have passed.
-
-    Ticks are whole ``ArenaConfig.tick_ms`` steps, so the clock stops at
-    the first tick boundary at or past start + ``duration_ms``.
-    ``on_frame(state)`` runs after every tick that ends on a multiple of
-    ``ArenaConfig.frame_interval_ms``; it reads the state and must not
-    change it.
-    """
-    if duration_ms <= 0:
-        raise ValueError("duration_ms must be positive")
-    _run_ticks(state, commands, -(-duration_ms // ArenaConfig.tick_ms), on_frame)
-    return state
-
-
-def step(state: ArenaState, commands: ActionSet | None) -> ArenaState:
-    """Apply a command set's onsets, then advance one tick.
-
-    ``commands`` may be None for a plain time step. Taps take effect at
-    the current clock; holds open timed windows that later ticks honor.
-    """
-    _run_ticks(state, commands, 1, None)
     return state
 
 

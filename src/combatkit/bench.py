@@ -171,7 +171,8 @@ class ValidationReport:
         }
 
 
-def _check_item(obj: dict, line: int) -> BenchItem | ValidationError:
+def _check_item(obj: dict, line: int, first_lines: dict[str, int]) -> BenchItem | ValidationError:
+    """``obj`` as an item, or its first violation; ``first_lines`` maps each id seen to its line."""
     for field in ("id", "category", "subtask", "frame_refs", "question", "choices", "gold"):
         if field not in obj:
             return ValidationError(line, field, "missing")
@@ -197,6 +198,9 @@ def _check_item(obj: dict, line: int) -> BenchItem | ValidationError:
             return ValidationError(line, "choices", "binary items offer Yes/No")
         if obj["gold"] not in _BINARY_CHOICES:
             return ValidationError(line, "gold", "must be Yes or No")
+    first = first_lines.setdefault(str(obj["id"]), line)
+    if first != line:
+        return ValidationError(line, "id", f"repeats the id of line {first}")
     return BenchItem.from_json_dict(obj)
 
 
@@ -205,7 +209,8 @@ def _checked_rows(path: str | Path) -> list[BenchItem | ValidationError]:
 
     A line that is not a JSON object raises ``ParseError`` at once.
     """
-    return [_check_item(obj, lineno) for lineno, obj in read_jsonl(path)]
+    first_lines: dict[str, int] = {}
+    return [_check_item(obj, lineno, first_lines) for lineno, obj in read_jsonl(path)]
 
 
 def validate_dataset(path: str | Path) -> ValidationReport:
@@ -471,9 +476,13 @@ def write_predictions(predictions: Mapping[str, str], path: str | Path) -> Path:
 
 
 def read_predictions(path: str | Path) -> dict[str, str]:
+    """Each item id's raw answer; a line without both or with a repeated id is a ``ParseError``."""
     out: dict[str, str] = {}
     for lineno, obj in read_jsonl(path):
         if "id" not in obj or "raw_answer" not in obj:
             raise ParseError(str(Path(path)), lineno, "need id and raw_answer fields")
-        out[str(obj["id"])] = str(obj["raw_answer"])
+        item_id = str(obj["id"])
+        if item_id in out:
+            raise ParseError(str(Path(path)), lineno, f"repeated id {item_id!r}")
+        out[item_id] = str(obj["raw_answer"])
     return out

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -279,6 +280,9 @@ _LOSS_COLUMNS = ("component", "analytic_grad_norm", "fd_grad_norm", "max_rel_err
 
 
 def _cmd_loss_check(args) -> int:
+    if not 0.0 < args.tolerance < math.inf:
+        # a NaN or infinite tolerance can never fail, and zero or less always does
+        raise ConfigError(f"tolerance must be a positive finite number, got {args.tolerance}")
     check = sys.modules[__name__].gradient_check_rows
     rows = check(seed=args.seed, points=args.points, dim=args.dim, h=args.step)
     text = csv_text(

@@ -5,6 +5,7 @@ skip blank lines and refuse a line that is not a JSON object with
 ``ParseError(path, line)``. A report is a CSV table with ``\\n`` line
 ends plus a JSON sibling (same stem, ``.json``) indented by two with
 sorted keys, so reruns on the same inputs rewrite identical bytes.
+Readers coerce no field: a bool is no integer, a number no string.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import ParseError
 
-__all__ = ["read_jsonl", "write_jsonl", "json_text", "csv_text", "write_report"]
+__all__ = ["read_jsonl", "typed_field", "write_jsonl", "json_text", "csv_text", "write_report"]
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -34,6 +35,17 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not isinstance(obj, dict):
                 raise ParseError(str(p), lineno, "expected a JSON object")
             yield lineno, obj
+
+
+_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list"}
+
+
+def typed_field(obj: dict, key: str, kind: type) -> Any:
+    """``obj[key]``, a ``KeyError`` if missing, a ``TypeError`` if not a JSON ``kind``."""
+    value = obj[key]
+    if type(value) is not kind:
+        raise TypeError(f"field {key!r} is not {_TYPE_NAMES[kind]}: {value!r}")
+    return value
 
 
 def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> Path:

@@ -19,18 +19,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .actions import ActionCategory, ActionMode, ActionSet
+from .actions import ActionMode, ActionSet
 from .arena import (
     FRAME_SAMPLE_WINDOW,
     ArenaConfig,
     ArenaState,
     ObservationFrame,
     TaskConfig,
-    advance,
+    cycle_ms,
     new_arena,
     render_observation,
     sample_frames,
-    step,  # not called here; perfbench/tracing.py wraps it as runner.step
+    step,
 )
 from .decoding import DecodeMode, decode
 from .errors import ActionParseError, ConfigError
@@ -119,22 +119,6 @@ class EpisodeTranscript:
         return f"t{self.task.task_id}s{self.seed}"
 
 
-def _busy_ms(actions: ActionSet) -> int:
-    worst = 0
-    for event in actions:
-        if event.mode is ActionMode.HOLD:
-            worst = max(worst, event.duration_ms or 0)
-        elif event.category is ActionCategory.HEAL:
-            worst = max(worst, ArenaConfig.heal_cast_ms)
-        elif event.category is ActionCategory.DODGE:
-            worst = max(worst, ArenaConfig.iframe_ms)
-        elif event.category is ActionCategory.LIGHT_ATTACK:
-            worst = max(worst, ArenaConfig.light_attack_delay_ms)
-        else:
-            worst = max(worst, ArenaConfig.tap_press_ms)
-    return max(ArenaConfig.min_cycle_ms, worst)
-
-
 def run_episode(
     task: TaskConfig,
     policy: Policy,
@@ -148,7 +132,7 @@ def run_episode(
     def capture(state: ArenaState) -> None:
         frames.append(render_observation(state))
 
-    capture(state)  # frame at t=0; advance captures one every frame interval
+    capture(state)  # frame at t=0; step captures one every frame interval
 
     calls_before = policy.call_count
     cycles: list[CycleRecord] = []
@@ -169,7 +153,7 @@ def run_episode(
         if len(frames) < FRAME_SAMPLE_WINDOW:
             # first decision: one run of ticks fills the sampling window
             missing = FRAME_SAMPLE_WINDOW - len(frames)
-            advance(state, None, missing * ArenaConfig.frame_interval_ms, capture)
+            step(state, None, missing * ArenaConfig.frame_interval_ms, capture)
         sampled = sample_frames(frames)
 
         # sim clock pauses here: inference happens between ticks
@@ -188,10 +172,7 @@ def run_episode(
             state.log("decode_parse_error", raw=exc.raw_text[:120])
         wall_ms = (time.perf_counter() - wall_start) * 1000.0
 
-        if actions is not None and len(actions) > 0:
-            advance(state, actions, _busy_ms(actions) + ArenaConfig.tick_ms, capture)
-        else:
-            advance(state, None, ArenaConfig.min_cycle_ms, capture)
+        step(state, actions, cycle_ms(actions), capture)
 
         cycles.append(
             CycleRecord(

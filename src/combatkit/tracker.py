@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .actions import ActionEvent, binding_to_category
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     UnencodableMeta,
 )
-from .rows import read_jsonl, write_jsonl
+from .rows import read_jsonl, typed_field, write_jsonl
 
 __all__ = [
     "Edge",
@@ -322,23 +322,29 @@ def export_session(session: TrackSession, path: str | Path) -> Path:
     return root
 
 
-def _require(obj: dict, key: str, path: Path, lineno: int) -> Any:
-    if key not in obj:
-        raise ParseError(str(path), lineno, f"missing field {key!r}")
-    return obj[key]
+def _read_rows(path: Path, build: Callable[[dict], Any]) -> tuple:
+    """``build(row)`` for each row of a JSONL file, or nothing when the file is absent.
 
-
-def _require_int(obj: dict, key: str, path: Path, lineno: int) -> int:
-    value = _require(obj, key, path, lineno)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(str(path), lineno, f"field {key!r} is not an integer: {value!r}") from None
+    A missing field, or a value ``build`` refuses, is a ``ParseError``
+    naming the file and line.
+    """
+    if not path.exists():
+        return ()
+    built = []
+    for lineno, obj in read_jsonl(path):
+        try:
+            built.append(build(obj))
+        except KeyError as exc:
+            raise ParseError(str(path), lineno, f"missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParseError(str(path), lineno, str(exc)) from None
+    return tuple(built)
 
 
 def import_session(path: str | Path) -> TrackSession:
     """Load a session directory. t_ms fields are authoritative; ISO strings
-    are regenerated on export rather than trusted."""
+    are regenerated on export rather than trusted. Every field must have
+    the JSON type the writer gives it; nothing is coerced."""
     root = Path(path)
     meta_path = root / _META_NAME
     meta: dict[str, str] = {}
@@ -351,47 +357,25 @@ def import_session(path: str | Path) -> TrackSession:
             key, value = line.split("=", 1)
             meta[key] = value
 
-    frames: list[FrameRecord] = []
-    fpath = root / _FRAMES_NAME
-    if fpath.exists():
-        for lineno, obj in read_jsonl(fpath):
-            frames.append(
-                FrameRecord(
-                    _require_int(obj, "index", fpath, lineno),
-                    _require_int(obj, "t_ms", fpath, lineno),
-                    obj.get("payload"),
-                )
-            )
-
-    events: list[RawInputEvent] = []
-    epath = root / _EVENTS_NAME
-    if epath.exists():
-        for lineno, obj in read_jsonl(epath):
-            edge_raw = _require(obj, "edge", epath, lineno)
-            try:
-                edge = Edge(edge_raw)
-            except ValueError:
-                raise ParseError(str(epath), lineno, f"bad edge {edge_raw!r}") from None
-            events.append(
-                RawInputEvent(
-                    str(_require(obj, "device", epath, lineno)),
-                    str(_require(obj, "binding", epath, lineno)),
-                    edge,
-                    _require_int(obj, "t_ms", epath, lineno),
-                )
-            )
-
-    intervals: list[tuple[int, int]] = []
-    ipath = root / _INTERVALS_NAME
-    if ipath.exists():
-        for lineno, obj in read_jsonl(ipath):
-            intervals.append(
-                (
-                    _require_int(obj, "start_ms", ipath, lineno),
-                    _require_int(obj, "end_ms", ipath, lineno),
-                )
-            )
-
-    session = TrackSession(tuple(frames), tuple(events), tuple(intervals), meta)
+    frames = _read_rows(
+        root / _FRAMES_NAME,
+        lambda row: FrameRecord(
+            typed_field(row, "index", int), typed_field(row, "t_ms", int), row.get("payload")
+        ),
+    )
+    events = _read_rows(
+        root / _EVENTS_NAME,
+        lambda row: RawInputEvent(
+            typed_field(row, "device", str),
+            typed_field(row, "binding", str),
+            Edge(typed_field(row, "edge", str)),
+            typed_field(row, "t_ms", int),
+        ),
+    )
+    intervals = _read_rows(
+        root / _INTERVALS_NAME,
+        lambda row: (typed_field(row, "start_ms", int), typed_field(row, "end_ms", int)),
+    )
+    session = TrackSession(frames, events, intervals, meta)
     session.validate()
     return session

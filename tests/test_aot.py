@@ -322,7 +322,17 @@ def test_bundled_stage3_dataset():
 
 @pytest.mark.parametrize(
     "field, value, reason",
-    [("action_text", "press banana", "unknown action binding"), ("stage", "x", "invalid literal")],
+    [
+        ("action_text", "press banana", "unknown action binding"),
+        ("stage", "x", "'stage' is not an integer"),
+        # JSON gives these another type; coercing them would corrupt the round trip
+        ("stage", 3.7, "'stage' is not an integer"),
+        ("stage", True, "'stage' is not an integer"),
+        ("frame_refs", [True, "2", 3.5, 4], "'frame_refs' holds a non-integer"),
+        ("frame_refs", "1234", "'frame_refs' is not a list"),
+        ("question", 7, "'question' is not a string"),
+        ("explanation", None, "'explanation' is not a string"),
+    ],
 )
 def test_read_records_reports_bad_field_with_line(tmp_path, field, value, reason):
     lines = bundled_stage3_path().read_text(encoding="utf-8").splitlines()[:3]

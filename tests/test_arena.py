@@ -17,7 +17,7 @@ from combatkit.arena import (
     PlayerStatus,
     TaskConfig,
     _check_frame_grid,
-    advance,
+    cycle_ms,
     iter_tasks,
     load_task_configs,
     new_arena,
@@ -59,10 +59,13 @@ def _strikes(state):
     return [e for e in state.action_log if e["kind"] == "enemy_strike"]
 
 
+_TICK = ArenaConfig.tick_ms
+
+
 def _run(state, ticks, commander=None):
     for _ in range(ticks):
         cmds = commander(render_observation(state)) if commander else None
-        step(state, cmds)
+        step(state, cmds, _TICK)
     return state
 
 
@@ -207,14 +210,14 @@ def test_ssdt_block_absorbs_exactly_one_strike():
 def test_heal_cast_applies_after_delay_and_consumes_charge():
     state = _arena(_task(strike_range_m=0.1))
     state.player_hp = 300.0
-    step(state, ActionSet.of(ActionEvent.tap(ActionCategory.HEAL)))
+    step(state, ActionSet.of(ActionEvent.tap(ActionCategory.HEAL)), _TICK)
     assert state.heal_charges == 2
     assert state.player_hp == 300.0  # cast still in flight
     _run(state, 19)  # 20 ticks total = 500 ms
     assert state.player_hp == pytest.approx(600.0)
     # clamp at max hp
     state.player_hp = 900.0
-    step(state, ActionSet.of(ActionEvent.tap(ActionCategory.HEAL)))
+    step(state, ActionSet.of(ActionEvent.tap(ActionCategory.HEAL)), _TICK)
     _run(state, 19)
     assert state.player_hp == 1000.0
     assert state.heal_charges == 1
@@ -224,7 +227,7 @@ def test_heal_without_charges_is_noop():
     state = _arena(_task(strike_range_m=0.1))
     state.heal_charges = 0
     state.player_hp = 200.0
-    step(state, ActionSet.of(ActionEvent.tap(ActionCategory.HEAL)))
+    step(state, ActionSet.of(ActionEvent.tap(ActionCategory.HEAL)), _TICK)
     _run(state, 25)
     assert state.player_hp == 200.0
     assert any(e["kind"] == "heal_noop" for e in state.action_log)
@@ -234,8 +237,8 @@ def test_immobilize_stuns_cancels_telegraph_and_cools_down():
     state = _arena(seed=2)
     # walk the clock into the windup
     while render_observation(state).enemy_telegraph is None:
-        step(state, None)
-    step(state, ActionSet.of(ActionEvent.tap(ActionCategory.IMMOBILIZE)))
+        step(state, None, _TICK)
+    step(state, ActionSet.of(ActionEvent.tap(ActionCategory.IMMOBILIZE)), _TICK)
     obs = render_observation(state)
     assert obs.enemy_telegraph is None  # strike canceled outright
     assert obs.enemy_stunned_ms > 0
@@ -244,7 +247,7 @@ def test_immobilize_stuns_cancels_telegraph_and_cools_down():
     _run(state, 200)
     assert _strikes(state) == []
     # second use inside the cooldown is refused
-    step(state, ActionSet.of(ActionEvent.tap(ActionCategory.IMMOBILIZE)))
+    step(state, ActionSet.of(ActionEvent.tap(ActionCategory.IMMOBILIZE)), _TICK)
     assert any(e["kind"] == "immobilize_noop" for e in state.action_log)
     stuns = [e for e in state.action_log if e["kind"] == "immobilize"]
     assert len(stuns) == 1
@@ -275,7 +278,7 @@ def test_burning_dot_totals_sixty_hp():
 
 def test_light_attack_lands_after_delay_in_range():
     state = _arena(_task(strike_range_m=0.1), distance=1.0)
-    step(state, ActionSet.of(ActionEvent.tap(ActionCategory.LIGHT_ATTACK)))
+    step(state, ActionSet.of(ActionEvent.tap(ActionCategory.LIGHT_ATTACK)), _TICK)
     assert state.enemy_hp == 1000.0
     _run(state, 9)  # 250 ms total
     assert state.enemy_hp == pytest.approx(900.0)
@@ -283,7 +286,7 @@ def test_light_attack_lands_after_delay_in_range():
 
 def test_light_attack_misses_out_of_range():
     state = _arena(_task(strike_range_m=0.1), distance=3.0)
-    step(state, ActionSet.of(ActionEvent.tap(ActionCategory.LIGHT_ATTACK)))
+    step(state, ActionSet.of(ActionEvent.tap(ActionCategory.LIGHT_ATTACK)), _TICK)
     _run(state, 9)
     assert state.enemy_hp == 1000.0
     assert any(e["kind"] == "player_miss" for e in state.action_log)
@@ -291,7 +294,7 @@ def test_light_attack_misses_out_of_range():
 
 def test_heavy_attack_damage_scales_with_charge():
     state = _arena(_task(strike_range_m=0.1), distance=1.0)
-    step(state, ActionSet.of(ActionEvent.hold(ActionCategory.HEAVY_ATTACK, 1.0)))
+    step(state, ActionSet.of(ActionEvent.hold(ActionCategory.HEAVY_ATTACK, 1.0)), _TICK)
     _run(state, 39)  # 1000 ms
     assert state.enemy_hp == pytest.approx(1000.0 - 200.0)
 
@@ -301,6 +304,7 @@ def test_movement_and_sprint_speeds():
     step(
         state,
         ActionSet.of(ActionEvent.hold(ActionCategory.MOVE_FWD, 0.5)),
+        _TICK,
     )
     _run(state, 19)  # 500 ms total
     assert state.player_pos[1] == pytest.approx(3.0 * 0.5)
@@ -311,11 +315,12 @@ def test_movement_and_sprint_speeds():
             ActionEvent.hold(ActionCategory.MOVE_FWD, 0.5),
             ActionEvent.hold(ActionCategory.SPRINT, 0.5),
         ),
+        _TICK,
     )
     _run(state, 19)
     assert state.player_pos[1] == pytest.approx(3.0 * 1.6 * 0.5)
     state = _arena(_task(strike_range_m=0.1, idle_ms=60_000), distance=1.0)
-    step(state, ActionSet.of(ActionEvent.hold(ActionCategory.MOVE_LEFT, 0.25)))
+    step(state, ActionSet.of(ActionEvent.hold(ActionCategory.MOVE_LEFT, 0.25)), _TICK)
     _run(state, 9)
     assert state.player_pos[0] == pytest.approx(-0.75)
     assert state.player_pos[1] == pytest.approx(0.0)
@@ -334,7 +339,7 @@ def test_enemy_chases_until_close():
 def test_telegraph_hidden_when_stunned_or_dead():
     state = _arena(seed=2)
     while render_observation(state).enemy_telegraph is None:
-        step(state, None)
+        step(state, None, _TICK)
     state.enemy_stunned_until = state.clock_ms + 1000
     assert render_observation(state).enemy_telegraph is None
     state.enemy_stunned_until = 0
@@ -421,7 +426,7 @@ def _digest(state, frames):
 _TAP, _HOLD = ActionEvent.tap, ActionEvent.hold
 
 # (commands, ticks): heal and immobilize taps, holds that outlast or end
-# inside their advance, sprint, several move windows at once (one ending
+# inside their step, sprint, several move windows at once (one ending
 # mid-tick, so the order of the movement sums shows), quiet stretches
 _SCRIPT = (
     (ActionSet.of(_TAP(ActionCategory.HEAL), _HOLD(ActionCategory.MOVE_BACK, 1.0)), 41),
@@ -473,9 +478,9 @@ def test_advance_equals_repeated_steps(task_id):
         fused_frames.append(render_observation(state))
 
     for commands, ticks in _SCRIPT:
-        advance(fused, commands, ticks * tick, capture)
+        step(fused, commands, ticks * tick, capture)
         for i in range(ticks):
-            step(stepped, commands if i == 0 else None)
+            step(stepped, commands if i == 0 else None, tick)
             if stepped.clock_ms % interval == 0:
                 stepped_frames.append(render_observation(stepped))
         assert _snapshot(fused) == _snapshot(stepped)
@@ -488,15 +493,15 @@ def test_advance_equals_repeated_steps(task_id):
 
 @pytest.mark.parametrize("task_id", [1, 10, 13])
 def test_window_fill_in_one_advance_equals_single_ticks(task_id):
-    # the runner fills the first sampling window with one advance of the
-    # missing frame intervals, where it once advanced a tick at a time
+    # the runner fills the first sampling window with one step of the
+    # missing frame intervals, where it once stepped a tick at a time
     task = load_task_configs()[task_id]
     one, ticked = new_arena(task, seed=task_id), new_arena(task, seed=task_id)
     one_frames, ticked_frames = [render_observation(one)], [render_observation(ticked)]
     interval, tick = ArenaConfig.frame_interval_ms, ArenaConfig.tick_ms
-    advance(one, None, 8 * interval, lambda s: one_frames.append(render_observation(s)))
+    step(one, None, 8 * interval, lambda s: one_frames.append(render_observation(s)))
     for _ in range(40):
-        advance(ticked, None, tick, lambda s: ticked_frames.append(render_observation(s)))
+        step(ticked, None, tick, lambda s: ticked_frames.append(render_observation(s)))
     assert ticked.clock_ms == 1000 and len(ticked_frames) == FRAME_SAMPLE_WINDOW
     assert _snapshot(one) == _snapshot(ticked)
     assert one_frames == ticked_frames
@@ -505,9 +510,17 @@ def test_window_fill_in_one_advance_equals_single_ticks(task_id):
 def test_advance_rounds_up_to_whole_ticks():
     state = _arena()
     times = []
-    advance(state, None, 30, lambda s: times.append(s.clock_ms))
+    step(state, None, 30, lambda s: times.append(s.clock_ms))
     assert state.clock_ms == 50 and times == []
-    advance(state, None, 75, lambda s: times.append(s.clock_ms))
+    step(state, None, 75, lambda s: times.append(s.clock_ms))
     assert state.clock_ms == 125 and times == [125]
     with pytest.raises(ValueError):
-        advance(state, None, 0)
+        step(state, None, 0)
+
+
+def test_cycle_length_is_the_busiest_action_plus_a_tick():
+    assert cycle_ms(None) == cycle_ms(ActionSet(())) == ArenaConfig.min_cycle_ms
+    # a tap press is shorter than the minimum cycle, which still gets its tick
+    assert cycle_ms(ActionSet.of(_TAP(ActionCategory.IMMOBILIZE))) == 250 + _TICK
+    assert cycle_ms(ActionSet.of(_TAP(ActionCategory.HEAL), _TAP(ActionCategory.DODGE))) == 500 + _TICK
+    assert cycle_ms(ActionSet.of(_HOLD(ActionCategory.MOVE_FWD, 1.0))) == 1000 + _TICK

@@ -385,10 +385,33 @@ def test_read_items_rejects_non_object_line(tmp_path, line):
 
 def test_read_items_raises_first_violation(tmp_path):
     good = read_items(ITEMS_PATH)[0].to_json_dict()
-    rows = [good, dict(good, gold="Perhaps"), good, dict(good, frame_refs=[])]
+    rows = [good, dict(good, gold="Perhaps"), dict(good, id="other"), dict(good, frame_refs=[])]
     p = write_jsonl(tmp_path / "items.jsonl", rows)
     with pytest.raises(ValidationError) as err:
         read_items(p)
     assert (err.value.line, err.value.field) == (2, "gold")
     assert str(err.value).startswith(f"{p}:2: field 'gold'")
     assert [v.line for v in validate_dataset(p).violations] == [2, 4]
+
+
+def test_a_repeated_item_id_is_a_violation_naming_the_first_line(tmp_path):
+    first, second = (item.to_json_dict() for item in read_items(ITEMS_PATH)[:2])
+    p = write_jsonl(tmp_path / "items.jsonl", [first, second, first])
+    report = validate_dataset(p)
+    assert report.total == 2
+    assert [str(v) for v in report.violations] == ["line 3: field 'id': repeats the id of line 1"]
+    with pytest.raises(ValidationError) as err:
+        read_items(p)
+    assert str(err.value) == f"{p}:3: field 'id': repeats the id of line 1"
+
+
+def test_a_repeated_prediction_id_is_a_parse_error(tmp_path):
+    p = tmp_path / "preds.jsonl"
+    p.write_text(
+        '{"id": "a-1", "raw_answer": "Yes"}\n{"id": "a-2", "raw_answer": "No"}\n'
+        '{"id": "a-1", "raw_answer": "No"}\n'
+    )
+    with pytest.raises(ParseError) as err:
+        read_predictions(p)
+    assert (err.value.path, err.value.line) == (str(p), 3)
+    assert err.value.reason == "repeated id 'a-1'"

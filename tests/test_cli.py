@@ -277,11 +277,24 @@ def test_loss_check_matches_pinned_digests(capsys, tmp_path):
 
 
 @needs_numpy
-def test_loss_check_zero_tolerance_fails(capsys):
-    code, out, err = run(capsys, "loss", "check", "--points", 2, "--dim", 4, "--tolerance", 0.0)
+def test_loss_check_fails_at_an_error_above_the_tolerance(capsys):
+    # the worst relative error here is about 2e-10
+    code, out, err = run(capsys, "loss", "check", "--points", 2, "--dim", 4, "--tolerance", 1e-12)
     assert code == 1
     assert out.startswith("component,")
     assert json.loads(err)["error"] == "GradientCheckFailed"
+
+
+# no needs_numpy: the tolerance is checked before the checker and numpy load
+@pytest.mark.parametrize("tolerance", ["nan", "inf", 0.0, -1e-4])
+def test_loss_check_rejects_a_tolerance_that_is_not_positive_and_finite(capsys, tolerance):
+    code, out, err = run(capsys, "loss", "check", "--points", 3, "--dim", 8,
+                         "--tolerance", tolerance)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert "tolerance must be a positive finite number" in payload["message"]
 
 
 # ----------------------------------------------------------------- decode
@@ -482,6 +495,17 @@ def test_bench_validate_flags_bad_items(capsys, tmp_path):
     code, _, err = run(capsys, "bench", "validate", "--in", bad)
     assert code == 1
     assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_bench_validate_flags_a_repeated_fixture_line(capsys, tmp_path):
+    line = ITEMS.read_text(encoding="utf-8").splitlines()[0]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(f"{line}\n{line}\n", encoding="utf-8")
+    code, out, err = run(capsys, "bench", "validate", "--in", bad)
+    assert code == 1 and json.loads(out)["total"] == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert payload["violations"] == ["line 2: field 'id': repeats the id of line 1"]
 
 
 @pytest.mark.parametrize("line", ["5", "[]"])

@@ -33,13 +33,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_DIR = ROOT / "src" / "combatkit"
 GOLDEN = ROOT / "tests" / "data" / "golden_session"
 
-# (module, name) pairs imported on purpose without being used.
-ALLOWED_UNUSED = {
-    # perfbench/tracing.py wraps runner.step for its arena.step metrics,
-    # so the name must stay bound in the runner module
-    ("runner", "step"),
-}
-
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
     """Name bound by each import statement -> its line."""
@@ -67,11 +60,10 @@ def _used_names(tree: ast.Module) -> set[str]:
 def unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used_names(tree)
-    module = path.stem
     return [
         f"{path.name}:{line} imports {name!r} and never uses it"
         for name, line in sorted(_imported_names(tree).items(), key=lambda kv: kv[1])
-        if name not in used and (module, name) not in ALLOWED_UNUSED
+        if name not in used
     ]
 
 
@@ -80,13 +72,6 @@ def test_package_modules_use_every_import():
     assert len(modules) >= 10
     problems = [problem for path in modules for problem in unused_imports(path)]
     assert problems == []
-
-
-def test_allowed_unused_imports_are_still_imported():
-    # an allowance outlives its import only by mistake
-    for module, name in ALLOWED_UNUSED:
-        tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
-        assert name in _imported_names(tree)
 
 
 def test_scan_flags_an_unused_import(tmp_path):

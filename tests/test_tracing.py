@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from combatkit import runner
+from combatkit.arena import load_task_configs
+
 pytest.importorskip("numpy")  # install() patches combatkit.loss
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -41,3 +44,16 @@ def test_uninstall_restores_every_patched_name(tracing):
         tracer.uninstall()
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
+
+
+def test_a_traced_episode_records_one_arena_step_per_cycle_and_the_warm_up(tracing):
+    task = load_task_configs()[1]
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        report, _ = runner.run_episode(task, runner.make_policy("scripted", task, 0))
+    finally:
+        tracer.uninstall()
+    assert report.decision_cycles > 1
+    steps = list(tracer.name).count(tracer.names.index("arena.step"))
+    assert steps == report.decision_cycles + 1

@@ -280,6 +280,11 @@ def test_aligned_sample_fields():
         ("events.jsonl", "t_ms", "12.5"),
         ("intervals.jsonl", "start_ms", [0]),
         ("intervals.jsonl", "end_ms", float("inf")),
+        # JSON values int() would coerce: a float, a numeric string, a bool
+        ("frames.jsonl", "t_ms", 100.9),
+        ("frames.jsonl", "index", "3"),
+        ("frames.jsonl", "t_ms", True),
+        ("events.jsonl", "t_ms", False),
     ],
 )
 def test_import_reports_non_integer_field_with_file_and_line(tmp_path, name, key, value):
@@ -292,3 +297,16 @@ def test_import_reports_non_integer_field_with_file_and_line(tmp_path, name, key
         import_session(out)
     assert (err.value.path, err.value.line) == (str(path), len(rows))
     assert f"field {key!r} is not an integer" in err.value.reason
+
+
+@pytest.mark.parametrize("key, value", [("device", 5), ("binding", None), ("edge", ["down"])])
+def test_import_reports_non_string_field_with_file_and_line(tmp_path, key, value):
+    out = export_session(_sample_session(), tmp_path / "sess")
+    path = out / "events.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[0][key] = value
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ParseError) as err:
+        import_session(out)
+    assert (err.value.path, err.value.line) == (str(path), 1)
+    assert err.value.reason == f"field {key!r} is not a string: {value!r}"
