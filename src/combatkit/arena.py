@@ -26,6 +26,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from .actions import ActionCategory, ActionMode, ActionSet
 from .errors import ConfigError, InsufficientHistory
+from .rows import typed_field
 
 __all__ = [
     "GameMode",
@@ -177,21 +178,36 @@ class TaskConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TaskConfig":
+        """One task-file entry; a missing field or one of another JSON type
+        is a ``ConfigError`` naming the task and the field. A float field
+        takes a JSON integer (``"enemy_max_hp": 780``) but no bool."""
+        task = obj.get("task_id")
+
+        def typed(key: str, kind: type) -> Any:
+            try:
+                if kind is float and type(obj.get(key)) is int:
+                    return float(obj[key])
+                return typed_field(obj, key, kind)
+            except KeyError:
+                raise ConfigError(f"task {task!r}: missing field {key!r}") from None
+            except TypeError as exc:
+                raise ConfigError(f"task {task!r}: {exc}") from None
+
         return cls(
-            task_id=int(obj["task_id"]),
-            name=str(obj["name"]),
-            game_mode=GameMode(obj["game_mode"]),
-            difficulty=Difficulty(obj["difficulty"]),
-            enemy_max_hp=float(obj["enemy_max_hp"]),
-            strike_power=float(obj["strike_power"]),
-            strike_range_m=float(obj["strike_range_m"]),
-            telegraph_ms=int(obj["telegraph_ms"]),
-            idle_ms=int(obj["idle_ms"]),
-            recovery_ms=int(obj["recovery_ms"]),
-            chase_speed_mps=float(obj["chase_speed_mps"]),
-            strike_kind=str(obj["strike_kind"]),
-            applies_burning=bool(obj["applies_burning"]),
-            initial_distance_m=float(obj["initial_distance_m"]),
+            task_id=typed("task_id", int),
+            name=typed("name", str),
+            game_mode=GameMode(typed("game_mode", str)),
+            difficulty=Difficulty(typed("difficulty", str)),
+            enemy_max_hp=typed("enemy_max_hp", float),
+            strike_power=typed("strike_power", float),
+            strike_range_m=typed("strike_range_m", float),
+            telegraph_ms=typed("telegraph_ms", int),
+            idle_ms=typed("idle_ms", int),
+            recovery_ms=typed("recovery_ms", int),
+            chase_speed_mps=typed("chase_speed_mps", float),
+            strike_kind=typed("strike_kind", str),
+            applies_burning=typed("applies_burning", bool),
+            initial_distance_m=typed("initial_distance_m", float),
         )
 
 
@@ -202,10 +218,14 @@ def load_task_configs(path: str | Path | None = None) -> dict[int, TaskConfig]:
     else:
         text = Path(path).read_text(encoding="utf-8")
     obj = json.loads(text)
+    if not isinstance(obj, dict) or not isinstance(obj.get("tasks"), list):
+        raise ConfigError("task file: expected an object with a list of tasks")
     if obj.get("version") != 1:
         raise ValueError(f"unsupported task file version: {obj.get('version')!r}")
     tasks = {}
-    for entry in obj["tasks"]:
+    for i, entry in enumerate(obj["tasks"]):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"task file: entry {i} is not an object: {entry!r}")
         task = TaskConfig.from_json_dict(entry)
         if task.task_id in tasks:
             raise ValueError(f"duplicate task_id {task.task_id}")

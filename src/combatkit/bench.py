@@ -24,7 +24,7 @@ from .arena import ObservationFrame, PlayerStatus
 from .errors import ConfigError, GenerationShortfall, ParseError, UNPARSEABLE, ValidationError
 from .policies import ScriptedPolicy
 from .actions import ActionCategory
-from .rows import read_jsonl, write_jsonl
+from .rows import read_jsonl, typed_field, write_jsonl
 from .runner import EpisodeTranscript
 
 __all__ = [
@@ -136,14 +136,15 @@ class BenchItem:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BenchItem":
+        """An item from a JSON row that ``_check_item`` has checked; nothing is coerced."""
         return cls(
-            item_id=str(obj["id"]),
+            item_id=obj["id"],
             category=Category(obj["category"]),
-            subtask=str(obj["subtask"]),
-            frame_refs=tuple(str(r) for r in obj["frame_refs"]),
-            question=str(obj["question"]),
-            choices=tuple(str(c) for c in obj["choices"]),
-            gold=str(obj["gold"]),
+            subtask=obj["subtask"],
+            frame_refs=tuple(obj["frame_refs"]),
+            question=obj["question"],
+            choices=tuple(obj["choices"]),
+            gold=obj["gold"],
         )
 
 
@@ -172,10 +173,16 @@ class ValidationReport:
 
 
 def _check_item(obj: dict, line: int, first_lines: dict[str, int]) -> BenchItem | ValidationError:
-    """``obj`` as an item, or its first violation; ``first_lines`` maps each id seen to its line."""
+    """``obj`` as an item, or its first violation; ``first_lines`` maps each id seen to its line.
+
+    No field is coerced: a text field that JSON gave another type is a violation.
+    """
     for field in ("id", "category", "subtask", "frame_refs", "question", "choices", "gold"):
         if field not in obj:
             return ValidationError(line, field, "missing")
+    for field in ("id", "subtask", "question"):
+        if type(obj[field]) is not str:
+            return ValidationError(line, field, f"not a string: {obj[field]!r}")
     try:
         category = Category(obj["category"])
     except ValueError:
@@ -183,6 +190,8 @@ def _check_item(obj: dict, line: int, first_lines: dict[str, int]) -> BenchItem 
     refs = obj["frame_refs"]
     if not isinstance(refs, list) or not 1 <= len(refs) <= 4:
         return ValidationError(line, "frame_refs", "need 1..4 refs")
+    if not all(type(ref) is str for ref in refs):
+        return ValidationError(line, "frame_refs", f"refs must be strings: {refs!r}")
     if category is Category.GATHERING and len(refs) != 1:
         return ValidationError(line, "frame_refs", "gathering judges a single frame")
     if category is not Category.GATHERING and len(refs) < 2:
@@ -191,6 +200,8 @@ def _check_item(obj: dict, line: int, first_lines: dict[str, int]) -> BenchItem 
     if category is Category.REASONING:
         if not isinstance(choices, list) or len(choices) != 3:
             return ValidationError(line, "choices", "reasoning needs exactly 3 options")
+        if not all(type(choice) is str for choice in choices):
+            return ValidationError(line, "choices", f"options must be strings: {choices!r}")
         if obj["gold"] not in ("A", "B", "C"):
             return ValidationError(line, "gold", "must be A, B, or C")
     else:
@@ -198,7 +209,7 @@ def _check_item(obj: dict, line: int, first_lines: dict[str, int]) -> BenchItem 
             return ValidationError(line, "choices", "binary items offer Yes/No")
         if obj["gold"] not in _BINARY_CHOICES:
             return ValidationError(line, "gold", "must be Yes or No")
-    first = first_lines.setdefault(str(obj["id"]), line)
+    first = first_lines.setdefault(obj["id"], line)
     if first != line:
         return ValidationError(line, "id", f"repeats the id of line {first}")
     return BenchItem.from_json_dict(obj)
@@ -327,7 +338,8 @@ def score(items: Sequence[BenchItem], predictions: Mapping[str, str]) -> BenchRe
 # ------------------------------------------------------------- generation
 
 def _rule_table_gold(frame: ObservationFrame, judge: ScriptedPolicy) -> str:
-    lead = judge.decide(frame).in_priority_order().events[0].category
+    # the action that leads the set in priority order
+    lead = min(judge.decide(frame).events, key=lambda e: e.category.priority_rank).category
     if lead is ActionCategory.HEAL:
         return "A"
     if lead is ActionCategory.DODGE:
@@ -405,41 +417,43 @@ def generate_synthetic(
     rng = random.Random(seed)
     judge = ScriptedPolicy()
 
-    # candidate pools: subtask -> gold -> list of (refs, gold)
-    pools: dict[str, dict[str, list[tuple[tuple[str, ...], str]]]] = {
+    # Candidate pools: subtask -> gold -> list of (index of the last
+    # referenced frame in ``refs``, gold). An item's refs tuple is sliced
+    # only when it is picked; a window never crosses an episode.
+    refs: list[str] = []
+    pools: dict[str, dict[str, list[tuple[int, str]]]] = {
         name: {} for cat in SUBTASK_COUNTS for name in SUBTASK_COUNTS[cat]
     }
-
-    def put(subtask: str, gold: str, refs: tuple[str, ...]) -> None:
-        pools[subtask].setdefault(gold, []).append((refs, gold))
-
+    binary = [(pools[name], window, says_yes) for name, (window, says_yes) in _BINARY_RULES.items()]
     for transcript in transcripts:
-        refs = [f"{transcript.episode_key}:{i}" for i in range(len(transcript.frames))]
-        for i, frame in enumerate(transcript.frames):
-            for subtask, (window, says_yes) in _BINARY_RULES.items():
-                if i + 1 >= window:
+        first = len(refs)
+        refs.extend(f"{transcript.episode_key}:{i}" for i in range(len(transcript.frames)))
+        for i, frame in enumerate(transcript.frames, start=first):
+            seen = i - first + 1
+            for pool, window, says_yes in binary:
+                if seen >= window:
                     gold = "Yes" if says_yes(frame) else "No"
-                    put(subtask, gold, tuple(refs[i + 1 - window : i + 1]))
-            if i + 1 >= _REASONING_WINDOW:
+                    pool.setdefault(gold, []).append((i, gold))
+            if seen >= _REASONING_WINDOW:
                 gold = _rule_table_gold(frame, judge)
-                put(_GOLD_TO_SUBTASK[gold], gold, tuple(refs[i + 1 - _REASONING_WINDOW : i + 1]))
+                pools[_GOLD_TO_SUBTASK[gold]].setdefault(gold, []).append((i, gold))
 
     items: list[BenchItem] = []
     seq = 0
 
-    def emit(category: Category, subtask: str, refs: tuple[str, ...], gold: str) -> None:
+    def emit(category: Category, subtask: str, last: int, gold: str) -> None:
         nonlocal seq
         seq += 1
-        question = _QUESTIONS["reasoning" if category is Category.REASONING else subtask]
-        choices = _REASONING_CHOICES if category is Category.REASONING else _BINARY_CHOICES
+        reasoning = category is Category.REASONING
+        window = _REASONING_WINDOW if reasoning else _BINARY_RULES[subtask][0]
         items.append(
             BenchItem(
                 item_id=f"{category.value}-{seq:05d}",
                 category=category,
                 subtask=subtask,
-                frame_refs=refs,
-                question=question,
-                choices=choices,
+                frame_refs=tuple(refs[last + 1 - window : last + 1]),
+                question=_QUESTIONS["reasoning" if reasoning else subtask],
+                choices=_REASONING_CHOICES if reasoning else _BINARY_CHOICES,
                 gold=gold,
             )
         )
@@ -448,8 +462,8 @@ def generate_synthetic(
         total = int(targets.get(category, 0))
         alloc = _allocate(SUBTASK_COUNTS[category], total)
         for subtask, want in alloc.items():
-            for refs, gold in _pick_balanced(pools[subtask], want, rng, subtask, category.value):
-                emit(category, subtask, refs, gold)
+            for last, gold in _pick_balanced(pools[subtask], want, rng, subtask, category.value):
+                emit(category, subtask, last, gold)
     return items
 
 
@@ -476,13 +490,20 @@ def write_predictions(predictions: Mapping[str, str], path: str | Path) -> Path:
 
 
 def read_predictions(path: str | Path) -> dict[str, str]:
-    """Each item id's raw answer; a line without both or with a repeated id is a ``ParseError``."""
+    """Each item id's raw answer.
+
+    A line without both string fields, or with a repeated id, is a ``ParseError``.
+    """
+    where = str(Path(path))
     out: dict[str, str] = {}
     for lineno, obj in read_jsonl(path):
         if "id" not in obj or "raw_answer" not in obj:
-            raise ParseError(str(Path(path)), lineno, "need id and raw_answer fields")
-        item_id = str(obj["id"])
+            raise ParseError(where, lineno, "need id and raw_answer fields")
+        try:
+            item_id, answer = typed_field(obj, "id", str), typed_field(obj, "raw_answer", str)
+        except TypeError as exc:
+            raise ParseError(where, lineno, str(exc)) from None
         if item_id in out:
-            raise ParseError(str(Path(path)), lineno, f"repeated id {item_id!r}")
-        out[item_id] = str(obj["raw_answer"])
+            raise ParseError(where, lineno, f"repeated id {item_id!r}")
+        out[item_id] = answer
     return out

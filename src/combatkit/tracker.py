@@ -18,8 +18,9 @@ from __future__ import annotations
 import bisect
 import threading
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from datetime import date, timedelta
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -247,9 +248,36 @@ _EVENTS_NAME = "events.jsonl"
 _INTERVALS_NAME = "intervals.jsonl"
 
 
+_EPOCH_DATE = date(1970, 1, 1)
+
+
+@lru_cache(maxsize=256)
+def _iso_second(second: int) -> str:
+    """``YYYY-MM-DDTHH:MM:SS.`` for ``second`` seconds after 1970-01-01 UTC.
+
+    Cached because a session stamps about eight frames a second. A second
+    outside years 1-9999 is a ``ValueError``.
+    """
+    day, second = divmod(second, 86_400)
+    minute, second = divmod(second, 60)
+    hour, minute = divmod(minute, 60)
+    try:
+        day_text = (_EPOCH_DATE + timedelta(days=day)).isoformat()
+    except OverflowError:
+        raise ValueError(f"day {day} after 1970-01-01 is out of range") from None
+    return f"{day_text}T{hour:02d}:{minute:02d}:{second:02d}."
+
+
 def _iso(t_ms: int, epoch_ms: int) -> str:
-    dt = datetime.fromtimestamp((epoch_ms + t_ms) / 1000.0, tz=timezone.utc)
-    return dt.isoformat(timespec="milliseconds")
+    """``epoch_ms + t_ms`` as UTC ISO 8601 with milliseconds and a ``+00:00`` offset.
+
+    Integer arithmetic: the text ``datetime.fromtimestamp(ms / 1000.0,
+    timezone.utc).isoformat(timespec="milliseconds")`` gives, but exact
+    where that float path drops a millisecond (beyond about 2**42 ms,
+    the year 2109).
+    """
+    second, ms = divmod(epoch_ms + t_ms, 1000)
+    return f"{_iso_second(second)}{ms:03d}+00:00"
 
 
 def _breaks_line(text: str) -> bool:

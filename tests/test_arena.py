@@ -144,6 +144,66 @@ def test_task_file_rejects_duplicates_and_bad_version(tmp_path):
     assert len(tasks) == 13
 
 
+_TASK_ROW = {
+    "task_id": 4, "name": "x", "game_mode": "BMW", "difficulty": "easy",
+    "enemy_max_hp": 780, "strike_power": 400.5, "strike_range_m": 2, "telegraph_ms": 600,
+    "idle_ms": 1000, "recovery_ms": 500, "chase_speed_mps": 1.0, "strike_kind": "slash",
+    "applies_burning": False, "initial_distance_m": 2.0,
+}
+
+
+@pytest.mark.parametrize(
+    "key,value,reason",
+    [
+        ("applies_burning", "false", "field 'applies_burning' is not a boolean: 'false'"),
+        ("applies_burning", 0, "field 'applies_burning' is not a boolean: 0"),
+        ("telegraph_ms", 600.9, "field 'telegraph_ms' is not an integer: 600.9"),
+        ("telegraph_ms", True, "field 'telegraph_ms' is not an integer: True"),
+        ("enemy_max_hp", True, "field 'enemy_max_hp' is not a number: True"),
+        ("strike_power", "400", "field 'strike_power' is not a number: '400'"),
+        ("name", 7, "field 'name' is not a string: 7"),
+        ("game_mode", None, "field 'game_mode' is not a string: None"),
+        ("idle_ms", ..., "missing field 'idle_ms'"),
+    ],
+)
+def test_task_file_refuses_a_field_of_another_json_type(tmp_path, key, value, reason):
+    row = dict(_TASK_ROW)
+    if value is ...:
+        del row[key]
+    else:
+        row[key] = value
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps({"version": 1, "tasks": [row]}))
+    with pytest.raises(ConfigError) as err:
+        load_task_configs(path)
+    assert str(err.value) == f"task 4: {reason}"
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        ([1], "task file: expected an object with a list of tasks"),
+        ({"version": 1}, "task file: expected an object with a list of tasks"),
+        ({"version": 1, "tasks": {"1": {}}}, "task file: expected an object with a list of tasks"),
+        ({"version": 1, "tasks": [5]}, "task file: entry 0 is not an object: 5"),
+    ],
+)
+def test_task_file_of_another_shape_is_a_config_error(tmp_path, content, message):
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(ConfigError) as err:
+        load_task_configs(path)
+    assert str(err.value) == message
+
+
+def test_task_file_float_fields_take_json_integers(tmp_path):
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps({"version": 1, "tasks": [_TASK_ROW]}))
+    task = load_task_configs(path)[4]
+    assert (task.enemy_max_hp, task.strike_power, task.strike_range_m) == (780.0, 400.5, 2.0)
+    assert type(task.enemy_max_hp) is float and type(task.strike_range_m) is float
+
+
 def test_new_arena_seed_determinism():
     task = _task()
     a = new_arena(task, seed=5)

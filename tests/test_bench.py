@@ -1,5 +1,6 @@
 """Benchmark schema checks, answer normalization, scoring, and generation."""
 
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from combatkit import rows
 from combatkit.actions import ActionCategory
 from combatkit.arena import PlayerStatus, Telegraph, load_task_configs
 from combatkit.bench import (
@@ -85,6 +87,15 @@ def _item(**over):
     return BenchItem(**base)
 
 
+_REASONING_ITEM = _item(
+    category=Category.REASONING,
+    subtask="answer_dodge_attack",
+    frame_refs=("a", "b", "c", "d"),
+    choices=("A. Restore health", "B. Dodge the enemy's attack", "C. Attack the enemy"),
+    gold="B",
+).to_json_dict()
+
+
 def test_canonical_volume_grid():
     assert CANONICAL_COUNTS[Category.GATHERING] == 360
     assert CANONICAL_COUNTS[Category.COMPREHENSION] == 204
@@ -131,16 +142,7 @@ def test_validation_flags_schema_violations(tmp_path):
         dict(_item(category=Category.COMPREHENSION, subtask="current_state").to_json_dict(), frame_refs=["a"]),
         dict(_item().to_json_dict(), choices=["Yep", "Nope"]),
         dict(_item().to_json_dict(), gold="Maybe"),
-        dict(
-            _item(
-                category=Category.REASONING,
-                subtask="answer_dodge_attack",
-                frame_refs=("a", "b", "c", "d"),
-                choices=("A. Restore health", "B. Dodge the enemy's attack", "C. Attack the enemy"),
-                gold="B",
-            ).to_json_dict(),
-            gold="D",
-        ),
+        dict(_REASONING_ITEM, gold="D"),
     ]
     report = validate_dataset(write_jsonl(tmp_path / "items.jsonl", rows))
     assert not report.ok
@@ -149,6 +151,28 @@ def test_validation_flags_schema_violations(tmp_path):
     fields = [v.field for v in report.violations]
     assert "category" in fields and "gold" in fields and "choices" in fields
     assert all(isinstance(v, ValidationError) for v in report.violations)
+
+
+@pytest.mark.parametrize(
+    "row,field",
+    [
+        (dict(_item().to_json_dict(), id=5), "id"),
+        (dict(_item().to_json_dict(), subtask=["enemy_health"]), "subtask"),
+        (dict(_item().to_json_dict(), question=None), "question"),
+        (dict(_item().to_json_dict(), frame_refs=[7]), "frame_refs"),
+        (dict(_REASONING_ITEM, frame_refs=["a", "b", "c", 4]), "frame_refs"),
+        (dict(_REASONING_ITEM, choices=["A. Restore health", 2, True]), "choices"),
+    ],
+)
+def test_validation_refuses_a_field_of_another_json_type(tmp_path, row, field):
+    # these used to validate and come back through str(): id 5 as "5"
+    p = write_jsonl(tmp_path / "items.jsonl", [row])
+    report = validate_dataset(p)
+    assert report.total == 0
+    assert [(v.line, v.field) for v in report.violations] == [(1, field)]
+    with pytest.raises(ValidationError) as err:
+        read_items(p)
+    assert str(err.value).startswith(f"{p}:1: field {field!r}: ")
 
 
 @pytest.mark.parametrize(
@@ -303,6 +327,19 @@ def test_generate_synthetic_small_targets(tmp_path):
     assert [i.to_json_dict() for i in different] != [i.to_json_dict() for i in items]
 
 
+def test_generate_synthetic_output_is_pinned_off_the_canonical_grid():
+    # tests/data pins seed 0 at canonical counts; this pins another seed,
+    # other tasks and counts, so a change to pool building or drawing shows
+    transcripts = collect_transcripts([TASKS[2], TASKS[7], TASKS[11]], seed=5, episodes_per_task=2)
+    targets = {Category.GATHERING: 61, Category.COMPREHENSION: 33, Category.REASONING: 47}
+    items = generate_synthetic(transcripts, targets, seed=1234)
+    text = "".join(json.dumps(item.to_json_dict(), sort_keys=True) + "\n" for item in items)
+    assert len(items) == 141
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "881b8ccd839ef9663ce541e9147e4e0990805f1778167e3e7e791510c11369a6"
+    )
+
+
 def test_generate_synthetic_shortfall():
     transcripts = collect_transcripts([TASKS[1]], seed=0, episodes_per_task=1)
     with pytest.raises(GenerationShortfall) as err:
@@ -367,10 +404,12 @@ def test_read_items_parses_each_line_once(monkeypatch):
     lines = [line for line in ITEMS_PATH.read_text(encoding="utf-8").splitlines() if line.strip()]
     expected = [BenchItem.from_json_dict(json.loads(line)) for line in lines]
     calls = []
-    loads = json.loads
+    raw_decode, loads = rows._raw_decode, json.loads
+    monkeypatch.setattr(rows, "_raw_decode", lambda s: calls.append(s) or raw_decode(s))
     monkeypatch.setattr(json, "loads", lambda s: calls.append(s) or loads(s))
     assert read_items(ITEMS_PATH) == expected
-    assert len(calls) == len(lines)
+    # every fixture line takes the one-decode path, none the json.loads fallback
+    assert calls == [line + "\n" for line in lines]
 
 
 @pytest.mark.parametrize("line", ["5", "[]"])
@@ -403,6 +442,22 @@ def test_a_repeated_item_id_is_a_violation_naming_the_first_line(tmp_path):
     with pytest.raises(ValidationError) as err:
         read_items(p)
     assert str(err.value) == f"{p}:3: field 'id': repeats the id of line 1"
+
+
+@pytest.mark.parametrize(
+    "line,reason",
+    [
+        ('{"id": 5, "raw_answer": "Yes"}', "field 'id' is not a string: 5"),
+        ('{"id": "a-2", "raw_answer": true}', "field 'raw_answer' is not a string: True"),
+        ('{"id": "a-2", "raw_answer": ["B"]}', "field 'raw_answer' is not a string: ['B']"),
+    ],
+)
+def test_a_prediction_of_another_json_type_is_a_parse_error(tmp_path, line, reason):
+    p = tmp_path / "preds.jsonl"
+    p.write_text('{"id": "a-1", "raw_answer": "Yes"}\n' + line + "\n")
+    with pytest.raises(ParseError) as err:
+        read_predictions(p)
+    assert (err.value.path, err.value.line, err.value.reason) == (str(p), 2, reason)
 
 
 def test_a_repeated_prediction_id_is_a_parse_error(tmp_path):

@@ -1,0 +1,83 @@
+"""The JSONL row readers and writers every command goes through."""
+
+import json
+import math
+
+import pytest
+
+from combatkit.errors import ParseError
+from combatkit.rows import read_jsonl, write_jsonl
+
+
+def _loads_loop(path):
+    """The reference reader: ``json.loads`` on every line that is not blank."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(str(path), lineno, f"bad JSON: {exc.msg}") from None
+            if not isinstance(obj, dict):
+                raise ParseError(str(path), lineno, "expected a JSON object")
+            rows.append((lineno, obj))
+    return rows
+
+
+def _outcome(read, path):
+    try:
+        return "rows", list(read(path))
+    except ParseError as exc:
+        return "error", (exc.path, exc.line, exc.reason)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"a": 1}\n{"b": [2, {"c": null}]}\n',
+        '{"a": 1}\n\n   \n\t\n{"b": 2}\n\n',
+        '  {"a": 1}\n{"b": 2}   \n',
+        '{"a": 1}\r\n{"b": 2}\r\n',
+        '{"a": 1}\n{"b": 2}',
+        '{} {}\n',
+        '{"a": 1}\n{"a": 1}{"b": 2}\n',
+        '{"a": NaN, "b": -Infinity}\n',
+        '{"a": 1}\n5\n',
+        '[]\n',
+        '{"a":\n',
+        '\ufeff{"a": 1}\n',
+        '{"é": "  snowman ☃"}\n',
+        "",
+    ],
+    ids=[
+        "plain", "blank-lines", "padded", "crlf", "no-final-newline", "extra-data",
+        "extra-object", "nan", "non-object", "array", "bad-json", "bom", "unicode", "empty",
+    ],
+)
+def test_read_jsonl_matches_a_json_loads_loop(tmp_path, text):
+    p = tmp_path / "rows.jsonl"
+    p.write_bytes(text.encode("utf-8"))
+    got, want = _outcome(read_jsonl, p), _outcome(_loads_loop, p)
+    # NaN is not equal to itself, so compare the rows' JSON text
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_write_jsonl_gives_json_dumps_bytes(tmp_path):
+    rows = [
+        {"b": 1, "a": [1.5, -0.0, 1e300, None, True], "c": {"z": "é ", "y": {}}},
+        {},
+        {"nan": math.nan, "inf": -math.inf, "big": 10**30},
+    ]
+    p = write_jsonl(tmp_path / "deep" / "dir" / "rows.jsonl", iter(rows))
+    expected = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    assert p.read_bytes() == expected.encode("utf-8")
+    assert write_jsonl(tmp_path / "empty.jsonl", []).read_bytes() == b""
+
+
+def test_write_jsonl_leaves_the_file_alone_when_a_row_fails(tmp_path):
+    p = write_jsonl(tmp_path / "rows.jsonl", [{"a": 1}])
+    with pytest.raises(TypeError):
+        write_jsonl(p, [{"a": 2}, {"b": object()}])
+    assert p.read_text(encoding="utf-8") == '{"a": 1}\n'

@@ -3,6 +3,7 @@
 import json
 import random
 from dataclasses import replace
+from datetime import datetime, timezone
 
 import pytest
 
@@ -23,6 +24,7 @@ from combatkit.tracker import (
     SessionRecorder,
     TimedAction,
     TrackSession,
+    _iso,
     align_actions_to_frames,
     coalesce_events,
     export_session,
@@ -221,6 +223,31 @@ def test_export_is_deterministic(tmp_path):
     b = export_session(session, tmp_path / "b")
     for name in ("session.meta", "frames.jsonl", "events.jsonl", "intervals.jsonl"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _iso_by_datetime(t_ms, epoch_ms):
+    """The reference: datetime's formatting of the float seconds."""
+    dt = datetime.fromtimestamp((epoch_ms + t_ms) / 1000.0, tz=timezone.utc)
+    return dt.isoformat(timespec="milliseconds")
+
+
+def test_iso_matches_datetime_formatting():
+    # transcripts stamp from epoch_ms 0, a live capture near 1.7e12; sums
+    # run negative before 1970 and cross day and year boundaries
+    pairs = [(0, 0), (-1, 0), (-1000, 0), (999, 0), (86_399_999, 0), (-86_400_001, 0),
+             (0, 1_700_000_000_000), (-1_700_000_000_001, 1_700_000_000_000)]
+    rng = random.Random(20)
+    for _ in range(5000):
+        epoch_ms = rng.choice((0, 1_700_000_000_000, rng.randrange(-2**41, 2**41)))
+        pairs.append((rng.choice((rng.randrange(-10**6, 10**6), rng.randrange(-2**40, 2**40))),
+                      epoch_ms))
+    assert [_iso(t, e) for t, e in pairs] == [_iso_by_datetime(t, e) for t, e in pairs]
+    # exact where the float path loses a millisecond, and years 1-9999 only
+    assert _iso(253_402_300_799_999, 0) == "9999-12-31T23:59:59.999+00:00"
+    assert _iso(0, -62_135_596_800_000) == "0001-01-01T00:00:00.000+00:00"
+    for t_ms in (253_402_300_800_000, -62_135_596_800_001, 10**30):
+        with pytest.raises(ValueError):
+            _iso(t_ms, 0)
 
 
 def test_import_reports_file_and_line(tmp_path):
