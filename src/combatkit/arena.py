@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .actions import ActionCategory, ActionMode, ActionSet
 from .errors import ConfigError, InsufficientHistory
@@ -379,46 +379,28 @@ def cycle_ms(commands: ActionSet | None) -> int:
     return max(ArenaConfig.min_cycle_ms, busiest) + ArenaConfig.tick_ms
 
 
-def _store(
-    state: ArenaState,
-    clock_ms: int,
-    px: float,
-    py: float,
-    ex: float,
-    ey: float,
-    player_hp: float,
-    enemy_hp: float,
-    phase: _Phase,
-    phase_ends_at: int,
-) -> None:
-    state.clock_ms = clock_ms
-    state.player_pos[0], state.player_pos[1] = px, py
-    state.enemy_pos[0], state.enemy_pos[1] = ex, ey
-    state.player_hp, state.enemy_hp = player_hp, enemy_hp
-    state.phase, state.phase_ends_at = phase, phase_ends_at
-
-
 def step(
     state: ArenaState,
     commands: ActionSet | None,
     duration_ms: int,
-    on_frame: Callable[[ArenaState], None] | None = None,
+    frames: list[ObservationFrame] | None = None,
 ) -> ArenaState:
     """The tick engine: apply the onsets of ``commands`` (or none), then tick ``duration_ms``.
 
     Ticks are whole ``ArenaConfig.tick_ms`` steps: the clock stops at the
     first tick boundary at or past start + ``duration_ms``, which must be
     positive (else ``ValueError``). Taps take effect at once; holds open
-    windows that later ticks honor. ``on_frame(state)`` runs after each
-    tick that ends on a multiple of ``ArenaConfig.frame_interval_ms``; it
-    reads the state and must not change it.
+    windows that later ticks honor. Given a ``frames`` list, ``step``
+    appends the ``ObservationFrame`` of each tick that ends on a multiple
+    of ``ArenaConfig.frame_interval_ms``, the frame ``render_observation``
+    would give of the state at that instant.
 
     A tick runs, in order: player movement from the open hold windows,
     the scheduled heal, the player attacks due by its end, the enemy's
     chase and phase machine (the strike resolves when the telegraph
     ends), and burning. Log entries carry the tick's start time. The
-    loop keeps the state it changes in locals and stores it back before
-    each ``on_frame`` call and at the end.
+    loop keeps the state it changes in locals, builds each frame from
+    them and stores them back once, at the end.
     """
     if duration_ms <= 0:
         raise ValueError("duration_ms must be positive")
@@ -441,6 +423,9 @@ def step(
     phase, phase_ends_at = state.phase, state.phase_ends_at
     heal_at, burning_until = state.pending_heal_at, state.burning_until
     stunned_until, sprint_until = state.enemy_stunned_until, state.sprint_until
+    # no tick changes these two; the frames read them
+    heal_charges, immobilize_ready_at = state.heal_charges, state.immobilize_ready_at
+    max_hp, enemy_max_hp = ArenaConfig.player_max_hp, task.enemy_max_hp
     pending = state.pending_attacks
     # open hold windows in move_until order: (until, x direction, y direction)
     moves = [
@@ -525,11 +510,31 @@ def step(
             player_hp = max(0.0, player_hp - burn_dps * burn_overlap / 1000.0)
 
         t0 = t1
-        if on_frame is not None and t0 % frame_interval == 0:
-            _store(state, t0, px, py, ex, ey, player_hp, enemy_hp, phase, phase_ends_at)
-            on_frame(state)
+        if frames is not None and t0 % frame_interval == 0:
+            shown = None
+            if phase is telegraph and stunned_until <= t0 and enemy_hp > 0.0:
+                shown = Telegraph(task.strike_kind, max(0, phase_ends_at - t0))
+            # render_observation's max() clamps, as conditionals: cheaper than
+            # calls at one frame every five ticks
+            player_frac, enemy_frac = player_hp / max_hp, enemy_hp / enemy_max_hp
+            frames.append(ObservationFrame(
+                t0,
+                player_frac if player_frac > 0.0 else 0.0,
+                enemy_frac if enemy_frac > 0.0 else 0.0,
+                (px, py),
+                (ex, ey),
+                shown,
+                _BURNING if burning_until > t0 else _NORMAL,
+                heal_charges,
+                t0 >= immobilize_ready_at,
+                stunned_until - t0 if stunned_until > t0 else 0,
+            ))
 
-    _store(state, t0, px, py, ex, ey, player_hp, enemy_hp, phase, phase_ends_at)
+    state.clock_ms = t0
+    state.player_pos[0], state.player_pos[1] = px, py
+    state.enemy_pos[0], state.enemy_pos[1] = ex, ey
+    state.player_hp, state.enemy_hp = player_hp, enemy_hp
+    state.phase, state.phase_ends_at = phase, phase_ends_at
     return state
 
 
@@ -538,6 +543,8 @@ _BURNING, _NORMAL = PlayerStatus.BURNING, PlayerStatus.NORMAL
 
 
 def render_observation(state: ArenaState) -> ObservationFrame:
+    """The frame of ``state`` as it stands; ``step`` builds the same frame
+    from its tick loop's locals."""
     now, enemy_hp = state.clock_ms, state.enemy_hp
     telegraph = None
     if state.phase is _TELEGRAPH and state.enemy_stunned_until <= now and enemy_hp > 0.0:

@@ -187,6 +187,10 @@ def _check_item(obj: dict, line: int, first_lines: dict[str, int]) -> BenchItem 
         category = Category(obj["category"])
     except ValueError:
         return ValidationError(line, "category", f"unknown {obj['category']!r}")
+    if obj["subtask"] not in SUBTASK_COUNTS[category]:
+        return ValidationError(
+            line, "subtask", f"not a {category.value} subtask: {obj['subtask']!r}"
+        )
     refs = obj["frame_refs"]
     if not isinstance(refs, list) or not 1 <= len(refs) <= 4:
         return ValidationError(line, "frame_refs", "need 1..4 refs")

@@ -132,26 +132,41 @@ def decode(
     (included). Either mode stops when the token budget is exhausted; a
     stop that leaves no complete bracketed action clause raises
     ``ActionParseError`` rather than guessing.
+
+    A ``tuple`` (a policy's finished answer) is scanned in place with
+    slicing and ``tuple.index``; any other iterable is pulled one token
+    at a time, and at most ``budget`` of them, so a paced stream never
+    sleeps for a token past the budget or the stopping sentinel. Both
+    give the same result for the same tokens.
     """
     if budget <= 0:
         raise ValueError("token budget must be positive")
     # full mode has no truncation sentinel; None equals no token
     trunc_token = TRUNC_TOKEN if mode is DecodeMode.TRUNCATED else None
-    tokens: list[str] = []
     stop = StopReason.BUDGET
     start = time.perf_counter()
-    # islice pulls at most ``budget`` tokens, so a paced stream never
-    # sleeps for a token past the budget or the stopping sentinel
-    for token in islice(stream, budget):
-        if token == trunc_token:
+    if isinstance(stream, tuple):
+        emitted = stream[:budget]
+        # cut at the truncation sentinel first: an end-of-sequence sentinel
+        # left in the cut came before it, and so wins
+        if trunc_token is not None and trunc_token in emitted:
+            emitted = emitted[: emitted.index(trunc_token)]
             stop = StopReason.TRUNC
-            break
-        tokens.append(token)
-        if token == EOS_TOKEN:
+        if EOS_TOKEN in emitted:
+            emitted = emitted[: emitted.index(EOS_TOKEN) + 1]
             stop = StopReason.EOS
-            break
+    else:
+        tokens: list[str] = []
+        for token in islice(stream, budget):
+            if token == trunc_token:
+                stop = StopReason.TRUNC
+                break
+            tokens.append(token)
+            if token == EOS_TOKEN:
+                stop = StopReason.EOS
+                break
+        emitted = tuple(tokens)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    emitted = tuple(tokens)
     return DecodeResult(emitted, _extract_actions(emitted, stop), stop, wall_ms)
 
 

@@ -534,11 +534,8 @@ def test_advance_equals_repeated_steps(task_id):
     fused.player_hp = stepped.player_hp = 700.0  # heals land, and the player lasts a while
     tick, interval = ArenaConfig.tick_ms, ArenaConfig.frame_interval_ms
     fused_frames, stepped_frames = [], []
-    def capture(state):
-        fused_frames.append(render_observation(state))
-
     for commands, ticks in _SCRIPT:
-        step(fused, commands, ticks * tick, capture)
+        step(fused, commands, ticks * tick, fused_frames)
         for i in range(ticks):
             step(stepped, commands if i == 0 else None, tick)
             if stepped.clock_ms % interval == 0:
@@ -559,9 +556,11 @@ def test_window_fill_in_one_advance_equals_single_ticks(task_id):
     one, ticked = new_arena(task, seed=task_id), new_arena(task, seed=task_id)
     one_frames, ticked_frames = [render_observation(one)], [render_observation(ticked)]
     interval, tick = ArenaConfig.frame_interval_ms, ArenaConfig.tick_ms
-    step(one, None, 8 * interval, lambda s: one_frames.append(render_observation(s)))
+    step(one, None, 8 * interval, one_frames)
     for _ in range(40):
-        step(ticked, None, tick, lambda s: ticked_frames.append(render_observation(s)))
+        step(ticked, None, tick)
+        if ticked.clock_ms % interval == 0:
+            ticked_frames.append(render_observation(ticked))
     assert ticked.clock_ms == 1000 and len(ticked_frames) == FRAME_SAMPLE_WINDOW
     assert _snapshot(one) == _snapshot(ticked)
     assert one_frames == ticked_frames
@@ -569,11 +568,11 @@ def test_window_fill_in_one_advance_equals_single_ticks(task_id):
 
 def test_advance_rounds_up_to_whole_ticks():
     state = _arena()
-    times = []
-    step(state, None, 30, lambda s: times.append(s.clock_ms))
-    assert state.clock_ms == 50 and times == []
-    step(state, None, 75, lambda s: times.append(s.clock_ms))
-    assert state.clock_ms == 125 and times == [125]
+    frames = []
+    step(state, None, 30, frames)
+    assert state.clock_ms == 50 and frames == []
+    step(state, None, 75, frames)
+    assert state.clock_ms == 125 and [frame.t_ms for frame in frames] == [125]
     with pytest.raises(ValueError):
         step(state, None, 0)
 

@@ -176,6 +176,23 @@ def test_validation_refuses_a_field_of_another_json_type(tmp_path, row, field):
 
 
 @pytest.mark.parametrize(
+    "row",
+    [
+        dict(_item().to_json_dict(), subtask="banana"),
+        dict(_item().to_json_dict(), subtask="answer_dodge_attack"),  # a reasoning subtask
+        dict(_REASONING_ITEM, subtask="enemy_health"),
+    ],
+)
+def test_validation_refuses_a_subtask_outside_its_category(tmp_path, row):
+    p = write_jsonl(tmp_path / "items.jsonl", [_item().to_json_dict(), row])
+    report = validate_dataset(p)
+    assert report.total == 1 and report.subtask_counts == {"enemy_health": 1}
+    assert [(v.line, v.field) for v in report.violations] == [(2, "subtask")]
+    with pytest.raises(ValidationError, match=f"not a {row['category']} subtask"):
+        read_items(p)
+
+
+@pytest.mark.parametrize(
     "raw,kind,expected",
     [
         ("Yes", "binary", "Yes"),

@@ -21,6 +21,17 @@ from combatkit.decoding import (
     token_savings_report,
 )
 from combatkit.errors import ActionParseError, EmptyDataset
+from combatkit.policies import (
+    _COMBO,
+    _DODGE,
+    _HEAL_BACK_OFF,
+    _HEAVY,
+    _LIGHT,
+    _RANDOM_ANSWERS,
+    _SPRINT_IN,
+    _STEP_IN,
+    _serialize,
+)
 
 SAMPLE = serialize_stage3("press space, hold w for 0.5 seconds", "Step away from the enemy.")
 
@@ -125,6 +136,42 @@ def test_paced_stream_past_the_budget_is_pulled_budget_times():
     assert (res.stop_reason, res.emitted_count) == (StopReason.TRUNC, 2)
     res = decode(iter(["[press", "r]", EOS_TOKEN, "x"]), DecodeMode.FULL, budget=3)
     assert (res.stop_reason, res.emitted_count) == (StopReason.EOS, 3)
+
+
+# Every answer a shipped policy gives: the random policy's table and the
+# scripted rule table's seven sets in both game modes.
+_SHIPPED_ANSWERS = [
+    answer for tap, holds in _RANDOM_ANSWERS for answer in ((tap,) if holds is None else holds)
+] + [
+    _serialize(actions, game_mode)
+    for actions in (_HEAL_BACK_OFF, _DODGE, _COMBO, _LIGHT, _STEP_IN, _SPRINT_IN, _HEAVY)
+    for game_mode in ("BMW", "SSDT")
+]
+_EDGE_ANSWERS = [
+    (),
+    ("[press", "space]", "then", "more"),  # no sentinel
+    ("[press", "r]", EOS_TOKEN, TRUNC_TOKEN, "x"),  # end of sequence before truncation
+    (TRUNC_TOKEN, "[press", "r]", EOS_TOKEN),  # truncation first
+    ("[press", "r]", TRUNC_TOKEN, "x", EOS_TOKEN),  # each sentinel the budget-th token once
+]
+
+
+def _outcome(stream, mode, budget):
+    try:
+        res = decode(stream, mode, budget)
+    except ActionParseError as exc:
+        return ActionParseError, exc.raw_text, exc.stop_reason
+    return res.emitted_tokens, res.stop_reason, res.actions
+
+
+@pytest.mark.parametrize("answer", _SHIPPED_ANSWERS + _EDGE_ANSWERS)
+def test_a_tuple_decodes_as_its_token_stream(answer):
+    # a tuple is scanned in place, any other iterable pulled token by token
+    assert type(answer) is tuple
+    for mode in DecodeMode:
+        for budget in range(1, len(answer) + 2):
+            expected = _outcome(TokenStream(answer), mode, budget)
+            assert _outcome(answer, mode, budget) == expected, (mode, budget)
 
 
 def test_same_unparseable_emission_raises_on_every_call():
