@@ -60,7 +60,11 @@ __all__ = [
 
 
 class ActionCategory(Enum):
-    """The ten combat actions, valued by their input binding."""
+    """The ten combat actions, valued by their input binding.
+
+    Each member's ``priority_rank`` (0 = most critical) is its index in
+    ``PRIORITY_ORDER``, set once below the class.
+    """
 
     HEAL = "r"
     IMMOBILIZE = "1"
@@ -78,10 +82,6 @@ class ActionCategory(Enum):
         return self.value
 
     @property
-    def priority_rank(self) -> int:
-        return _RANK[self]
-
-    @property
     def tap_only(self) -> bool:
         return self in TAP_ONLY
 
@@ -92,7 +92,10 @@ class ActionCategory(Enum):
 
 # Priority order: most critical first. Declaration order above matches it.
 PRIORITY_ORDER: tuple[ActionCategory, ...] = tuple(ActionCategory)
-_RANK = {cat: i for i, cat in enumerate(PRIORITY_ORDER)}
+# Each member's rank in that order, as a plain attribute: a dict keyed by
+# member would run the Python-level ``Enum.__hash__`` on every lookup.
+for _rank, _category in enumerate(PRIORITY_ORDER):
+    _category.priority_rank = _rank
 
 TAP_ONLY = frozenset(
     {

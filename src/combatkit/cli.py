@@ -6,6 +6,12 @@ Subcommands: ``track {import,align,export}``, ``aot {build,split,stats}``,
 JSON ``--config`` file overrides flag values; ``--seed`` is mandatory
 for ``agent`` and ``aot split``.
 
+One table, ``_VERBS``, gives each verb's group, name, help, handler and
+flags. ``main`` builds the groups and the chosen group's verbs from
+their names and help texts, and only the chosen verb's flags;
+``build_parser`` builds every verb in full. ``--config`` keys are
+checked and converted against the same table flags.
+
 File outputs are deterministic given the seed: rerunning a subcommand
 on identical inputs rewrites byte-identical files, and no subcommand
 mutates its inputs. Measured wall-clock numbers appear only on stdout,
@@ -22,6 +28,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .actions import render_action, render_event
 from .aot import (
@@ -133,60 +140,6 @@ def _csv_path(out: str | Path) -> Path:
 def _note_written(paths: tuple[Path, Path]) -> None:
     """Name a written report's CSV and JSON on stderr; stdout carries the result."""
     sys.stderr.write(f"wrote {paths[0]} and {paths[1]}\n")
-
-
-def _command_parser(parser: argparse.ArgumentParser, args: argparse.Namespace):
-    """The (sub)parser that parsed ``args``, found by following the chosen commands."""
-    while True:
-        sub = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
-        if sub is None:
-            return parser
-        parser = sub.choices[getattr(args, sub.dest)]
-
-
-def _config_value(action: argparse.Action, key: str, value, cfg_path) -> object:
-    """Convert a config value as the command line would convert the flag's text."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ConfigError(f"{cfg_path}: setting {key!r} must be a string or a number")
-    text = value if isinstance(value, str) else json.dumps(value)
-    if action.type is not None:
-        try:
-            value = action.type(text)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
-            raise ConfigError(
-                f"{cfg_path}: setting {key!r}: invalid {action.type.__name__} value {text!r}"
-            ) from None
-    else:
-        value = text
-    if action.choices is not None and value not in action.choices:
-        choices = ", ".join(map(repr, action.choices))
-        raise ConfigError(f"{cfg_path}: setting {key!r}: {value!r} is not one of {choices}")
-    return value
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Overlay config-file values onto parsed flags (file wins).
-
-    Each value goes through its flag's ``type`` and ``choices``, so a
-    config file accepts exactly what the command line would.
-    """
-    cfg_path = getattr(args, "config", None)
-    if not cfg_path:
-        return
-    try:
-        obj = json.loads(_require_path(cfg_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{cfg_path}: not valid JSON: {exc.msg}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{cfg_path}: top level must be a JSON object")
-    actions = {a.dest: a for a in _command_parser(parser, args)._actions}
-    for key, value in obj.items():
-        dest = key.replace("-", "_")
-        if dest == "in":
-            dest = "in_path"
-        if dest in ("help", "config") or dest not in actions:
-            raise ConfigError(f"{cfg_path}: unknown setting {key!r} for this subcommand")
-        setattr(args, dest, _config_value(actions[dest], key, value, cfg_path))
 
 
 # ------------------------------------------------------------------ track
@@ -547,148 +500,191 @@ def _cmd_report(args) -> int:
     return 0
 
 
-# ----------------------------------------------------------------- parser
+# ------------------------------------------------------------ verb table
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file whose settings override flags")
+class _Flag(NamedTuple):
+    """One long flag, ``--name``. Its ``--config`` key is the name, with
+    ``_`` or ``-`` between words."""
 
+    name: str
+    type: Callable[[str], object] | None = None
+    default: object = None
+    choices: tuple | None = None
+    required: bool = False
+    help: str | None = None
+    dest: str | None = None  # None: the name with ``_`` for ``-``
+
+
+class _Verb(NamedTuple):
+    group: str
+    name: str | None  # None: the group is the verb itself
+    help: str | None
+    handler: Callable[[argparse.Namespace], int]
+    flags: tuple[_Flag, ...]
+
+
+_GROUPS = {
+    "track": "input tracking sessions",
+    "aot": "dataset construction",
+    "loss": "loss numerics",
+    "decode": "streaming decode",
+    "agent": "combat episodes",
+    "bench": "combat-understanding benchmark",
+    "report": "combined overview report",
+}
+
+_STAGE = StageConfig()
+_IN = _Flag("in", required=True, dest="in_path")
+_OUT = _Flag("out")
+_OUT_REQUIRED = _Flag("out", required=True)
+_DIR = _Flag("dir", required=True)
+_SEED = _Flag("seed", int, required=True)
+_TASKS = _Flag("tasks", default="all")
+_MODE = _Flag("mode", default="truncated", choices=("truncated", "full"))
+_POLICY = _Flag("policy", default="scripted", choices=("scripted", "random"))
+_PACE = _Flag("pace-tokens-per-second", float, DEFAULT_PACE_TOKENS_PER_SECOND)
+
+# Keyed by (group, verb name); the order is the order of the help listings.
+_VERBS = {(verb.group, verb.name): verb for verb in (
+    _Verb("track", "import", "validate a session directory", _cmd_track_import, (_DIR,)),
+    _Verb("track", "align", "coalesce and frame-align actions", _cmd_track_align, (_DIR, _OUT)),
+    _Verb("track", "export", "re-export in canonical form", _cmd_track_export,
+          (_DIR, _OUT_REQUIRED)),
+    _Verb("aot", "build", "build stage 1/2/3 records", _cmd_aot_build, (
+        _DIR, _Flag("stage", int, choices=(1, 2, 3), required=True), _OUT_REQUIRED,
+        _Flag("n", int, _STAGE.n), _Flag("m", int, _STAGE.m),
+        _Flag("k-frames", int, _STAGE.k_frames),
+        _Flag("merge-window-ms", int, _STAGE.merge_window_ms))),
+    _Verb("aot", "split", "seeded train/val partition", _cmd_aot_split, (
+        _IN, _Flag("train-out", required=True), _Flag("val-out", required=True),
+        _Flag("split", float, _STAGE.split_fraction), _SEED)),
+    _Verb("aot", "stats", "dataset summary", _cmd_aot_stats, (_IN,)),
+    _Verb("loss", "check", "gradient check table (CSV)", _cmd_loss_check, (
+        _Flag("seed", int, 0), _Flag("points", int, 100), _Flag("dim", int, 64),
+        _Flag("step", float, 1e-5), _Flag("tolerance", float, 1e-4), _OUT)),
+    _Verb("decode", "run", "decode each record in a dataset", _cmd_decode_run, (
+        _IN, _MODE, _Flag("budget", int, DEFAULT_TOKEN_BUDGET),
+        _Flag("pace", float, help="tokens per second pacing"), _OUT)),
+    _Verb("decode", "savings", "token savings of truncation", _cmd_decode_savings, (
+        _Flag("in", help="default: bundled dataset", dest="in_path"), _OUT)),
+    _Verb("agent", "run", "one episode on one task", _cmd_agent_run, (
+        _Flag("task", int, required=True), _MODE, _POLICY, _SEED, _PACE, _OUT)),
+    _Verb("agent", "suite", "all tasks x repeats", _cmd_agent_suite, (
+        _TASKS, _Flag("repeats", int, 10), _MODE, _POLICY, _SEED, _PACE, _OUT)),
+    _Verb("bench", "validate", "schema and volume check", _cmd_bench_validate, (_IN,)),
+    _Verb("bench", "gen", "synthesize items from episodes", _cmd_bench_gen, (
+        _OUT_REQUIRED, _SEED, _TASKS, _Flag("episodes-per-task", int, 2),
+        *(_Flag(c.value, int, CANONICAL_COUNTS[c]) for c in Category))),
+    _Verb("bench", "score", "accuracy report", _cmd_bench_score, (
+        _Flag("items", required=True), _Flag("predictions", required=True), _OUT)),
+    _Verb("report", None, None, _cmd_report, (
+        _Flag("suite", required=True, help="suite report JSON"),
+        _Flag("savings", help="savings JSON; default recomputes from bundled data"),
+        _Flag("bench", help="benchmark score JSON"), _OUT)),
+)}
+
+
+def _add_flags(parser: argparse.ArgumentParser, verb: _Verb) -> None:
+    parser.add_argument("--config", help="JSON file whose settings override flags")
+    for flag in verb.flags:
+        parser.add_argument("--" + flag.name, dest=flag.dest, type=flag.type,
+                            default=flag.default, choices=flag.choices,
+                            required=flag.required, help=flag.help)
+
+
+def _parser(group: str | None, name: str | None, full: bool) -> argparse.ArgumentParser:
+    """Every group with its help; the verbs of ``group`` by name and help,
+    and the flags of verb ``name`` only. ``full`` builds every verb in full."""
     parser = argparse.ArgumentParser(
         prog="combatkit",
         description="Combat imitation toolkit: tracking, datasets, loss checks, agents, benchmarks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    track = sub.add_parser("track", help="input tracking sessions").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = track.add_parser("import", parents=[common], help="validate a session directory")
-    p.add_argument("--dir", required=True)
-    p.set_defaults(func=_cmd_track_import)
-    p = track.add_parser("align", parents=[common], help="coalesce and frame-align actions")
-    p.add_argument("--dir", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_track_align)
-    p = track.add_parser("export", parents=[common], help="re-export in canonical form")
-    p.add_argument("--dir", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_track_export)
-
-    stage = StageConfig()
-    aot_sub = sub.add_parser("aot", help="dataset construction").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = aot_sub.add_parser("build", parents=[common], help="build stage 1/2/3 records")
-    p.add_argument("--dir", required=True)
-    p.add_argument("--stage", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=stage.n)
-    p.add_argument("--m", type=int, default=stage.m)
-    p.add_argument("--k-frames", type=int, default=stage.k_frames)
-    p.add_argument("--merge-window-ms", type=int, default=stage.merge_window_ms)
-    p.set_defaults(func=_cmd_aot_build)
-    p = aot_sub.add_parser("split", parents=[common], help="seeded train/val partition")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--train-out", required=True)
-    p.add_argument("--val-out", required=True)
-    p.add_argument("--split", type=float, default=stage.split_fraction)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_aot_split)
-    p = aot_sub.add_parser("stats", parents=[common], help="dataset summary")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.set_defaults(func=_cmd_aot_stats)
-
-    loss_sub = sub.add_parser("loss", help="loss numerics").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = loss_sub.add_parser("check", parents=[common], help="gradient check table (CSV)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_loss_check)
-
-    dec = sub.add_parser("decode", help="streaming decode").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = dec.add_parser("run", parents=[common], help="decode each record in a dataset")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--mode", choices=("truncated", "full"), default="truncated")
-    p.add_argument("--budget", type=int, default=DEFAULT_TOKEN_BUDGET)
-    p.add_argument("--pace", type=float, default=None, help="tokens per second pacing")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_decode_run)
-    p = dec.add_parser("savings", parents=[common], help="token savings of truncation")
-    p.add_argument("--in", dest="in_path", default=None, help="default: bundled dataset")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_decode_savings)
-
-    agent = sub.add_parser("agent", help="combat episodes").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = agent.add_parser("run", parents=[common], help="one episode on one task")
-    p.add_argument("--task", type=int, required=True)
-    p.add_argument("--mode", choices=("truncated", "full"), default="truncated")
-    p.add_argument("--policy", choices=("scripted", "random"), default="scripted")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pace-tokens-per-second", type=float, default=DEFAULT_PACE_TOKENS_PER_SECOND)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_agent_run)
-    p = agent.add_parser("suite", parents=[common], help="all tasks x repeats")
-    p.add_argument("--tasks", default="all")
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--mode", choices=("truncated", "full"), default="truncated")
-    p.add_argument("--policy", choices=("scripted", "random"), default="scripted")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pace-tokens-per-second", type=float, default=DEFAULT_PACE_TOKENS_PER_SECOND)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_agent_suite)
-
-    bench_sub = sub.add_parser("bench", help="combat-understanding benchmark").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = bench_sub.add_parser("validate", parents=[common], help="schema and volume check")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.set_defaults(func=_cmd_bench_validate)
-    p = bench_sub.add_parser("gen", parents=[common], help="synthesize items from episodes")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tasks", default="all")
-    p.add_argument("--episodes-per-task", type=int, default=2)
-    p.add_argument("--gathering", type=int, default=CANONICAL_COUNTS[Category.GATHERING])
-    p.add_argument(
-        "--comprehension", type=int, default=CANONICAL_COUNTS[Category.COMPREHENSION]
-    )
-    p.add_argument("--reasoning", type=int, default=CANONICAL_COUNTS[Category.REASONING])
-    p.set_defaults(func=_cmd_bench_gen)
-    p = bench_sub.add_parser("score", parents=[common], help="accuracy report")
-    p.add_argument("--items", required=True)
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bench_score)
-
-    p = sub.add_parser("report", parents=[common], help="combined overview report")
-    p.add_argument("--suite", required=True, help="suite report JSON")
-    p.add_argument("--savings", help="savings JSON; default recomputes from bundled data")
-    p.add_argument("--bench", help="benchmark score JSON")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_report)
-
+    groups = parser.add_subparsers(dest="command", required=True)
+    for group_name, group_help in _GROUPS.items():
+        group_parser = groups.add_parser(group_name, help=group_help)
+        if not (full or group_name == group):
+            continue
+        lone = _VERBS.get((group_name, None))
+        if lone is not None:
+            _add_flags(group_parser, lone)
+            continue
+        verbs = group_parser.add_subparsers(dest="subcommand", required=True)
+        for verb in _VERBS.values():
+            if verb.group == group_name:
+                verb_parser = verbs.add_parser(verb.name, help=verb.help)
+                if full or verb.name == name:
+                    _add_flags(verb_parser, verb)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb with all its flags."""
+    return _parser(None, None, full=True)
+
+
+# ----------------------------------------------------------------- config
+
+def _config_value(flag: _Flag, key: str, value, cfg_path) -> object:
+    """Convert a config value as the command line would convert the flag's text."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"{cfg_path}: setting {key!r} must be a string or a number")
+    text = value if isinstance(value, str) else json.dumps(value)
+    if flag.type is not None:
+        try:
+            value = flag.type(text)
+        except ValueError:
+            raise ConfigError(
+                f"{cfg_path}: setting {key!r}: invalid {flag.type.__name__} value {text!r}"
+            ) from None
+    else:
+        value = text
+    if flag.choices is not None and value not in flag.choices:
+        choices = ", ".join(map(repr, flag.choices))
+        raise ConfigError(f"{cfg_path}: setting {key!r}: {value!r} is not one of {choices}")
+    return value
+
+
+def _apply_config(args: argparse.Namespace, verb: _Verb) -> None:
+    """Overlay config-file values onto parsed flags (file wins).
+
+    Each key names one of the verb's flags, and each value goes through
+    that flag's ``type`` and ``choices``, so a config file accepts exactly
+    what the command line would.
+    """
+    if not args.config:
+        return
+    cfg_path = args.config
     try:
-        _apply_config(args, parser)
-        return args.func(args)
-    except CombatkitError as exc:
-        _fail({"error": type(exc).__name__, "message": str(exc)})
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+        obj = json.loads(_require_path(cfg_path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{cfg_path}: not valid JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{cfg_path}: top level must be a JSON object")
+    flags = {flag.name.replace("-", "_"): flag for flag in verb.flags}
+    for key, value in obj.items():
+        name = key.replace("-", "_")
+        if name not in flags:
+            raise ConfigError(f"{cfg_path}: unknown setting {key!r} for this subcommand")
+        flag = flags[name]
+        setattr(args, flag.dest or name, _config_value(flag, key, value, cfg_path))
+
+
+# ------------------------------------------------------------------- main
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Neither the top level nor a group has a flag that takes a value, so
+    # argparse picks the first two words that do not start with "-" as
+    # group and verb, or stops first at an invalid choice, whose error
+    # reads the same from any parser. Only that verb's flags are built.
+    words = [arg for arg in argv if not arg.startswith("-")]
+    parser = _parser(*(words + [None, None])[:2], full=False)
+    args = parser.parse_args(argv)
+    verb = _VERBS[args.command, getattr(args, "subcommand", None)]
+    try:
+        _apply_config(args, verb)
+        return verb.handler(args)
+    except (CombatkitError, OSError, ValueError, KeyError) as exc:
         _fail({"error": type(exc).__name__, "message": str(exc)})
         return 1
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .actions import ActionSet, parse_action_text
 from .aot import AoTRecord, EOS_TOKEN, TRUNC_TOKEN, read_records
@@ -64,7 +64,8 @@ class TokenStream:
         tokens_per_second: float | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if tokens_per_second is not None and tokens_per_second <= 0:
+        # "not > 0" so that NaN, false in every comparison, fails too
+        if tokens_per_second is not None and not tokens_per_second > 0:
             raise ValueError("tokens_per_second must be positive")
         self._tokens = iter(tokens)
         self._interval = None if tokens_per_second is None else 1.0 / tokens_per_second
@@ -86,8 +87,7 @@ class TokenStream:
         return token
 
 
-@dataclass(frozen=True, slots=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
     emitted_tokens: tuple[str, ...]
     actions: ActionSet
     stop_reason: StopReason
@@ -134,10 +134,13 @@ def decode(
     ``ActionParseError`` rather than guessing.
 
     A ``tuple`` (a policy's finished answer) is scanned in place with
-    slicing and ``tuple.index``; any other iterable is pulled one token
-    at a time, and at most ``budget`` of them, so a paced stream never
-    sleeps for a token past the budget or the stopping sentinel. Both
-    give the same result for the same tokens.
+    ``in``, ``tuple.index`` and slicing. An unpaced ``TokenStream`` has
+    nothing to pace, so it is drained: all its remaining tokens become
+    one tuple, which is scanned the same way. Any other iterable, a
+    paced stream included, is pulled one token at a time, and at most
+    ``budget`` of them, so a paced stream never sleeps for a token past
+    the budget or the stopping sentinel. Every input gives the same
+    result for the same tokens.
     """
     if budget <= 0:
         raise ValueError("token budget must be positive")
@@ -145,6 +148,8 @@ def decode(
     trunc_token = TRUNC_TOKEN if mode is DecodeMode.TRUNCATED else None
     stop = StopReason.BUDGET
     start = time.perf_counter()
+    if isinstance(stream, TokenStream) and stream._interval is None:
+        stream = tuple(stream._tokens)
     if isinstance(stream, tuple):
         emitted = stream[:budget]
         # cut at the truncation sentinel first: an end-of-sequence sentinel

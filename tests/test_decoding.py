@@ -1,5 +1,9 @@
 """Streaming decode, truncation stop, pacing, and the savings report."""
 
+import json
+import math
+from pathlib import Path
+
 import pytest
 
 from combatkit.actions import ActionCategory
@@ -8,9 +12,15 @@ from combatkit.aot import (
     QUESTION_TEXT,
     TRUNC_TOKEN,
     AoTRecord,
+    StageConfig,
+    align_session,
+    build_frames_aot,
+    bundled_stage3_path,
     load_bundled_stage3,
     serialize_stage3,
+    to_truncated_form,
 )
+from combatkit.cli import main
 from combatkit.decoding import (
     DEFAULT_TOKEN_BUDGET,
     DecodeMode,
@@ -32,6 +42,7 @@ from combatkit.policies import (
     _STEP_IN,
     _serialize,
 )
+from combatkit.tracker import import_session
 
 SAMPLE = serialize_stage3("press space, hold w for 0.5 seconds", "Step away from the enemy.")
 
@@ -104,6 +115,18 @@ def test_token_stream_pacing_uses_injected_sleep():
         TokenStream(["a"], tokens_per_second=0.0)
 
 
+def test_a_nan_pace_is_refused_where_it_is_set(capsys):
+    with pytest.raises(ValueError, match="tokens_per_second must be positive"):
+        TokenStream(["a"], tokens_per_second=math.nan)
+    # refused before the first sleep, with a message that names the setting
+    code = main(["decode", "run", "--in", str(bundled_stage3_path()), "--pace", "nan"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError" and "tokens_per_second" in payload["message"]
+
+
 def test_truncated_decode_skips_post_sentinel_pacing():
     # the decoder stops pulling at the sentinel, so explanation tokens
     # of a paced stream never cost their sleep
@@ -166,12 +189,39 @@ def _outcome(stream, mode, budget):
 
 @pytest.mark.parametrize("answer", _SHIPPED_ANSWERS + _EDGE_ANSWERS)
 def test_a_tuple_decodes_as_its_token_stream(answer):
-    # a tuple is scanned in place, any other iterable pulled token by token
+    # a tuple is scanned in place, a plain iterator pulled token by token
     assert type(answer) is tuple
     for mode in DecodeMode:
         for budget in range(1, len(answer) + 2):
-            expected = _outcome(TokenStream(answer), mode, budget)
+            expected = _outcome(iter(answer), mode, budget)
             assert _outcome(answer, mode, budget) == expected, (mode, budget)
+
+
+def _stage3_texts():
+    # both golden-session decisions come before the default 4 frames of history exist
+    golden = Path(__file__).parent / "data" / "golden_session"
+    aligned = align_session(import_session(golden))
+    built = build_frames_aot(aligned, StageConfig(k_frames=1)).records
+    records = load_bundled_stage3() + [to_truncated_form(r) for r in built]
+    return [r.serialized for r in records]
+
+
+def test_an_unpaced_stream_decodes_as_the_pull_loop():
+    # an unpaced TokenStream is drained into a tuple and scanned; a plain
+    # generator still takes the pull loop, the reference
+    texts = _stage3_texts()
+    assert len(texts) == 84 + 2
+    for text in texts:
+        tokens = text.split()
+        sentinels = [tokens.index(t) for t in (TRUNC_TOKEN, EOS_TOKEN) if t in tokens]
+        assert sentinels, text
+        budgets = {1, len(tokens), len(tokens) + 1, DEFAULT_TOKEN_BUDGET}
+        budgets.update(b for i in sentinels for b in (i, i + 1) if b > 0)
+        for mode in DecodeMode:
+            for budget in sorted(budgets):
+                expected = _outcome((t for t in text.split()), mode, budget)
+                assert _outcome(TokenStream.from_text(text), mode, budget) == expected
+                assert _outcome(tuple(tokens), mode, budget) == expected
 
 
 def test_same_unparseable_emission_raises_on_every_call():
