@@ -14,9 +14,11 @@ checked and converted against the same table flags.
 
 File outputs are deterministic given the seed: rerunning a subcommand
 on identical inputs rewrites byte-identical files, and no subcommand
-mutates its inputs. Measured wall-clock numbers appear only on stdout,
-never in written reports. A command that writes a CSV report with its
-JSON sibling (``--out``) names both files in one line on stderr.
+mutates its inputs. Measured wall-clock numbers never reach a written
+report; ``decode run``'s ``mean_wall_ms`` is the only one left on
+stdout, and ``agent run`` prints exactly the report it writes. A
+command that writes a CSV report with its JSON sibling (``--out``)
+names both files in one line on stderr.
 Failures print a machine-readable JSON object to stderr and exit 1;
 usage errors exit 2.
 """
@@ -145,7 +147,7 @@ def _note_written(paths: tuple[Path, Path]) -> None:
 # ------------------------------------------------------------------ track
 
 def _cmd_track_import(args) -> int:
-    session = import_session(_require_path(args.dir))
+    session = import_session(args.dir)
     _print_json(
         {
             "frames": len(session.frames),
@@ -158,7 +160,7 @@ def _cmd_track_import(args) -> int:
 
 
 def _cmd_track_align(args) -> int:
-    session = import_session(_require_path(args.dir))
+    session = import_session(args.dir)
     aligned = align_session(session)
     out = write_jsonl(
         Path(args.out) if args.out else Path(args.dir) / "aligned.jsonl",
@@ -182,7 +184,7 @@ def _cmd_track_align(args) -> int:
 
 
 def _cmd_track_export(args) -> int:
-    session = import_session(_require_path(args.dir))
+    session = import_session(args.dir)
     out = export_session(session, args.out)
     _print_json({"out": str(out)})
     return 0
@@ -191,7 +193,7 @@ def _cmd_track_export(args) -> int:
 # -------------------------------------------------------------------- aot
 
 def _cmd_aot_build(args) -> int:
-    session = import_session(_require_path(args.dir))
+    session = import_session(args.dir)
     cfg = StageConfig(
         n=args.n, m=args.m, k_frames=args.k_frames, merge_window_ms=args.merge_window_ms
     )
@@ -332,18 +334,16 @@ def _cmd_agent_run(args) -> int:
     (task,) = _load_tasks(str(args.task))
     policy = make_policy(args.policy, task, args.seed)
     report, transcript = run_episode(task, policy, DecodeMode(args.mode), args.seed)
+    payload = report.to_json_dict()
     # checks the pace with or without --out, before any file is written
-    latency_ms = simulated_latency_ms(report, args.pace_tokens_per_second)
-    shown = report.to_json_dict()
+    payload["mean_latency_ms"] = round(
+        simulated_latency_ms(report, args.pace_tokens_per_second), 3
+    )
     if args.out:
         out = Path(args.out)
-        written = dict(shown)
-        # wall-clock is measurement noise; files stay seed-deterministic
-        written.pop("mean_inference_wall_ms", None)
-        written["mean_latency_ms"] = round(latency_ms, 3)
         export_transcript(transcript, out / "session")
-        (out / "report.json").write_text(json_text(written), encoding="utf-8")
-    _print_json(shown)
+        (out / "report.json").write_text(json_text(payload), encoding="utf-8")
+    _print_json(payload)
     return 0
 
 

@@ -135,12 +135,13 @@ def decode(
 
     A ``tuple`` (a policy's finished answer) is scanned in place with
     ``in``, ``tuple.index`` and slicing. An unpaced ``TokenStream`` has
-    nothing to pace, so it is drained: all its remaining tokens become
-    one tuple, which is scanned the same way. Any other iterable, a
-    paced stream included, is pulled one token at a time, and at most
-    ``budget`` of them, so a paced stream never sleeps for a token past
-    the budget or the stopping sentinel. Every input gives the same
-    result for the same tokens.
+    nothing to pace, so it is drained: up to ``budget`` of its tokens
+    become one tuple, which is scanned the same way, and an endless
+    stream still ends at the budget. Any other iterable, a paced stream
+    included, is pulled one token at a time, and at most ``budget`` of
+    them, so a paced stream never sleeps for a token past the budget or
+    the stopping sentinel. Every input gives the same result for the
+    same tokens.
     """
     if budget <= 0:
         raise ValueError("token budget must be positive")
@@ -149,7 +150,7 @@ def decode(
     stop = StopReason.BUDGET
     start = time.perf_counter()
     if isinstance(stream, TokenStream) and stream._interval is None:
-        stream = tuple(stream._tokens)
+        stream = tuple(islice(stream._tokens, budget))
     if isinstance(stream, tuple):
         emitted = stream[:budget]
         # cut at the truncation sentinel first: an end-of-sequence sentinel

@@ -7,15 +7,13 @@ until done and appends each new frame to the episode's frame list.
 Inference time never leaks into the sim clock, so the world trajectory
 does not depend on how long the policy takes to answer.
 
-Suite reports are byte-identical across reruns with the same seed:
-their latency column is simulated from emitted token counts at a fixed
-pace, while real wall-clock inference time stays on the per-episode
-reports only.
+Episode and suite reports are byte-identical across reruns with the
+same seed: their latency is simulated from emitted token counts at a
+fixed pace, and the loop reads no clock.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -73,7 +71,6 @@ class CycleRecord(NamedTuple):
     actions: ActionSet | None
     emitted_tokens: int
     stop_reason: str
-    inference_wall_ms: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,7 +82,6 @@ class EpisodeReport:
     failure_reason: str | None
     decision_cycles: int
     policy_calls: int
-    mean_inference_wall_ms: float
     mean_emitted_tokens: float
     sim_duration_ms: int
 
@@ -98,7 +94,6 @@ class EpisodeReport:
             "failure_reason": self.failure_reason,
             "decision_cycles": self.decision_cycles,
             "policy_calls": self.policy_calls,
-            "mean_inference_wall_ms": round(self.mean_inference_wall_ms, 3),
             "mean_emitted_tokens": round(self.mean_emitted_tokens, 3),
             "sim_duration_ms": self.sim_duration_ms,
         }
@@ -154,7 +149,6 @@ def run_episode(
 
         # sim clock pauses here: inference happens between ticks
         decision_t = state.clock_ms
-        wall_start = time.perf_counter()
         stream = policy.observe(sampled)
         try:
             result = decode(stream, mode)
@@ -166,14 +160,11 @@ def run_episode(
             emitted = len(exc.raw_text.split())
             stop_reason = f"parse_error:{exc.stop_reason}"
             state.log("decode_parse_error", raw=exc.raw_text[:120])
-        wall_ms = (time.perf_counter() - wall_start) * 1000.0
 
         step(state, actions, cycle_ms(actions), frames)
 
         # positional: a named tuple builds about twice as fast without keywords
-        cycles.append(
-            CycleRecord(len(cycles) + 1, decision_t, actions, emitted, stop_reason, wall_ms)
-        )
+        cycles.append(CycleRecord(len(cycles) + 1, decision_t, actions, emitted, stop_reason))
 
     n = len(cycles)
     report = EpisodeReport(
@@ -184,7 +175,6 @@ def run_episode(
         failure_reason=failure_reason,
         decision_cycles=n,
         policy_calls=policy.call_count - calls_before,
-        mean_inference_wall_ms=(sum(c.inference_wall_ms for c in cycles) / n) if n else 0.0,
         mean_emitted_tokens=(sum(c.emitted_tokens for c in cycles) / n) if n else 0.0,
         sim_duration_ms=state.clock_ms,
     )

@@ -372,8 +372,13 @@ def _read_rows(path: Path, build: Callable[[dict], Any]) -> tuple:
 def import_session(path: str | Path) -> TrackSession:
     """Load a session directory. t_ms fields are authoritative; ISO strings
     are regenerated on export rather than trusted. Every field must have
-    the JSON type the writer gives it; nothing is coerced."""
+    the JSON type the writer gives it; nothing is coerced. A missing path
+    is a ``FileNotFoundError`` and a path that is not a directory a
+    ``NotADirectoryError``."""
     root = Path(path)
+    if not root.is_dir():
+        kind = NotADirectoryError if root.exists() else FileNotFoundError
+        raise kind(f"no session directory at {root}")
     meta_path = root / _META_NAME
     meta: dict[str, str] = {}
     if meta_path.exists():

@@ -1,5 +1,6 @@
 """Streaming decode, truncation stop, pacing, and the savings report."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -153,6 +154,14 @@ def test_paced_stream_past_the_budget_is_pulled_budget_times():
         assert res.stop_reason is StopReason.BUDGET
         assert res.emitted_tokens == tuple(tokens[:12])
         assert len(naps) == 12
+        assert next(stream) == tokens[12]
+    # an unpaced stream is drained only up to the budget, so an endless one ends
+    for mode in DecodeMode:
+        endless = itertools.chain(tokens[:2], (f"filler{i}" for i in itertools.count()))
+        stream = TokenStream(endless)
+        res = decode(stream, mode, budget=12)
+        assert res.stop_reason is StopReason.BUDGET
+        assert res.emitted_tokens == tuple(tokens[:12])
         assert next(stream) == tokens[12]
     # a sentinel pulled as the budget-th token still ends the decode on itself
     res = decode(iter(["[press", "r]", TRUNC_TOKEN, "x"]), DecodeMode.TRUNCATED, budget=3)

@@ -10,7 +10,8 @@ numpy blocked, every other module, ``combatkit.cli`` included, imports
 and writes the pinned suite reports and the committed fixtures byte for
 byte, the other verbs run through ``cli.main`` with the same output as
 with numpy, and ``loss check`` ends in a typed ``MissingDependency``
-error. Importing ``combatkit.cli`` does not load numpy.
+error. Importing ``combatkit.cli`` does not load numpy. Only
+``combatkit.decoding`` imports ``time``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,17 @@ def test_package_modules_use_every_import():
     assert len(modules) >= 10
     problems = [problem for path in modules for problem in unused_imports(path)]
     assert problems == []
+
+
+def test_only_the_decoder_reads_the_clock():
+    # decode's measured wall_ms is the package's one clock; the episode
+    # loop and every report stay independent of host speed
+    importers = [
+        path.name
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if "time" in _imported_names(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert importers == ["decoding.py"]
 
 
 def test_scan_flags_an_unused_import(tmp_path):

@@ -53,11 +53,9 @@ def test_scripted_episode_wins_task_one():
 def test_episode_determinism():
     a_report, a_tr = run_episode(TASKS[2], ScriptedPolicy(), seed=5)
     b_report, b_tr = run_episode(TASKS[2], ScriptedPolicy(), seed=5)
-    # wall-clock is measurement noise; everything else matches exactly
-    assert a_report.to_json_dict()["mean_inference_wall_ms"] >= 0
-    a_d, b_d = a_report.to_json_dict(), b_report.to_json_dict()
-    a_d.pop("mean_inference_wall_ms"), b_d.pop("mean_inference_wall_ms")
-    assert a_d == b_d
+    assert a_report == b_report
+    # with no clock read, whole transcripts repeat, cycle records included
+    assert a_tr == b_tr
     assert [f.to_payload() for f in a_tr.frames] == [f.to_payload() for f in b_tr.frames]
     assert [c.actions.key() if c.actions else None for c in a_tr.cycles] == [
         c.actions.key() if c.actions else None for c in b_tr.cycles
@@ -242,10 +240,8 @@ def test_collect_transcripts_rejects_fewer_than_one_episode_per_task(monkeypatch
 
 
 def test_episode_report_json_rounding():
-    report = EpisodeReport(1, "truncated", 0, True, None, 3, 3, 1.23456, 10.98765, 5000)
-    d = report.to_json_dict()
-    assert d["mean_inference_wall_ms"] == 1.235
-    assert d["mean_emitted_tokens"] == 10.988
+    report = EpisodeReport(1, "truncated", 0, True, None, 3, 3, 10.98765, 5000)
+    assert report.to_json_dict()["mean_emitted_tokens"] == 10.988
 
 
 # sha256 of the seed-0 suite CSV and JSON at 2 repeats over the 13 tasks,

@@ -263,6 +263,14 @@ def test_import_reports_file_and_line(tmp_path):
     assert "2" in str(err.value)
 
 
+def test_import_refuses_a_path_that_is_not_a_directory(tmp_path):
+    with pytest.raises(FileNotFoundError, match="nope"):
+        import_session(tmp_path / "nope")
+    (tmp_path / "session.meta").write_text("a=b\n")
+    with pytest.raises(NotADirectoryError, match="session.meta"):
+        import_session(tmp_path / "session.meta")
+
+
 def test_import_rejects_malformed_meta(tmp_path):
     session = _sample_session()
     out = export_session(session, tmp_path / "sess")
