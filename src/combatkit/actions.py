@@ -11,9 +11,11 @@ Action text is a tiny total grammar::
     set    := clause {"," clause}
     clause := ("press" binding) | ("hold" binding "for" number "seconds")
 
-``parse_action_text`` and ``render_action`` are exact inverses over valid
-values, with durations kept in integer milliseconds so round trips cannot
-drift. ``parse_action_events`` is memoized: its results are immutable,
+An ``ActionSet`` stores its events in priority order, so
+``parse_action_text(render_action(s)) == s`` for every set; text renders
+back to itself only when written as ``render_action`` writes it, clauses
+in priority order. Durations are integer milliseconds, so round trips
+cannot drift. ``parse_action_events`` is memoized: its results are immutable,
 and a corpus repeats a few dozen distinct clauses thousands of times.
 Errors are not cached, so malformed text raises afresh on every call.
 ``parse_action_text`` is not: its one library caller, the decoder,
@@ -23,6 +25,7 @@ memoizes each emission's result itself.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -65,6 +68,9 @@ class ActionCategory(Enum):
     Each member's ``priority_rank`` (0 = most critical) is its index in
     ``PRIORITY_ORDER``, set once below the class.
     """
+
+    # Members are singletons compared by identity; Enum.__hash__ runs in Python.
+    __hash__ = object.__hash__
 
     HEAL = "r"
     IMMOBILIZE = "1"
@@ -157,9 +163,15 @@ class ActionEvent:
         return cls(category, ActionMode.HOLD, duration_ms)
 
 
+_PRIORITY_RANK = operator.attrgetter("category.priority_rank")
+
+
 @dataclass(frozen=True, slots=True)
 class ActionSet:
-    """The actions of one decision cycle. No category appears twice."""
+    """The actions of one decision cycle. No category appears twice.
+
+    ``events`` is stored in priority order, so ``==`` is set equality.
+    """
 
     events: tuple[ActionEvent, ...]
 
@@ -169,6 +181,7 @@ class ActionSet:
             if ev.category in seen:
                 raise DuplicateAction(f"{ev.category.name} appears twice in one set")
             seen.add(ev.category)
+        object.__setattr__(self, "events", tuple(sorted(self.events, key=_PRIORITY_RANK)))
 
     @classmethod
     def of(cls, *events: ActionEvent) -> "ActionSet":
@@ -186,13 +199,8 @@ class ActionSet:
     def categories(self) -> frozenset[ActionCategory]:
         return frozenset(ev.category for ev in self.events)
 
-    def in_priority_order(self) -> "ActionSet":
-        """This set sorted by priority rank; ``self`` when already sorted."""
-        ordered = tuple(sorted(self.events, key=lambda e: e.category.priority_rank))
-        return self if ordered == self.events else ActionSet(ordered)
-
     def key(self) -> frozenset[tuple[str, str, int | None]]:
-        """Order-insensitive identity, for cross-pipeline comparisons."""
+        """The set's events as plain values; equal exactly when the sets are ``==``."""
         return frozenset((e.category.name, e.mode.value, e.duration_ms) for e in self.events)
 
 
@@ -373,7 +381,7 @@ def explanation_for_event(event: ActionEvent, context: dict | None = None) -> st
 def render_explanation(
     actions: ActionSet | Sequence[ActionEvent], context: dict | None = None
 ) -> str:
-    """Join per-event explanations; sets are explained in priority order.
+    """Join per-event explanations in iteration order: priority order for a set.
 
     An empty set renders as the empty string (callers substitute their own
     no-action text).
@@ -381,6 +389,4 @@ def render_explanation(
     events = list(actions)
     if not events:
         return ""
-    if isinstance(actions, ActionSet):
-        events = sorted(events, key=lambda e: e.category.priority_rank)
     return " ".join(explanation_for_event(ev, context) for ev in events)

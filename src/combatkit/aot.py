@@ -299,7 +299,7 @@ def build_frames_aot(aligned: AlignedSession, cfg: StageConfig | None = None) ->
                 continue
             seen.add(sample.action.category)
             events.append(sample.action)
-        action_set = ActionSet(tuple(events)).in_priority_order()
+        action_set = ActionSet(tuple(events))
         action_text = render_action(action_set)
         explanation = render_explanation(action_set, context) or NO_ACTION_TEXT
         records.append(

@@ -314,7 +314,7 @@ _MOVE_DIRECTION = {
 
 def _apply_commands(state: ArenaState, commands: ActionSet) -> None:
     now = state.clock_ms
-    for event in commands.in_priority_order():
+    for event in commands.events:
         cat = event.category
         if cat is ActionCategory.HEAL:
             if state.heal_charges > 0:

@@ -55,12 +55,6 @@ class Category(Enum):
 
 
 # Canonical volume grid; generation defaults and fraction checks use it.
-CANONICAL_COUNTS = {
-    Category.GATHERING: 360,
-    Category.COMPREHENSION: 204,
-    Category.REASONING: 350,
-}
-
 SUBTASK_COUNTS = {
     Category.GATHERING: {"enemy_health": 217, "own_health": 107, "own_abnormal_status": 36},
     Category.COMPREHENSION: {"action_intention": 123, "current_state": 81},
@@ -70,6 +64,7 @@ SUBTASK_COUNTS = {
         "answer_attack_enemy": 150,
     },
 }
+CANONICAL_COUNTS = {category: sum(counts.values()) for category, counts in SUBTASK_COUNTS.items()}
 
 _BINARY_CHOICES = ("Yes", "No")
 _REASONING_CHOICES = (
@@ -342,8 +337,7 @@ def score(items: Sequence[BenchItem], predictions: Mapping[str, str]) -> BenchRe
 # ------------------------------------------------------------- generation
 
 def _rule_table_gold(frame: ObservationFrame, judge: ScriptedPolicy) -> str:
-    # the action that leads the set in priority order
-    lead = min(judge.decide(frame).events, key=lambda e: e.category.priority_rank).category
+    lead = judge.decide(frame).events[0].category  # the set's most critical action
     if lead is ActionCategory.HEAL:
         return "A"
     if lead is ActionCategory.DODGE:

@@ -56,10 +56,9 @@ def _serialize(actions: ActionSet, game_mode: str | None) -> tuple[str, ...]:
     ``game_mode`` picks the mode-specific wording ("SSDT" blocks where
     "BMW" dodges); None gives the mode-neutral text.
     """
-    ordered = actions.in_priority_order()
-    clause = render_action(ordered)
+    clause = render_action(actions)
     context = None if game_mode is None else {"game_mode": game_mode}
-    explanation = render_explanation(ordered, context) or clause
+    explanation = render_explanation(actions, context) or clause
     return tuple(serialize_stage3(clause, explanation).split())
 
 

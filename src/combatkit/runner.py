@@ -211,7 +211,7 @@ def transcript_to_session(transcript: EpisodeTranscript) -> TrackSession:
     for cycle in transcript.cycles:
         if cycle.actions is None:
             continue
-        for event in cycle.actions.in_priority_order():
+        for event in cycle.actions.events:
             binding = event.category.binding
             device = "mouse" if "mouse" in binding else "keyboard"
             if event.mode is ActionMode.TAP:

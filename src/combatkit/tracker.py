@@ -77,12 +77,16 @@ class FrameRecord:
 
 @dataclass(frozen=True, slots=True)
 class TrackSession:
+    """A recorded session, checked when built: frame indices strictly rise,
+    frame and event times never fall, and intervals are sorted, disjoint
+    and not inverted. Anything else is an ``OrderingViolation``."""
+
     frames: tuple[FrameRecord, ...]
     raw_events: tuple[RawInputEvent, ...]
     active_intervals: tuple[tuple[int, int], ...] = ()
     meta: dict[str, str] = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         prev_idx, prev_t = 0, None
         for fr in self.frames:
             if fr.index <= prev_idx:
@@ -131,14 +135,12 @@ class SessionRecorder:
     def freeze(self) -> TrackSession:
         with self._lock:
             events = sorted(self._events, key=lambda e: e.t_ms)
-            session = TrackSession(
+            return TrackSession(
                 tuple(self._frames),
                 tuple(events),
                 tuple(sorted(self._intervals)),
                 dict(self._meta),
             )
-        session.validate()
-        return session
 
 
 # ------------------------------------------------------------- coalescing
@@ -301,7 +303,6 @@ def export_session(session: TrackSession, path: str | Path) -> Path:
     Raises ``UnencodableMeta`` before writing anything when a meta key
     contains ``=`` or a line break, or a value contains a line break.
     """
-    session.validate()
     _check_meta(session.meta)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -351,13 +352,11 @@ def export_session(session: TrackSession, path: str | Path) -> Path:
 
 
 def _read_rows(path: Path, build: Callable[[dict], Any]) -> tuple:
-    """``build(row)`` for each row of a JSONL file, or nothing when the file is absent.
+    """``build(row)`` for each row of a JSONL file.
 
-    A missing field, or a value ``build`` refuses, is a ``ParseError``
-    naming the file and line.
+    A missing file is a ``FileNotFoundError``; a missing field, or a value
+    ``build`` refuses, is a ``ParseError`` naming the file and line.
     """
-    if not path.exists():
-        return ()
     built = []
     for lineno, obj in read_jsonl(path):
         try:
@@ -374,21 +373,21 @@ def import_session(path: str | Path) -> TrackSession:
     are regenerated on export rather than trusted. Every field must have
     the JSON type the writer gives it; nothing is coerced. A missing path
     is a ``FileNotFoundError`` and a path that is not a directory a
-    ``NotADirectoryError``."""
+    ``NotADirectoryError``. All four files must be present; a missing one is
+    a ``FileNotFoundError`` naming it."""
     root = Path(path)
     if not root.is_dir():
         kind = NotADirectoryError if root.exists() else FileNotFoundError
         raise kind(f"no session directory at {root}")
     meta_path = root / _META_NAME
     meta: dict[str, str] = {}
-    if meta_path.exists():
-        for lineno, line in enumerate(meta_path.read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            if "=" not in line:
-                raise ParseError(str(meta_path), lineno, "expected key=value")
-            key, value = line.split("=", 1)
-            meta[key] = value
+    for lineno, line in enumerate(meta_path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        if "=" not in line:
+            raise ParseError(str(meta_path), lineno, "expected key=value")
+        key, value = line.split("=", 1)
+        meta[key] = value
 
     frames = _read_rows(
         root / _FRAMES_NAME,
@@ -409,6 +408,4 @@ def import_session(path: str | Path) -> TrackSession:
         root / _INTERVALS_NAME,
         lambda row: (typed_field(row, "start_ms", int), typed_field(row, "end_ms", int)),
     )
-    session = TrackSession(frames, events, intervals, meta)
-    session.validate()
-    return session
+    return TrackSession(frames, events, intervals, meta)

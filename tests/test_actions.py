@@ -157,13 +157,14 @@ def test_action_set_priority_order_and_key():
         ActionEvent.hold(ActionCategory.MOVE_FWD, 1.0),
         ActionEvent.tap(ActionCategory.HEAL),
     )
-    ordered = s.in_priority_order()
-    assert [e.category for e in ordered] == [
+    assert [e.category for e in s] == [
         ActionCategory.HEAL,
         ActionCategory.MOVE_FWD,
     ]
-    # key() is order-insensitive
-    assert s.key() == ordered.key()
+    # key() agrees with ==, which ignores the order a set was built in
+    reordered = ActionSet.of(*reversed(s.events))
+    assert s.key() == reordered.key()
+    assert s == reordered
 
 
 def test_priority_match_picks_highest_rank():
@@ -359,14 +360,12 @@ def test_parse_errors_are_not_cached():
             parse_action_events("press banana")
 
 
-def test_in_priority_order_reorders_or_returns_self():
-    ordered = ActionSet.of(
+def test_construction_sorts_by_priority():
+    s = ActionSet.of(
         ActionEvent.tap(ActionCategory.DODGE), ActionEvent.hold(ActionCategory.SPRINT, 0.5)
     )
-    assert ordered.in_priority_order() is ordered
-    unordered = ActionSet.of(*reversed(ordered.events))
-    result = unordered.in_priority_order()
-    assert result is not unordered
-    assert result == ordered
-    empty = ActionSet(())
-    assert empty.in_priority_order() is empty
+    reversed_set = ActionSet.of(*reversed(s.events))
+    assert reversed_set == s
+    assert reversed_set.events == s.events
+    assert hash(reversed_set) == hash(s)
+    assert ActionSet(()).events == ()

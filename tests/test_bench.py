@@ -69,7 +69,7 @@ def _oracle_gold(item, frames):
     frame = frames[item.frame_refs[-1]]
     if item.subtask in _ORACLE:
         return "Yes" if _ORACLE[item.subtask][1](frame) else "No"
-    lead = ScriptedPolicy().decide(frame).in_priority_order().events[0].category
+    lead = min((e.category for e in ScriptedPolicy().decide(frame)), key=lambda c: c.priority_rank)
     return _LETTER.get(lead, "C")
 
 

@@ -125,6 +125,24 @@ def test_missing_dir_fails_with_json_error(capsys, tmp_path):
     assert "session.meta" in payload["message"]
 
 
+def test_session_dir_missing_a_file_fails_with_json_error(capsys, tmp_path):
+    # an empty directory, such as the parent of a session directory, is no session
+    code, out, err = run(capsys, "track", "import", "--dir", tmp_path)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "FileNotFoundError"
+    assert str(tmp_path / "session.meta") in payload["message"]
+    partial = tmp_path / "partial"
+    shutil.copytree(GOLDEN, partial)
+    (partial / "events.jsonl").unlink()
+    code, out, err = run(capsys, "track", "import", "--dir", partial)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "FileNotFoundError"
+    assert str(partial / "events.jsonl") in payload["message"]
+
+
 # ----------------------------------------------------- episode to stage 3
 
 def test_episode_export_then_stage3_build(capsys, tmp_path):
@@ -320,6 +338,25 @@ def test_decode_run_both_modes(capsys, tmp_path):
     assert code == 0
     full = json.loads(out)
     assert truncated["mean_emitted_tokens"] / full["mean_emitted_tokens"] < 0.45
+
+
+def test_decode_run_prints_actions_in_priority_order(capsys, tmp_path):
+    # a hand-written clause out of priority order: heal (r) outranks dodge (space)
+    clause = "press space, press r"
+    record = {
+        "action_text": clause,
+        "explanation": "x",
+        "frame_refs": [1, 2, 3, 4],
+        "question": "Please predict the next actions based on the frame sequence.",
+        "serialized": f"[{clause}] {TRUNC} [x] {EOS}",
+        "stage": 3,
+    }
+    in_path = tmp_path / "one.jsonl"
+    in_path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    rows_path = tmp_path / "rows.jsonl"
+    code, _, _ = run(capsys, "decode", "run", "--in", in_path, "--out", rows_path)
+    assert code == 0
+    assert [r["actions"] for r in read_jsonl(rows_path)] == ["press r, press space"]
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n"])

@@ -226,15 +226,13 @@ def test_decide_answers_each_rule_with_one_shared_set():
     for obs, expected in cases:
         first = p.decide(obs)
         assert first == expected
-        assert first.in_priority_order() is first
         assert p.decide(obs._replace(t_ms=125)) is first
 
 
 def _uncached_tokens(actions, game_mode):
-    ordered = actions.in_priority_order()
-    clause = render_action(ordered)
+    clause = render_action(actions)
     context = None if game_mode is None else {"game_mode": game_mode}
-    return serialize_stage3(clause, render_explanation(ordered, context) or clause).split()
+    return serialize_stage3(clause, render_explanation(actions, context) or clause).split()
 
 
 def test_serialization_cache_matches_uncached_text():

@@ -1,5 +1,6 @@
 """Episode loop, transcript export, and the task-suite aggregator."""
 
+import enum
 import hashlib
 import json
 
@@ -35,6 +36,22 @@ def test_episode_seed_derivation():
     assert episode_seed(42, 13, 9) == 42 * 1_000_003 + 13 * 1_009 + 9
     seen = {episode_seed(7, t, r) for t in range(1, 14) for r in range(10)}
     assert len(seen) == 130  # no collisions inside one suite
+
+
+def test_episode_runs_no_python_level_enum_hash_on_action_categories(monkeypatch):
+    # the arena looks categories up in dicts and sets once per decision;
+    # ActionCategory hashes by identity, not through Enum.__hash__
+    enum_hash = enum.Enum.__hash__
+    calls = []
+
+    def counting_hash(member):
+        if type(member) is ActionCategory:
+            calls.append(member)
+        return enum_hash(member)
+
+    monkeypatch.setattr(enum.Enum, "__hash__", counting_hash)
+    run_episode(TASKS[3], ScriptedPolicy(), seed=1)
+    assert len(calls) == 0
 
 
 def test_scripted_episode_wins_task_one():

@@ -184,13 +184,13 @@ def test_recorder_freeze_sorts_and_indexes():
 
 def test_validate_rejects_bad_orderings():
     with pytest.raises(OrderingViolation):
-        TrackSession((FrameRecord(1, 100), FrameRecord(1, 200)), ()).validate()
+        TrackSession((FrameRecord(1, 100), FrameRecord(1, 200)), ())
     with pytest.raises(OrderingViolation):
-        TrackSession((FrameRecord(1, 200), FrameRecord(2, 100)), ()).validate()
+        TrackSession((FrameRecord(1, 200), FrameRecord(2, 100)), ())
     with pytest.raises(OrderingViolation):
-        TrackSession((), (), active_intervals=((100, 50),)).validate()
+        TrackSession((), (), active_intervals=((100, 50),))
     with pytest.raises(OrderingViolation):
-        TrackSession((), (), active_intervals=((0, 100), (50, 200))).validate()
+        TrackSession((), (), active_intervals=((0, 100), (50, 200)))
 
 
 def _sample_session():
@@ -269,6 +269,16 @@ def test_import_refuses_a_path_that_is_not_a_directory(tmp_path):
     (tmp_path / "session.meta").write_text("a=b\n")
     with pytest.raises(NotADirectoryError, match="session.meta"):
         import_session(tmp_path / "session.meta")
+
+
+@pytest.mark.parametrize(
+    "name", ["session.meta", "frames.jsonl", "events.jsonl", "intervals.jsonl"]
+)
+def test_import_requires_all_four_files(tmp_path, name):
+    out = export_session(_sample_session(), tmp_path / "sess")
+    (out / name).unlink()
+    with pytest.raises(FileNotFoundError, match=name):
+        import_session(out)
 
 
 def test_import_rejects_malformed_meta(tmp_path):
