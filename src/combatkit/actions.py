@@ -119,6 +119,9 @@ NO_ACTION_TEXT = "no action"
 
 
 class ActionMode(Enum):
+    # Members are singletons compared by identity; Enum.__hash__ runs in Python.
+    __hash__ = object.__hash__
+
     TAP = "tap"
     HOLD = "hold"
 

@@ -108,16 +108,9 @@ def _fail(payload: dict) -> None:
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _require_path(p: str | Path) -> Path:
-    path = Path(p)
-    if not path.exists():
-        raise FileNotFoundError(f"path not found: {path}")
-    return path
-
-
 def _read_json_object(p: str | Path) -> dict:
     """A file holding one JSON object; anything else is a ``ParseError`` naming the file."""
-    path = _require_path(p)
+    path = Path(p)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -213,7 +206,7 @@ def _cmd_aot_build(args) -> int:
 
 
 def _cmd_aot_split(args) -> int:
-    records = read_records(_require_path(args.in_path))
+    records = read_records(args.in_path)
     cfg = StageConfig(split_fraction=args.split, seed=args.seed)
     train, val = split_dataset(records, cfg)
     write_records(train, args.train_out)
@@ -225,7 +218,7 @@ def _cmd_aot_split(args) -> int:
 
 
 def _cmd_aot_stats(args) -> int:
-    _print_json(dataset_stats(read_records(_require_path(args.in_path))))
+    _print_json(dataset_stats(read_records(args.in_path)))
     return 0
 
 
@@ -270,7 +263,7 @@ def _cmd_loss_check(args) -> int:
 # ----------------------------------------------------------------- decode
 
 def _cmd_decode_run(args) -> int:
-    records = read_records(_require_path(args.in_path))
+    records = read_records(args.in_path)
     if not records:
         raise EmptyDataset(f"{args.in_path}: no records to decode")
     mode = DecodeMode(args.mode)
@@ -303,7 +296,7 @@ def _cmd_decode_run(args) -> int:
 
 
 def _cmd_decode_savings(args) -> int:
-    source = _require_path(args.in_path) if args.in_path else bundled_stage3_path()
+    source = Path(args.in_path) if args.in_path else bundled_stage3_path()
     report = token_savings_report(source)
     payload = report.to_json_dict()
     payload["source"] = str(source)
@@ -366,7 +359,7 @@ def _cmd_agent_suite(args) -> int:
 # ------------------------------------------------------------------ bench
 
 def _cmd_bench_validate(args) -> int:
-    report = validate_dataset(_require_path(args.in_path))
+    report = validate_dataset(args.in_path)
     _print_json(report.to_json_dict())
     if not report.ok:
         _fail(
@@ -415,8 +408,8 @@ def _bench_table(report) -> str:
 
 
 def _cmd_bench_score(args) -> int:
-    items = read_items(_require_path(args.items))
-    predictions = read_predictions(_require_path(args.predictions))
+    items = read_items(args.items)
+    predictions = read_predictions(args.predictions)
     report = score(items, predictions)
     sys.stdout.write(_bench_table(report))
     if args.out:
@@ -655,7 +648,7 @@ def _apply_config(args: argparse.Namespace, verb: _Verb) -> None:
         return
     cfg_path = args.config
     try:
-        obj = json.loads(_require_path(cfg_path).read_text(encoding="utf-8"))
+        obj = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{cfg_path}: not valid JSON: {exc.msg}") from None
     if not isinstance(obj, dict):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .actions import ActionSet, parse_action_text
 from .aot import AoTRecord, EOS_TOKEN, TRUNC_TOKEN, read_records
@@ -45,17 +45,20 @@ class DecodeMode(Enum):
 
 
 class StopReason(Enum):
+    # Members are singletons compared by identity; Enum.__hash__ runs in Python.
+    __hash__ = object.__hash__
+
     TRUNC = "trunc"
     EOS = "eos"
     BUDGET = "budget"
 
 
 class TokenStream:
-    """Pull-based token source, optionally paced at a fixed rate.
+    """A token source, optionally paced at a fixed rate.
 
-    Pacing sleeps 1/rate before each token, emulating generation
-    cadence. The clock and sleep functions are injectable so tests can
-    run paced streams without real delays.
+    Pacing charges 1/rate of sleep for each token the decoder takes up to
+    its stop, emulating generation cadence. The sleep function is
+    injectable so tests can run paced streams without real delays.
     """
 
     def __init__(
@@ -76,15 +79,6 @@ class TokenStream:
         cls, text: str, tokens_per_second: float | None = None
     ) -> "TokenStream":
         return cls(text.split(), tokens_per_second)
-
-    def __iter__(self) -> Iterator[str]:
-        return self
-
-    def __next__(self) -> str:
-        token = next(self._tokens)
-        if self._interval is not None:
-            self._sleep(self._interval)
-        return token
 
 
 class DecodeResult(NamedTuple):
@@ -121,7 +115,7 @@ def _extract_actions(emitted: tuple[str, ...], stop_reason: StopReason) -> Actio
 
 
 def decode(
-    stream: Iterable[str],
+    stream: TokenStream | Iterable[str],
     mode: DecodeMode = DecodeMode.TRUNCATED,
     budget: int = DEFAULT_TOKEN_BUDGET,
 ) -> DecodeResult:
@@ -133,15 +127,15 @@ def decode(
     stop that leaves no complete bracketed action clause raises
     ``ActionParseError`` rather than guessing.
 
-    A ``tuple`` (a policy's finished answer) is scanned in place with
-    ``in``, ``tuple.index`` and slicing. An unpaced ``TokenStream`` has
-    nothing to pace, so it is drained: up to ``budget`` of its tokens
-    become one tuple, which is scanned the same way, and an endless
-    stream still ends at the budget. Any other iterable, a paced stream
-    included, is pulled one token at a time, and at most ``budget`` of
-    them, so a paced stream never sleeps for a token past the budget or
-    the stopping sentinel. Every input gives the same result for the
-    same tokens.
+    The first ``budget`` tokens are taken as one tuple: a slice of a
+    ``tuple`` answer (what a policy returns), otherwise at most ``budget``
+    tokens of the iterable, or of a ``TokenStream``'s source, so an
+    endless stream still ends at the budget. That tuple is cut at the
+    stopping sentinel with ``in``, ``tuple.index`` and slicing. A paced
+    stream then sleeps once for each token a token-by-token reader would
+    have taken, the emission plus a truncation sentinel, so ``wall_ms``
+    charges no explanation token after the sentinel and none past the
+    budget.
     """
     if budget <= 0:
         raise ValueError("token budget must be positive")
@@ -149,29 +143,22 @@ def decode(
     trunc_token = TRUNC_TOKEN if mode is DecodeMode.TRUNCATED else None
     stop = StopReason.BUDGET
     start = time.perf_counter()
-    if isinstance(stream, TokenStream) and stream._interval is None:
-        stream = tuple(islice(stream._tokens, budget))
     if isinstance(stream, tuple):
         emitted = stream[:budget]
-        # cut at the truncation sentinel first: an end-of-sequence sentinel
-        # left in the cut came before it, and so wins
-        if trunc_token is not None and trunc_token in emitted:
-            emitted = emitted[: emitted.index(trunc_token)]
-            stop = StopReason.TRUNC
-        if EOS_TOKEN in emitted:
-            emitted = emitted[: emitted.index(EOS_TOKEN) + 1]
-            stop = StopReason.EOS
     else:
-        tokens: list[str] = []
-        for token in islice(stream, budget):
-            if token == trunc_token:
-                stop = StopReason.TRUNC
-                break
-            tokens.append(token)
-            if token == EOS_TOKEN:
-                stop = StopReason.EOS
-                break
-        emitted = tuple(tokens)
+        source = stream._tokens if isinstance(stream, TokenStream) else stream
+        emitted = tuple(islice(source, budget))
+    # cut at the truncation sentinel first: an end-of-sequence sentinel
+    # left in the cut came before it, and so wins
+    if trunc_token is not None and trunc_token in emitted:
+        emitted = emitted[: emitted.index(trunc_token)]
+        stop = StopReason.TRUNC
+    if EOS_TOKEN in emitted:
+        emitted = emitted[: emitted.index(EOS_TOKEN) + 1]
+        stop = StopReason.EOS
+    if isinstance(stream, TokenStream) and stream._interval is not None:
+        for _ in range(len(emitted) + (stop is StopReason.TRUNC)):
+            stream._sleep(stream._interval)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return DecodeResult(emitted, _extract_actions(emitted, stop), stop, wall_ms)
 

@@ -16,7 +16,6 @@ byte-identical.
 from __future__ import annotations
 
 import bisect
-import threading
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from enum import Enum
@@ -109,38 +108,33 @@ class TrackSession:
 
 
 class SessionRecorder:
-    """Thread-safe collector; frame and event producers may append concurrently."""
+    """Collects a session's frames, events and intervals as they are produced."""
 
     def __init__(self, meta: dict[str, str] | None = None):
-        self._lock = threading.Lock()
         self._frames: list[FrameRecord] = []
         self._events: list[RawInputEvent] = []
         self._intervals: list[tuple[int, int]] = []
         self._meta = dict(meta or {})
 
     def add_frame(self, t_ms: int, payload: Any = None) -> FrameRecord:
-        with self._lock:
-            record = FrameRecord(len(self._frames) + 1, t_ms, payload)
-            self._frames.append(record)
-            return record
+        record = FrameRecord(len(self._frames) + 1, t_ms, payload)
+        self._frames.append(record)
+        return record
 
     def add_event(self, device: str, binding: str, edge: Edge, t_ms: int) -> None:
-        with self._lock:
-            self._events.append(RawInputEvent(device, binding, edge, t_ms))
+        self._events.append(RawInputEvent(device, binding, edge, t_ms))
 
     def add_interval(self, start_ms: int, end_ms: int) -> None:
-        with self._lock:
-            self._intervals.append((start_ms, end_ms))
+        self._intervals.append((start_ms, end_ms))
 
     def freeze(self) -> TrackSession:
-        with self._lock:
-            events = sorted(self._events, key=lambda e: e.t_ms)
-            return TrackSession(
-                tuple(self._frames),
-                tuple(events),
-                tuple(sorted(self._intervals)),
-                dict(self._meta),
-            )
+        events = sorted(self._events, key=lambda e: e.t_ms)
+        return TrackSession(
+            tuple(self._frames),
+            tuple(events),
+            tuple(sorted(self._intervals)),
+            dict(self._meta),
+        )
 
 
 # ------------------------------------------------------------- coalescing

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import combatkit
-from combatkit.aot import bundled_stage3_path, read_records
+from combatkit.aot import bundled_stage3_path, read_records, write_records
 from combatkit.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -338,6 +338,22 @@ def test_decode_run_both_modes(capsys, tmp_path):
     assert code == 0
     full = json.loads(out)
     assert truncated["mean_emitted_tokens"] / full["mean_emitted_tokens"] < 0.45
+
+
+def test_decode_run_paced_writes_the_unpaced_rows(capsys, tmp_path):
+    # pacing costs wall time only: the rows and the mean emission are unchanged
+    head = tmp_path / "head.jsonl"
+    write_records(read_records(BUNDLED)[:8], head)
+    for source, mode in ((BUNDLED, "truncated"), (head, "full")):
+        runs = []
+        for pace in ((), ("--pace", 1000)):
+            rows_path = tmp_path / f"{mode}{len(pace)}.jsonl"
+            code, out, _ = run(
+                capsys, "decode", "run", "--in", source, "--mode", mode, "--out", rows_path, *pace
+            )
+            assert code == 0
+            runs.append((rows_path.read_bytes(), json.loads(out)["mean_emitted_tokens"]))
+        assert runs[0] == runs[1], mode
 
 
 def test_decode_run_prints_actions_in_priority_order(capsys, tmp_path):

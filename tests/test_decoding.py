@@ -28,6 +28,7 @@ from combatkit.decoding import (
     DecodeResult,
     StopReason,
     TokenStream,
+    _extract_actions,
     decode,
     token_savings_report,
 )
@@ -105,13 +106,18 @@ def test_extractor_skips_non_action_brackets():
 
 def test_token_stream_pacing_uses_injected_sleep():
     naps = []
-    stream = TokenStream("a b c".split(), tokens_per_second=40.0, sleep=naps.append)
-    assert list(stream) == ["a", "b", "c"]
+    stream = TokenStream("[press r] x".split(), tokens_per_second=40.0, sleep=naps.append)
+    res = decode(stream, DecodeMode.FULL)
+    assert res.emitted_tokens == ("[press", "r]", "x")
     assert naps == [0.025, 0.025, 0.025]
     # unpaced stream never sleeps
     naps.clear()
-    assert list(TokenStream("a b".split(), sleep=naps.append)) == ["a", "b"]
+    res = decode(TokenStream("[press r]".split(), sleep=naps.append), DecodeMode.FULL)
+    assert res.emitted_count == 2
     assert naps == []
+    # the sleeps are charged inside the decode's wall time
+    res = decode(TokenStream("[press r] x".split(), tokens_per_second=200.0), DecodeMode.FULL)
+    assert res.wall_ms >= 3 * 5.0
     with pytest.raises(ValueError):
         TokenStream(["a"], tokens_per_second=0.0)
 
@@ -129,8 +135,9 @@ def test_a_nan_pace_is_refused_where_it_is_set(capsys):
 
 
 def test_truncated_decode_skips_post_sentinel_pacing():
-    # the decoder stops pulling at the sentinel, so explanation tokens
-    # of a paced stream never cost their sleep
+    # a paced stream sleeps for the tokens a token-by-token reader would
+    # have pulled, so explanation tokens after the sentinel never cost
+    # their sleep
     naps = []
     tokens = SAMPLE.split()
     stream = TokenStream(tokens, tokens_per_second=100.0, sleep=naps.append)
@@ -141,28 +148,38 @@ def test_truncated_decode_skips_post_sentinel_pacing():
     res_full = decode(stream, DecodeMode.FULL)
     assert len(naps) == res_full.emitted_count
     assert res_full.emitted_count > res.emitted_count + 1
+    for answer in _EDGE_ANSWERS:
+        for mode in DecodeMode:
+            for budget in range(1, len(answer) + 2):
+                naps = []
+                stream = TokenStream(answer, tokens_per_second=100.0, sleep=naps.append)
+                assert _outcome(stream, mode, budget) == _pulled_outcome(answer, mode, budget)
+                emitted, stop, pulled = _pull(iter(answer), mode, budget)
+                assert len(naps) == len(emitted) + (stop is StopReason.TRUNC) == pulled
+                assert set(naps) <= {0.01}
 
 
 def test_paced_stream_past_the_budget_is_pulled_budget_times():
-    # each pulled token of a paced stream costs one sleep; the decoder
-    # pulls none past the budget, so the stream still holds the next one
+    # each token taken up to the budget costs a paced stream one sleep; the
+    # decoder takes none past the budget, so the source still holds the next one
     tokens = ["[press", "space]"] + [f"filler{i}" for i in range(40)] + [EOS_TOKEN]
     for mode in DecodeMode:
         naps = []
-        stream = TokenStream(tokens, tokens_per_second=100.0, sleep=naps.append)
+        source = iter(tokens)
+        stream = TokenStream(source, tokens_per_second=100.0, sleep=naps.append)
         res = decode(stream, mode, budget=12)
         assert res.stop_reason is StopReason.BUDGET
         assert res.emitted_tokens == tuple(tokens[:12])
         assert len(naps) == 12
-        assert next(stream) == tokens[12]
-    # an unpaced stream is drained only up to the budget, so an endless one ends
+        assert next(source) == tokens[12]
+    # an endless source, wrapped or not, ends at the budget too
     for mode in DecodeMode:
-        endless = itertools.chain(tokens[:2], (f"filler{i}" for i in itertools.count()))
-        stream = TokenStream(endless)
-        res = decode(stream, mode, budget=12)
-        assert res.stop_reason is StopReason.BUDGET
-        assert res.emitted_tokens == tuple(tokens[:12])
-        assert next(stream) == tokens[12]
+        for wrap in (TokenStream, iter):
+            endless = itertools.chain(tokens[:2], (f"filler{i}" for i in itertools.count()))
+            res = decode(wrap(endless), mode, budget=12)
+            assert res.stop_reason is StopReason.BUDGET
+            assert res.emitted_tokens == tuple(tokens[:12])
+            assert next(endless) == tokens[12]
     # a sentinel pulled as the budget-th token still ends the decode on itself
     res = decode(iter(["[press", "r]", TRUNC_TOKEN, "x"]), DecodeMode.TRUNCATED, budget=3)
     assert (res.stop_reason, res.emitted_count) == (StopReason.TRUNC, 2)
@@ -196,14 +213,40 @@ def _outcome(stream, mode, budget):
     return res.emitted_tokens, res.stop_reason, res.actions
 
 
+def _pull(tokens, mode, budget):
+    """The reference reader: pull at most ``budget`` tokens, one at a time,
+    up to the stopping sentinel; give the emission, the stop and the pull count."""
+    trunc_token = TRUNC_TOKEN if mode is DecodeMode.TRUNCATED else None
+    emitted, stop, pulled = [], StopReason.BUDGET, 0
+    for token in itertools.islice(tokens, budget):
+        pulled += 1
+        if token == trunc_token:
+            stop = StopReason.TRUNC
+            break
+        emitted.append(token)
+        if token == EOS_TOKEN:
+            stop = StopReason.EOS
+            break
+    return tuple(emitted), stop, pulled
+
+
+def _pulled_outcome(tokens, mode, budget):
+    emitted, stop, _ = _pull(iter(tokens), mode, budget)
+    try:
+        return emitted, stop, _extract_actions(emitted, stop)
+    except ActionParseError as exc:
+        return ActionParseError, exc.raw_text, exc.stop_reason
+
+
 @pytest.mark.parametrize("answer", _SHIPPED_ANSWERS + _EDGE_ANSWERS)
 def test_a_tuple_decodes_as_its_token_stream(answer):
-    # a tuple is scanned in place, a plain iterator pulled token by token
+    # a tuple is sliced, an iterator taken up to the budget; both match the pull loop
     assert type(answer) is tuple
     for mode in DecodeMode:
         for budget in range(1, len(answer) + 2):
-            expected = _outcome(iter(answer), mode, budget)
+            expected = _pulled_outcome(answer, mode, budget)
             assert _outcome(answer, mode, budget) == expected, (mode, budget)
+            assert _outcome(iter(answer), mode, budget) == expected, (mode, budget)
 
 
 def _stage3_texts():
@@ -216,8 +259,6 @@ def _stage3_texts():
 
 
 def test_an_unpaced_stream_decodes_as_the_pull_loop():
-    # an unpaced TokenStream is drained into a tuple and scanned; a plain
-    # generator still takes the pull loop, the reference
     texts = _stage3_texts()
     assert len(texts) == 84 + 2
     for text in texts:
@@ -228,8 +269,9 @@ def test_an_unpaced_stream_decodes_as_the_pull_loop():
         budgets.update(b for i in sentinels for b in (i, i + 1) if b > 0)
         for mode in DecodeMode:
             for budget in sorted(budgets):
-                expected = _outcome((t for t in text.split()), mode, budget)
+                expected = _pulled_outcome(tokens, mode, budget)
                 assert _outcome(TokenStream.from_text(text), mode, budget) == expected
+                assert _outcome((t for t in text.split()), mode, budget) == expected
                 assert _outcome(tuple(tokens), mode, budget) == expected
 
 

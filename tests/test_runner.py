@@ -10,7 +10,7 @@ from combatkit import runner
 from combatkit.actions import ActionCategory, ActionMode
 from combatkit.aot import align_session
 from combatkit.arena import FRAME_SAMPLE_WINDOW, ArenaConfig, iter_tasks, load_task_configs
-from combatkit.decoding import DecodeMode
+from combatkit.decoding import DecodeMode, StopReason
 from combatkit.errors import ConfigError
 from combatkit.policies import RandomPolicy, ScriptedPolicy
 from combatkit.runner import (
@@ -38,14 +38,15 @@ def test_episode_seed_derivation():
     assert len(seen) == 130  # no collisions inside one suite
 
 
-def test_episode_runs_no_python_level_enum_hash_on_action_categories(monkeypatch):
-    # the arena looks categories up in dicts and sets once per decision;
-    # ActionCategory hashes by identity, not through Enum.__hash__
+def test_episode_runs_no_python_level_enum_hash(monkeypatch):
+    # the arena looks categories up in dicts and sets once per decision, and
+    # the policy and decoder memos hash action modes and stop reasons; all
+    # three hash by identity, not through Enum.__hash__
     enum_hash = enum.Enum.__hash__
     calls = []
 
     def counting_hash(member):
-        if type(member) is ActionCategory:
+        if type(member) in (ActionCategory, ActionMode, StopReason):
             calls.append(member)
         return enum_hash(member)
 
