@@ -14,7 +14,7 @@ Serialized forms::
 
 where ``<trunc>``/``<eos>`` are the literal sentinels ``TRUNC_TOKEN`` and
 ``EOS_TOKEN``.
-The action clause of every record parses back to the record's actions.
+A record derives its serialized form and actions; no builder picks a layout.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import bisect
 import importlib.resources
 import random
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -101,17 +101,40 @@ class StageConfig:
             raise ValueError("merge_window_ms cannot be negative")
 
 
+def serialize_stage3(action_text: str, explanation: str) -> str:
+    """Action-first serialization with the truncation sentinel."""
+    if explanation:
+        return f"[{action_text}] {TRUNC_TOKEN} [{explanation}] {EOS_TOKEN}"
+    return f"[{action_text}] {TRUNC_TOKEN} {EOS_TOKEN}"
+
+
 @dataclass(frozen=True, slots=True)
 class AoTRecord:
-    """One training sample: frames in, action text and explanation out."""
+    """One training sample: frames in, action text and explanation out.
+
+    ``actions`` and ``serialized`` are derived when the record is built:
+    the events ``action_text`` parses to, and the stage's wire form. A
+    stage other than 1, 2 or 3 is a ``ValueError``.
+    """
 
     stage: int
     frame_refs: tuple[int, ...]
     question: str
-    actions: tuple[ActionEvent, ...]
     action_text: str
     explanation: str
-    serialized: str
+    actions: tuple[ActionEvent, ...] = field(init=False)
+    serialized: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.stage not in (1, 2, 3):
+            raise ValueError(f"stage must be 1, 2 or 3, got {self.stage!r}")
+        text, why = self.action_text, self.explanation
+        if self.stage == 3:
+            serialized = serialize_stage3(text, why)
+        else:  # explanation first
+            serialized = f"[{why}] [{text}] {EOS_TOKEN}" if why else f"[{text}] {EOS_TOKEN}"
+        object.__setattr__(self, "actions", parse_action_events(text))
+        object.__setattr__(self, "serialized", serialized)
 
     def action_set(self) -> ActionSet:
         return ActionSet(self.actions)
@@ -128,35 +151,22 @@ class AoTRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "AoTRecord":
-        """A record from its JSON row; a field JSON gave another type is a ``TypeError``."""
+        """A record from its JSON row; a field JSON gave another type is a ``TypeError``,
+        and a stored ``serialized`` the record does not derive a ``ValueError``."""
         stage = typed_field(obj, "stage", int)
         frame_refs = typed_field(obj, "frame_refs", list)
         if any(type(ref) is not int for ref in frame_refs):
             raise TypeError(f"field 'frame_refs' holds a non-integer: {frame_refs!r}")
-        action_text = typed_field(obj, "action_text", str)
-        return cls(
+        record = cls(
             stage=stage,
             frame_refs=tuple(frame_refs),
             question=typed_field(obj, "question", str),
-            actions=parse_action_events(action_text),
-            action_text=action_text,
+            action_text=typed_field(obj, "action_text", str),
             explanation=typed_field(obj, "explanation", str),
-            serialized=typed_field(obj, "serialized", str),
         )
-
-
-def serialize_stage3(action_text: str, explanation: str) -> str:
-    """Action-first serialization with the truncation sentinel."""
-    if explanation:
-        return f"[{action_text}] {TRUNC_TOKEN} [{explanation}] {EOS_TOKEN}"
-    return f"[{action_text}] {TRUNC_TOKEN} {EOS_TOKEN}"
-
-
-def _serialize(action_text: str, explanation: str) -> str:
-    """Explanation-first serialization of stage-1 and stage-2 records."""
-    if explanation:
-        return f"[{explanation}] [{action_text}] {EOS_TOKEN}"
-    return f"[{action_text}] {EOS_TOKEN}"
+        if typed_field(obj, "serialized", str) != record.serialized:
+            raise ValueError(f"field 'serialized' is not the stage-{stage} form of the record")
+        return record
 
 
 # ------------------------------------------------------------- alignment
@@ -242,10 +252,8 @@ def build_video_aot(aligned: AlignedSession, cfg: StageConfig | None = None) -> 
                 stage=1,
                 frame_refs=refs,
                 question=QUESTION_TEXT,
-                actions=window_actions,
                 action_text=action_text,
                 explanation=explanation,
-                serialized=_serialize(action_text, explanation),
             )
         )
     return records
@@ -307,10 +315,8 @@ def build_frames_aot(aligned: AlignedSession, cfg: StageConfig | None = None) ->
                 stage=2,
                 frame_refs=refs,
                 question=QUESTION_TEXT,
-                actions=action_set.events,
                 action_text=action_text,
                 explanation=explanation,
-                serialized=_serialize(action_text, explanation),
             )
         )
     return FramesAotResult(tuple(records), tuple(skipped))
@@ -325,11 +331,7 @@ def to_truncated_form(record: AoTRecord) -> AoTRecord:
     """
     if record.stage not in (2, 3):
         raise ValueError(f"truncated form applies to stage 2/3 records, got stage {record.stage}")
-    return replace(
-        record,
-        stage=3,
-        serialized=serialize_stage3(record.action_text, record.explanation),
-    )
+    return replace(record, stage=3)
 
 
 # ------------------------------------------------------------------ split

@@ -17,11 +17,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .arena import ObservationFrame, PlayerStatus
-from .errors import ConfigError, GenerationShortfall, ParseError, UNPARSEABLE, ValidationError
+from .errors import ConfigError, GenerationShortfall, ParseError, ValidationError
 from .policies import ScriptedPolicy
 from .actions import ActionCategory
 from .rows import read_jsonl, typed_field, write_jsonl
@@ -129,19 +130,6 @@ class BenchItem:
             "gold": self.gold,
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "BenchItem":
-        """An item from a JSON row that ``_check_item`` has checked; nothing is coerced."""
-        return cls(
-            item_id=obj["id"],
-            category=Category(obj["category"]),
-            subtask=obj["subtask"],
-            frame_refs=tuple(obj["frame_refs"]),
-            question=obj["question"],
-            choices=tuple(obj["choices"]),
-            gold=obj["gold"],
-        )
-
 
 # ------------------------------------------------------------- validation
 
@@ -167,75 +155,84 @@ class ValidationReport:
         }
 
 
-def _check_item(obj: dict, line: int, first_lines: dict[str, int]) -> BenchItem | ValidationError:
-    """``obj`` as an item, or its first violation; ``first_lines`` maps each id seen to its line.
+def _check_item(
+    obj: dict, line: int, first_lines: dict[str, int], path: str | None = None
+) -> BenchItem:
+    """``obj`` as an item; its first violation, naming ``path`` if given, is raised.
 
-    No field is coerced: a text field that JSON gave another type is a violation.
+    ``first_lines`` maps each id seen to its line. No field is coerced: a
+    text field that JSON gave another type is a violation.
     """
+    def violation(field: str, reason: str) -> ValidationError:
+        return ValidationError(line, field, reason, path)
+
     for field in ("id", "category", "subtask", "frame_refs", "question", "choices", "gold"):
         if field not in obj:
-            return ValidationError(line, field, "missing")
+            raise violation(field, "missing")
     for field in ("id", "subtask", "question"):
         if type(obj[field]) is not str:
-            return ValidationError(line, field, f"not a string: {obj[field]!r}")
+            raise violation(field, f"not a string: {obj[field]!r}")
     try:
         category = Category(obj["category"])
     except ValueError:
-        return ValidationError(line, "category", f"unknown {obj['category']!r}")
+        raise violation("category", f"unknown {obj['category']!r}") from None
     if obj["subtask"] not in SUBTASK_COUNTS[category]:
-        return ValidationError(
-            line, "subtask", f"not a {category.value} subtask: {obj['subtask']!r}"
-        )
+        raise violation("subtask", f"not a {category.value} subtask: {obj['subtask']!r}")
     refs = obj["frame_refs"]
     if not isinstance(refs, list) or not 1 <= len(refs) <= 4:
-        return ValidationError(line, "frame_refs", "need 1..4 refs")
+        raise violation("frame_refs", "need 1..4 refs")
     if not all(type(ref) is str for ref in refs):
-        return ValidationError(line, "frame_refs", f"refs must be strings: {refs!r}")
+        raise violation("frame_refs", f"refs must be strings: {refs!r}")
     if category is Category.GATHERING and len(refs) != 1:
-        return ValidationError(line, "frame_refs", "gathering judges a single frame")
+        raise violation("frame_refs", "gathering judges a single frame")
     if category is not Category.GATHERING and len(refs) < 2:
-        return ValidationError(line, "frame_refs", f"{category.value} needs 2+ frames")
+        raise violation("frame_refs", f"{category.value} needs 2+ frames")
     choices = obj["choices"]
     if category is Category.REASONING:
         if not isinstance(choices, list) or len(choices) != 3:
-            return ValidationError(line, "choices", "reasoning needs exactly 3 options")
+            raise violation("choices", "reasoning needs exactly 3 options")
         if not all(type(choice) is str for choice in choices):
-            return ValidationError(line, "choices", f"options must be strings: {choices!r}")
+            raise violation("choices", f"options must be strings: {choices!r}")
         if obj["gold"] not in ("A", "B", "C"):
-            return ValidationError(line, "gold", "must be A, B, or C")
+            raise violation("gold", "must be A, B, or C")
     else:
         if not isinstance(choices, list) or choices != list(_BINARY_CHOICES):
-            return ValidationError(line, "choices", "binary items offer Yes/No")
+            raise violation("choices", "binary items offer Yes/No")
         if obj["gold"] not in _BINARY_CHOICES:
-            return ValidationError(line, "gold", "must be Yes or No")
+            raise violation("gold", "must be Yes or No")
     first = first_lines.setdefault(obj["id"], line)
     if first != line:
-        return ValidationError(line, "id", f"repeats the id of line {first}")
-    return BenchItem.from_json_dict(obj)
-
-
-def _checked_rows(path: str | Path) -> list[BenchItem | ValidationError]:
-    """Each line of a JSONL file, checked: its item or its violation.
-
-    A line that is not a JSON object raises ``ParseError`` at once.
-    """
-    first_lines: dict[str, int] = {}
-    return [_check_item(obj, lineno, first_lines) for lineno, obj in read_jsonl(path)]
+        raise violation("id", f"repeats the id of line {first}")
+    return BenchItem(
+        item_id=obj["id"],
+        category=category,
+        subtask=obj["subtask"],
+        frame_refs=tuple(refs),
+        question=obj["question"],
+        choices=tuple(choices),
+        gold=obj["gold"],
+    )
 
 
 def validate_dataset(path: str | Path) -> ValidationReport:
-    """Check schema line by line; always returns counts for the clean rows."""
+    """Check schema line by line; always returns counts for the clean rows.
+
+    A line that is not a JSON object raises ``ParseError`` at once.
+    """
     counts = {c.value: 0 for c in Category}
     subtask_counts: dict[str, int] = {}
     violations: list[ValidationError] = []
+    first_lines: dict[str, int] = {}
     total = 0
-    for checked in _checked_rows(path):
-        if isinstance(checked, ValidationError):
-            violations.append(checked)
+    for lineno, obj in read_jsonl(path):
+        try:
+            item = _check_item(obj, lineno, first_lines)
+        except ValidationError as exc:
+            violations.append(exc)
             continue
         total += 1
-        counts[checked.category.value] += 1
-        subtask_counts[checked.subtask] = subtask_counts.get(checked.subtask, 0) + 1
+        counts[item.category.value] += 1
+        subtask_counts[item.subtask] = subtask_counts.get(item.subtask, 0) + 1
     fractions = {k: (v / total if total else 0.0) for k, v in counts.items()}
     return ValidationReport(
         total=total,
@@ -248,8 +245,8 @@ def validate_dataset(path: str | Path) -> ValidationReport:
 
 # ---------------------------------------------------------------- scoring
 
-def normalize_answer(raw: str, kind: str) -> str | object:
-    """Reduce free text to the first canonical token it contains.
+def normalize_answer(raw: str, kind: str) -> str | None:
+    """Reduce free text to the first canonical token it contains, or ``None``.
 
     kind is 'binary' (Yes/No) or 'choice' (A/B/C); matching is
     case-insensitive on standalone word tokens.
@@ -270,7 +267,7 @@ def normalize_answer(raw: str, kind: str) -> str | object:
         token = ""
     if token in vocab:
         return vocab[token]
-    return UNPARSEABLE
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,7 +310,7 @@ def score(items: Sequence[BenchItem], predictions: Mapping[str, str]) -> BenchRe
             continue
         kind = "choice" if item.category is Category.REASONING else "binary"
         norm = normalize_answer(raw, kind)
-        if norm is UNPARSEABLE:
+        if norm is None:
             unparseable += 1
             continue
         if norm == item.gold:
@@ -381,17 +378,8 @@ def _pick_balanced(
         raise GenerationShortfall(f"{category}/{subtask}", want, available)
     for pool in pools.values():
         rng.shuffle(pool)
-    order = sorted(pools)
-    out: list = []
-    cursors = {k: 0 for k in order}
-    while len(out) < want:
-        for k in order:
-            if len(out) >= want:
-                break
-            if cursors[k] < len(pools[k]):
-                out.append(pools[k][cursors[k]])
-                cursors[k] += 1
-    return out
+    rounds = zip_longest(*(pools[k] for k in sorted(pools)))
+    return list(islice((pick for picks in rounds for pick in picks if pick is not None), want))
 
 
 def generate_synthetic(
@@ -472,13 +460,10 @@ def write_items(items: Iterable[BenchItem], path: str | Path) -> Path:
 
 
 def read_items(path: str | Path) -> list[BenchItem]:
-    """Load a benchmark file; raises its first violation, naming the file."""
-    rows = _checked_rows(path)
-    for checked in rows:
-        if isinstance(checked, ValidationError):
-            checked.path = str(Path(path))
-            raise checked
-    return rows
+    """Load a benchmark file; raises its first problem in file order, naming the file."""
+    where = str(Path(path))
+    first_lines: dict[str, int] = {}
+    return [_check_item(obj, lineno, first_lines, where) for lineno, obj in read_jsonl(path)]
 
 
 def write_predictions(predictions: Mapping[str, str], path: str | Path) -> Path:

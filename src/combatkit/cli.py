@@ -64,7 +64,7 @@ from .decoding import (
     token_savings_report,
 )
 from .errors import CombatkitError, ConfigError, EmptyDataset, MissingDependency, ParseError
-from .rows import csv_text, json_text, write_jsonl, write_report
+from .rows import NESTED_TOO_DEEPLY, csv_text, json_text, read_text, write_jsonl, write_report
 from .runner import (
     DEFAULT_PACE_TOKENS_PER_SECOND,
     REFERENCE_LATENCIES,
@@ -112,9 +112,11 @@ def _read_json_object(p: str | Path) -> dict:
     """A file holding one JSON object; anything else is a ``ParseError`` naming the file."""
     path = Path(p)
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), exc.lineno, f"bad JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(str(path), 1, f"bad JSON: {NESTED_TOO_DEEPLY}") from None
     if not isinstance(obj, dict):
         raise ParseError(str(path), 1, "expected a JSON object")
     return obj
@@ -642,17 +644,16 @@ def _apply_config(args: argparse.Namespace, verb: _Verb) -> None:
 
     Each key names one of the verb's flags, and each value goes through
     that flag's ``type`` and ``choices``, so a config file accepts exactly
-    what the command line would.
+    what the command line would. A file that is not one JSON object is a
+    ``ConfigError`` naming the file and line.
     """
     if not args.config:
         return
     cfg_path = args.config
     try:
-        obj = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{cfg_path}: not valid JSON: {exc.msg}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{cfg_path}: top level must be a JSON object")
+        obj = _read_json_object(cfg_path)
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from None
     flags = {flag.name.replace("-", "_"): flag for flag in verb.flags}
     for key, value in obj.items():
         name = key.replace("-", "_")

@@ -136,17 +136,13 @@ class MissingDependency(CombatkitError):
 class ValidationError(CombatkitError):
     """A benchmark item violated the schema.
 
-    A reader that knows the item's file sets ``path``; the message then
-    starts ``path:line:`` as a ``ParseError``'s does.
+    Given the item's file, the message starts ``path:line:`` as a
+    ``ParseError``'s does, and ``line N:`` without it.
     """
 
-    path: str | None = None
-
-    def __init__(self, line: int, field: str, reason: str = ""):
-        super().__init__(line, field, reason)
-        self.line = line
-        self.field = field
-        self.reason = reason
+    def __init__(self, line: int, field: str, reason: str = "", path: str | None = None):
+        super().__init__(line, field, reason, path)
+        self.line, self.field, self.reason, self.path = line, field, reason, path
 
     def __str__(self) -> str:
         where = f"line {self.line}" if self.path is None else f"{self.path}:{self.line}"
@@ -167,19 +163,3 @@ class GenerationShortfall(CombatkitError):
         self.wanted = wanted
         self.available = available
 
-
-class Unparseable:
-    """Sentinel for an answer that contains no canonical token."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "UNPARSEABLE"
-
-
-UNPARSEABLE = Unparseable()

@@ -13,9 +13,11 @@ when nothing but the line's ``\n`` follows it, the form every writer
 here produces. Any other line (blank, padded with spaces, the last line
 without a newline, extra data, bad JSON) takes the general path: a
 ``strip()`` blank test and ``json.loads``. Both paths accept the same
-lines and raise the same ``ParseError``. ``write_jsonl`` encodes with
-one shared key-sorting encoder, the bytes ``json.dumps(obj,
-sort_keys=True)`` gives, and writes each file in one call.
+lines and raise the same ``ParseError``, also for JSON nested deeper
+than the decoder can recurse. A file that is not UTF-8 is a
+``ParseError`` naming its first undecodable line, also in ``read_text``.
+``write_jsonl`` encodes with one shared key-sorting encoder, the bytes
+``json.dumps(obj, sort_keys=True)`` gives, and writes each file in one call.
 """
 
 from __future__ import annotations
@@ -28,31 +30,58 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import ParseError
 
-__all__ = ["read_jsonl", "typed_field", "write_jsonl", "json_text", "csv_text", "write_report"]
+__all__ = [
+    "NESTED_TOO_DEEPLY", "read_jsonl", "read_text", "typed_field", "write_jsonl", "json_text",
+    "csv_text", "write_report",
+]
 
 _raw_decode = json.JSONDecoder().raw_decode
+NESTED_TOO_DEEPLY = "nested deeper than the decoder can recurse"
 _encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _undecodable(path: Path) -> ParseError:
+    """The ``ParseError`` for ``path``'s first line that is not UTF-8."""
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ParseError(str(path), lineno, f"not UTF-8: {exc.reason} at byte {exc.start + 1}")
+    return ParseError(str(path), 1, "not UTF-8")  # the file changed since it failed to decode
+
+
+def read_text(path: Path) -> str:
+    """A whole UTF-8 text file; an undecodable line is a ``ParseError`` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line of a JSONL file."""
     p = Path(path)
     with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                obj, end = _raw_decode(line)
-            except json.JSONDecodeError:
-                end = len(line)  # nothing decoded: take the general path
-            if line[end:] != "\n":
-                if not line.strip():
-                    continue
+        try:
+            for lineno, line in enumerate(fh, start=1):
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(str(p), lineno, f"bad JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise ParseError(str(p), lineno, "expected a JSON object")
-            yield lineno, obj
+                    obj, end = _raw_decode(line)
+                except (json.JSONDecodeError, RecursionError):
+                    end = len(line)  # nothing decoded: take the general path
+                if line[end:] != "\n":
+                    if not line.strip():
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ParseError(str(p), lineno, f"bad JSON: {exc.msg}") from None
+                    except RecursionError:
+                        raise ParseError(str(p), lineno, f"bad JSON: {NESTED_TOO_DEEPLY}") from None
+                if not isinstance(obj, dict):
+                    raise ParseError(str(p), lineno, "expected a JSON object")
+                yield lineno, obj
+        except UnicodeDecodeError:
+            raise _undecodable(p) from None
 
 
 _TYPE_NAMES = {

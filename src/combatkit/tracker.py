@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     UnencodableMeta,
 )
-from .rows import read_jsonl, typed_field, write_jsonl
+from .rows import read_jsonl, read_text, typed_field, write_jsonl
 
 __all__ = [
     "Edge",
@@ -375,7 +375,7 @@ def import_session(path: str | Path) -> TrackSession:
         raise kind(f"no session directory at {root}")
     meta_path = root / _META_NAME
     meta: dict[str, str] = {}
-    for lineno, line in enumerate(meta_path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(meta_path).splitlines(), 1):
         if not line.strip():
             continue
         if "=" not in line:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from combatkit.actions import ActionCategory, parse_action_text
+from combatkit.actions import ActionCategory, parse_action_events, parse_action_text
 from combatkit.aot import (
     EOS_TOKEN,
     QUESTION_TEXT,
@@ -51,6 +51,18 @@ def test_stage_config_validation():
     cfg = StageConfig()
     assert (cfg.n, cfg.m, cfg.k_frames) == (20, 10, 4)
     assert cfg.split_fraction == 0.95
+
+
+def test_a_record_derives_its_actions_and_its_stage_layout():
+    text = "press r, hold w for 0.25 seconds"
+    record = AoTRecord(2, (1,), QUESTION_TEXT, text, "Heal.")
+    assert record.actions == parse_action_events(text)
+    assert record.serialized == f"[Heal.] [{text}] {EOS_TOKEN}"
+    assert to_truncated_form(record).serialized == serialize_stage3(text, "Heal.")
+    assert AoTRecord.from_json_dict(record.to_json_dict()) == record
+    for stage in (0, 4):
+        with pytest.raises(ValueError, match="stage must be 1, 2 or 3"):
+            AoTRecord(stage, (1,), QUESTION_TEXT, "press r", "")
 
 
 def test_serialize_stage3_forms():
@@ -220,10 +232,8 @@ def _dummy_records(n):
             stage=2,
             frame_refs=(1, 2, 3, 4),
             question=QUESTION_TEXT,
-            actions=(),
             action_text="no action",
             explanation="no action",
-            serialized=f"[no action] [no action] {EOS_TOKEN}",
         )
         for _ in range(n)
     ]
@@ -242,7 +252,7 @@ def test_split_deterministic_and_seed_sensitive():
     records = []
     for i in range(40):
         records.append(
-            AoTRecord(2, (i,), QUESTION_TEXT, (), "no action", "x", "s")
+            AoTRecord(2, (i,), QUESTION_TEXT, "no action", "x")
         )
     a_train, a_val = split_dataset(records, StageConfig(seed=5))
     b_train, b_val = split_dataset(records, StageConfig(seed=5))

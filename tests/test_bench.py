@@ -28,7 +28,6 @@ from combatkit.bench import (
     write_predictions,
 )
 from combatkit.errors import (
-    UNPARSEABLE,
     ConfigError,
     GenerationShortfall,
     ParseError,
@@ -192,6 +191,10 @@ def test_validation_refuses_a_subtask_outside_its_category(tmp_path, row):
         read_items(p)
 
 
+# Marks an answer with no canonical token, for which normalize_answer returns None.
+UNPARSEABLE = object()
+
+
 @pytest.mark.parametrize(
     "raw,kind,expected",
     [
@@ -213,7 +216,7 @@ def test_validation_refuses_a_subtask_outside_its_category(tmp_path, row):
 def test_normalize_answer(raw, kind, expected):
     got = normalize_answer(raw, kind)
     if expected is UNPARSEABLE:
-        assert got is UNPARSEABLE
+        assert got is None
     else:
         assert got == expected
 
@@ -419,7 +422,13 @@ def test_predictions_io_round_trip(tmp_path):
 
 def test_read_items_parses_each_line_once(monkeypatch):
     lines = [line for line in ITEMS_PATH.read_text(encoding="utf-8").splitlines() if line.strip()]
-    expected = [BenchItem.from_json_dict(json.loads(line)) for line in lines]
+    expected = [
+        BenchItem(
+            obj["id"], Category(obj["category"]), obj["subtask"], tuple(obj["frame_refs"]),
+            obj["question"], tuple(obj["choices"]), obj["gold"],
+        )
+        for obj in map(json.loads, lines)
+    ]
     calls = []
     raw_decode, loads = rows._raw_decode, json.loads
     monkeypatch.setattr(rows, "_raw_decode", lambda s: calls.append(s) or raw_decode(s))
@@ -448,6 +457,22 @@ def test_read_items_raises_first_violation(tmp_path):
     assert (err.value.line, err.value.field) == (2, "gold")
     assert str(err.value).startswith(f"{p}:2: field 'gold'")
     assert [v.line for v in validate_dataset(p).violations] == [2, 4]
+
+
+@pytest.mark.parametrize("violation_first", [True, False])
+def test_read_items_raises_the_first_problem_in_file_order(tmp_path, violation_first):
+    good = read_items(ITEMS_PATH)[0].to_json_dict()
+    lines = [json.dumps(dict(good, id=f"i{n}")) for n in range(5)]
+    violation, non_object = (1, 4) if violation_first else (4, 1)
+    lines[violation] = json.dumps(dict(good, gold="Perhaps"))
+    lines[non_object] = "5"
+    p = tmp_path / "items.jsonl"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises((ValidationError, ParseError)) as err:
+        read_items(p)
+    expected = ValidationError if violation_first else ParseError
+    assert type(err.value) is expected and err.value.line == 2
+    assert str(err.value).startswith(f"{p}:2: ")
 
 
 def test_a_repeated_item_id_is_a_violation_naming_the_first_line(tmp_path):

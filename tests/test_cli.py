@@ -36,6 +36,7 @@ needs_numpy = pytest.mark.skipif(
 
 TRUNC = "⟨TRUNC⟩"
 EOS = "⟨EOS⟩"
+DEEP = "[" * 100_000  # nested deeper than the JSON decoder can recurse
 
 
 def run(capsys, *argv):
@@ -535,6 +536,23 @@ def test_config_value_outside_choices_rejected(capsys, tmp_path):
     assert "'fast' is not one of 'truncated', 'full'" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (b'{"seed":\n "\xff"}', ":2: not UTF-8: invalid start byte at byte 3"),
+        (DEEP.encode(), ":1: bad JSON: nested deeper than the decoder can recurse"),
+    ],
+    ids=["not-utf8", "deep"],
+)
+def test_config_not_utf8_or_nested_too_deeply_is_config_error(capsys, tmp_path, text, reason):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    code, out, err = run(capsys, "aot", "stats", "--config", cfg, "--in", BUNDLED)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "ConfigError", "message": f"{cfg}{reason}"}
+
+
 # ------------------------------------------------------------------ bench
 
 def test_bench_validate_fixture(capsys):
@@ -700,12 +718,15 @@ def test_report_combines_sections(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--suite", "--savings", "--bench"])
-@pytest.mark.parametrize("text", ["[1]", "5", "{"])
+@pytest.mark.parametrize(
+    "text",
+    ["[1]", "5", "{", pytest.param(DEEP, id="deep"), pytest.param('{"\udcff": 1}', id="not-utf8")],
+)
 def test_report_input_that_is_not_an_object_is_parse_error(capsys, tmp_path, flag, text):
     suite = tmp_path / "suite.json"
     suite.write_text("{}", encoding="utf-8")
     bad = tmp_path / "bad.json"
-    bad.write_text(text, encoding="utf-8")
+    bad.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" is the byte 0xff
     paths = {"--suite": suite, flag: bad}
     code, out, err = run(capsys, "report", *(x for kv in paths.items() for x in kv))
     assert code == 1 and out == ""
@@ -835,3 +856,56 @@ def test_aot_stats_names_bad_record_line(capsys, tmp_path, field, value):
     payload = json.loads(err)
     assert payload["error"] == "ParseError"
     assert payload["message"].startswith(f"{bad}:2: bad record:")
+
+
+@pytest.mark.parametrize("verb", [("aot", "stats"), ("decode", "run")])
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        (
+            {
+                "action_text": "hold w for 0.25 seconds",
+                "explanation": "x",
+                "serialized": f"[press r] {TRUNC} [x] {EOS}",
+            },
+            "field 'serialized' is not the stage-3 form of the record",
+        ),
+        ({"stage": 4}, "stage must be 1, 2 or 3, got 4"),
+    ],
+    ids=["serialized-names-another-action", "stage-4"],
+)
+def test_a_record_that_contradicts_itself_or_has_no_stage_layout_is_refused(
+    capsys, tmp_path, verb, change, reason
+):
+    lines = BUNDLED.read_text(encoding="utf-8").splitlines()[:2]
+    bad = tmp_path / "stage3.jsonl"
+    bad.write_text(
+        lines[0] + "\n" + json.dumps(dict(json.loads(lines[1]), **change)) + "\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, *verb, "--in", bad)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ParseError"
+    assert payload["message"].startswith(f"{bad}:2: bad record: {reason}")
+
+
+@pytest.mark.parametrize("verb", [("aot", "stats"), ("decode", "run"), ("bench", "validate")])
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        (b'{"a": "\xff"}', "not UTF-8: invalid start byte at byte 8"),
+        (DEEP.encode(), "bad JSON: nested deeper than the decoder can recurse"),
+    ],
+    ids=["not-utf8", "deep"],
+)
+def test_jsonl_input_that_is_not_utf8_or_nests_too_deeply_names_file_and_line(
+    capsys, tmp_path, verb, line, reason
+):
+    source = ITEMS if verb[0] == "bench" else BUNDLED
+    bad = tmp_path / "in.jsonl"
+    bad.write_bytes(b"".join(source.read_bytes().splitlines(keepends=True)[:3]) + line + b"\n")
+    code, out, err = run(capsys, *verb, "--in", bad)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ParseError", "message": f"{bad}:4: {reason}"}

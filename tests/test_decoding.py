@@ -302,10 +302,8 @@ def _record(action_text, explanation):
         stage=3,
         frame_refs=(1, 2, 3, 4),
         question=QUESTION_TEXT,
-        actions=(),
         action_text=action_text,
         explanation=explanation,
-        serialized=serialize_stage3(action_text, explanation),
     )
 
 
@@ -331,10 +329,8 @@ def test_savings_missing_sentinel_counts_full_both_sides():
         stage=2,
         frame_refs=(1, 2, 3, 4),
         question=QUESTION_TEXT,
-        actions=(),
         action_text="press r",
         explanation="x",
-        serialized=f"[x] [press r] {EOS_TOKEN}",
     )
     report = token_savings_report([rec, no_sentinel])
     assert report.mean_full_tokens == pytest.approx((5 + 4) / 2)

@@ -130,8 +130,8 @@ def test_replay_policy_plays_records_in_order():
     from combatkit.aot import AoTRecord, QUESTION_TEXT
 
     records = [
-        AoTRecord(3, (1,), QUESTION_TEXT, (), "press r", "", serialize_stage3("press r", "")),
-        AoTRecord(3, (2,), QUESTION_TEXT, (), "press space", "", serialize_stage3("press space", "")),
+        AoTRecord(3, (1,), QUESTION_TEXT, "press r", ""),
+        AoTRecord(3, (2,), QUESTION_TEXT, "press space", ""),
     ]
     p = ReplayPolicy(records)
     first = decode(p.observe([_obs()]), DecodeMode.TRUNCATED)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from combatkit.errors import ParseError
-from combatkit.rows import read_jsonl, write_jsonl
+from combatkit.rows import read_jsonl, read_text, write_jsonl
 
 
 def _loads_loop(path):
@@ -62,6 +62,42 @@ def test_read_jsonl_matches_a_json_loads_loop(tmp_path, text):
     got, want = _outcome(read_jsonl, p), _outcome(_loads_loop, p)
     # NaN is not equal to itself, so compare the rows' JSON text
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+# three rows of 4 kB, so line 4 starts past the text reader's first 8 kB chunk
+_LONG_ROWS = b"".join(b'{"pad": "%s"}\n' % (b"x" * 4000) for _ in range(3))
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        (b'{"a": "\xff"}', "not UTF-8: invalid start byte at byte 8"),
+        (b'{"a": "\xe2\x98"}', "not UTF-8: invalid continuation byte at byte 8"),
+        (b"[" * 100_000, "bad JSON: nested deeper than the decoder can recurse"),
+        (
+            b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+            "bad JSON: nested deeper than the decoder can recurse",
+        ),
+    ],
+    ids=["not-utf8", "truncated-utf8", "deep", "deep-closed"],
+)
+def test_read_jsonl_names_the_line_that_is_not_utf8_or_nests_too_deeply(tmp_path, line, reason):
+    p = tmp_path / "rows.jsonl"
+    p.write_bytes(_LONG_ROWS + line + b"\n{}\n")
+    with pytest.raises(ParseError) as err:
+        list(read_jsonl(p))
+    assert (err.value.path, err.value.line, err.value.reason) == (str(p), 4, reason)
+
+
+def test_read_text_names_the_line_that_is_not_utf8(tmp_path):
+    p = tmp_path / "meta"
+    p.write_bytes(_LONG_ROWS + b"caf\xc3\xa9\r\nna\xefve\n")
+    with pytest.raises(ParseError) as err:
+        read_text(p)
+    assert (err.value.path, err.value.line) == (str(p), 5)
+    assert err.value.reason == "not UTF-8: invalid continuation byte at byte 3"
+    p.write_bytes(_LONG_ROWS)
+    assert read_text(p) == _LONG_ROWS.decode("utf-8")
 
 
 def test_write_jsonl_gives_json_dumps_bytes(tmp_path):

@@ -290,6 +290,17 @@ def test_import_rejects_malformed_meta(tmp_path):
     assert "key=value" in str(err.value)
 
 
+def test_import_names_the_meta_line_that_is_not_utf8(tmp_path):
+    out = export_session(_sample_session(), tmp_path / "sess")
+    meta = out / "session.meta"
+    lines = meta.read_bytes().count(b"\n")
+    meta.write_bytes(meta.read_bytes() + b"note=\xff\n")
+    with pytest.raises(ParseError) as err:
+        import_session(out)
+    assert (err.value.path, err.value.line) == (str(meta), lines + 1)
+    assert err.value.reason == "not UTF-8: invalid start byte at byte 6"
+
+
 @pytest.mark.parametrize(
     "meta",
     [
