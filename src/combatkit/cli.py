@@ -12,6 +12,19 @@ their names and help texts, and only the chosen verb's flags;
 ``build_parser`` builds every verb in full. ``--config`` keys are
 checked and converted against the same table flags.
 
+Loading this module loads ``errors``, ``rows`` and ``aot`` (whose
+``StageConfig`` gives the ``aot`` flag defaults), and with ``aot`` the
+``actions`` and ``tracker`` modules. A handler reads each library name
+it calls on this module, where one lazy table, ``_HOMES``, serves it
+from its home module, imported when the verb first needs it. So ``track``
+and ``aot`` load no further module; ``decode`` adds ``decoding``;
+``agent`` and ``report`` add ``arena``, ``decoding``, ``policies`` and
+``runner``; ``bench`` adds ``bench`` and those four; and only ``loss``
+loads ``loss`` and numpy. The table also serves each name the benchmark
+tracer (``perfbench/tracing.py``) wraps on this module, as the home
+module's own object, so the tracer's identity check and ``uninstall``
+hold, and a wrapper it sets here is what the handlers call.
+
 File outputs are deterministic given the seed: rerunning a subcommand
 on identical inputs rewrites byte-identical files, and no subcommand
 mutates its inputs. Measured wall-clock numbers never reach a written
@@ -29,75 +42,56 @@ import argparse
 import json
 import math
 import sys
+from importlib import import_module
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .actions import render_action, render_event
-from .aot import (
-    StageConfig,
-    align_session,
-    build_frames_aot,
-    build_video_aot,
-    bundled_stage3_path,
-    dataset_stats,
-    read_records,
-    split_dataset,
-    to_truncated_form,
-    write_records,
-)
-from .arena import iter_tasks, load_task_configs
-from .bench import (
-    CANONICAL_COUNTS,
-    Category,
-    generate_synthetic,
-    read_items,
-    read_predictions,
-    score,
-    validate_dataset,
-    write_items,
-)
-from .decoding import (
-    DEFAULT_TOKEN_BUDGET,
-    DecodeMode,
-    TokenStream,
-    decode,
-    token_savings_report,
-)
+from .aot import StageConfig
 from .errors import CombatkitError, ConfigError, EmptyDataset, MissingDependency, ParseError
 from .rows import NESTED_TOO_DEEPLY, csv_text, json_text, read_text, write_jsonl, write_report
-from .runner import (
-    DEFAULT_PACE_TOKENS_PER_SECOND,
-    REFERENCE_LATENCIES,
-    collect_transcripts,
-    export_transcript,
-    make_policy,
-    run_episode,
-    run_suite,
-    simulated_latency_ms,
-    write_suite_report,
-)
-from .tracker import export_session, import_session
 
 __all__ = ["build_parser", "main"]
 
+# Every library name a handler calls, by the module that defines it.
+_HOMES = {
+    "actions": ("render_action", "render_event"),
+    "aot": ("align_session", "build_frames_aot", "build_video_aot", "bundled_stage3_path",
+            "dataset_stats", "read_records", "split_dataset", "to_truncated_form",
+            "write_records"),
+    "arena": ("iter_tasks", "load_task_configs"),
+    "bench": ("CANONICAL_COUNTS", "Category", "generate_synthetic", "read_items",
+              "read_predictions", "score", "validate_dataset", "write_items"),
+    "decoding": ("DEFAULT_TOKEN_BUDGET", "DecodeMode", "TokenStream", "decode",
+                 "token_savings_report"),
+    "loss": ("gradient_check_rows",),
+    "runner": ("DEFAULT_PACE_TOKENS_PER_SECOND", "REFERENCE_LATENCIES", "collect_transcripts",
+               "export_transcript", "make_policy", "run_episode", "run_suite",
+               "simulated_latency_ms", "write_suite_report"),
+    "tracker": ("export_session", "import_session"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
 
 def __getattr__(name: str):
-    """Import ``combatkit.loss``, and so numpy, the first time ``gradient_check_rows`` is read.
+    """Serve a library name in ``_HOMES`` from its module, imported on first use.
 
-    Only ``loss check`` needs numpy, so every other command starts without
-    it. The function is then stored as this module's attribute, where
-    ``_cmd_loss_check`` looks it up on each call.
+    This module binds none of them, so a command loads only the modules
+    its verb calls. A name read here is its home module's current object,
+    unless it was set on this module, which is how the benchmark tracer's
+    wrappers reach the handlers.
     """
-    if name != "gradient_check_rows":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     try:
-        from .loss import gradient_check_rows
-    except ModuleNotFoundError as exc:
-        if exc.name != "numpy":
-            raise
-        raise MissingDependency("loss check needs numpy, which is not installed") from None
-    globals()[name] = gradient_check_rows
-    return gradient_check_rows
+        home = _HOME_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{home}", __package__), name)
+
+
+# The handlers call each library name as an attribute of this module, so
+# it resolves when the verb runs, and a wrapper set here is the one called:
+# the tracer wraps ``render_action`` on its callers, this module among
+# them, and not on ``actions``.
+_lib = sys.modules[__name__]
 
 
 def _print_json(obj) -> None:
@@ -142,7 +136,7 @@ def _note_written(paths: tuple[Path, Path]) -> None:
 # ------------------------------------------------------------------ track
 
 def _cmd_track_import(args) -> int:
-    session = import_session(args.dir)
+    session = _lib.import_session(args.dir)
     _print_json(
         {
             "frames": len(session.frames),
@@ -155,8 +149,9 @@ def _cmd_track_import(args) -> int:
 
 
 def _cmd_track_align(args) -> int:
-    session = import_session(args.dir)
-    aligned = align_session(session)
+    session = _lib.import_session(args.dir)
+    aligned = _lib.align_session(session)
+    render_event = _lib.render_event
     out = write_jsonl(
         Path(args.out) if args.out else Path(args.dir) / "aligned.jsonl",
         (
@@ -179,8 +174,8 @@ def _cmd_track_align(args) -> int:
 
 
 def _cmd_track_export(args) -> int:
-    session = import_session(args.dir)
-    out = export_session(session, args.out)
+    session = _lib.import_session(args.dir)
+    out = _lib.export_session(session, args.out)
     _print_json({"out": str(out)})
     return 0
 
@@ -188,31 +183,32 @@ def _cmd_track_export(args) -> int:
 # -------------------------------------------------------------------- aot
 
 def _cmd_aot_build(args) -> int:
-    session = import_session(args.dir)
+    session = _lib.import_session(args.dir)
     cfg = StageConfig(
         n=args.n, m=args.m, k_frames=args.k_frames, merge_window_ms=args.merge_window_ms
     )
-    aligned = align_session(session)
+    aligned = _lib.align_session(session)
     skipped = 0
     if args.stage == 1:
-        records = build_video_aot(aligned, cfg)
+        records = _lib.build_video_aot(aligned, cfg)
     else:
-        result = build_frames_aot(aligned, cfg)
+        result = _lib.build_frames_aot(aligned, cfg)
         records = list(result.records)
         skipped = len(result.skipped)
         if args.stage == 3:
+            to_truncated_form = _lib.to_truncated_form
             records = [to_truncated_form(r) for r in records]
-    write_records(records, args.out)
+    _lib.write_records(records, args.out)
     _print_json({"out": args.out, "records": len(records), "skipped": skipped})
     return 0
 
 
 def _cmd_aot_split(args) -> int:
-    records = read_records(args.in_path)
+    records = _lib.read_records(args.in_path)
     cfg = StageConfig(split_fraction=args.split, seed=args.seed)
-    train, val = split_dataset(records, cfg)
-    write_records(train, args.train_out)
-    write_records(val, args.val_out)
+    train, val = _lib.split_dataset(records, cfg)
+    _lib.write_records(train, args.train_out)
+    _lib.write_records(val, args.val_out)
     _print_json(
         {"train": len(train), "val": len(val), "seed": args.seed, "split": args.split}
     )
@@ -220,7 +216,7 @@ def _cmd_aot_split(args) -> int:
 
 
 def _cmd_aot_stats(args) -> int:
-    _print_json(dataset_stats(read_records(args.in_path)))
+    _print_json(_lib.dataset_stats(_lib.read_records(args.in_path)))
     return 0
 
 
@@ -233,7 +229,12 @@ def _cmd_loss_check(args) -> int:
     if not 0.0 < args.tolerance < math.inf:
         # a NaN or infinite tolerance can never fail, and zero or less always does
         raise ConfigError(f"tolerance must be a positive finite number, got {args.tolerance}")
-    check = sys.modules[__name__].gradient_check_rows
+    try:
+        check = _lib.gradient_check_rows
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise MissingDependency("loss check needs numpy, which is not installed") from None
     rows = check(seed=args.seed, points=args.points, dim=args.dim, h=args.step)
     text = csv_text(
         _LOSS_COLUMNS,
@@ -265,15 +266,16 @@ def _cmd_loss_check(args) -> int:
 # ----------------------------------------------------------------- decode
 
 def _cmd_decode_run(args) -> int:
-    records = read_records(args.in_path)
+    records = _lib.read_records(args.in_path)
     if not records:
         raise EmptyDataset(f"{args.in_path}: no records to decode")
-    mode = DecodeMode(args.mode)
+    mode = _lib.DecodeMode(args.mode)
+    budget = _lib.DEFAULT_TOKEN_BUDGET if args.budget is None else args.budget
+    from_text, decode, render_action = _lib.TokenStream.from_text, _lib.decode, _lib.render_action
     rows = []
     wall_total = 0.0
     for i, record in enumerate(records):
-        stream = TokenStream.from_text(record.serialized, args.pace)
-        result = decode(stream, mode, args.budget)
+        result = decode(from_text(record.serialized, args.pace), mode, budget)
         wall_total += result.wall_ms
         rows.append(
             {
@@ -298,8 +300,8 @@ def _cmd_decode_run(args) -> int:
 
 
 def _cmd_decode_savings(args) -> int:
-    source = Path(args.in_path) if args.in_path else bundled_stage3_path()
-    report = token_savings_report(source)
+    source = Path(args.in_path) if args.in_path else _lib.bundled_stage3_path()
+    report = _lib.token_savings_report(source)
     payload = report.to_json_dict()
     payload["source"] = str(source)
     if args.out:
@@ -322,21 +324,27 @@ def _cmd_decode_savings(args) -> int:
 # ------------------------------------------------------------------ agent
 
 def _load_tasks(selector: str):
-    return iter_tasks(load_task_configs(), selector)
+    return _lib.iter_tasks(_lib.load_task_configs(), selector)
+
+
+def _pace(args) -> float:
+    """``--pace-tokens-per-second``, or the runner's default pace when it is not given."""
+    pace = args.pace_tokens_per_second
+    return _lib.DEFAULT_PACE_TOKENS_PER_SECOND if pace is None else pace
 
 
 def _cmd_agent_run(args) -> int:
     (task,) = _load_tasks(str(args.task))
-    policy = make_policy(args.policy, task, args.seed)
-    report, transcript = run_episode(task, policy, DecodeMode(args.mode), args.seed)
+    policy = _lib.make_policy(args.policy, task, args.seed)
+    report, transcript = _lib.run_episode(task, policy, _lib.DecodeMode(args.mode), args.seed)
     payload = report.to_json_dict()
     # checks the pace with or without --out, before any file is written
     payload["mean_latency_ms"] = round(
-        simulated_latency_ms(report, args.pace_tokens_per_second), 3
+        _lib.simulated_latency_ms(report, _pace(args)), 3
     )
     if args.out:
         out = Path(args.out)
-        export_transcript(transcript, out / "session")
+        _lib.export_transcript(transcript, out / "session")
         (out / "report.json").write_text(json_text(payload), encoding="utf-8")
     _print_json(payload)
     return 0
@@ -344,16 +352,16 @@ def _cmd_agent_run(args) -> int:
 
 def _cmd_agent_suite(args) -> int:
     tasks = _load_tasks(args.tasks)
-    report = run_suite(
+    report = _lib.run_suite(
         tasks,
-        mode=DecodeMode(args.mode),
+        mode=_lib.DecodeMode(args.mode),
         repeats=args.repeats,
         seed=args.seed,
         policy_name=args.policy,
-        pace_tokens_per_second=args.pace_tokens_per_second,
+        pace_tokens_per_second=_pace(args),
     )
     if args.out:
-        _note_written(write_suite_report(report, _csv_path(args.out)))
+        _note_written(_lib.write_suite_report(report, _csv_path(args.out)))
     sys.stdout.write(report.to_csv())
     return 0
 
@@ -361,7 +369,7 @@ def _cmd_agent_suite(args) -> int:
 # ------------------------------------------------------------------ bench
 
 def _cmd_bench_validate(args) -> int:
-    report = validate_dataset(args.in_path)
+    report = _lib.validate_dataset(args.in_path)
     _print_json(report.to_json_dict())
     if not report.ok:
         _fail(
@@ -377,16 +385,16 @@ def _cmd_bench_validate(args) -> int:
 
 def _cmd_bench_gen(args) -> int:
     tasks = _load_tasks(args.tasks)
-    transcripts = collect_transcripts(
+    transcripts = _lib.collect_transcripts(
         tasks, seed=args.seed, episodes_per_task=args.episodes_per_task
     )
-    targets = {
-        Category.GATHERING: args.gathering,
-        Category.COMPREHENSION: args.comprehension,
-        Category.REASONING: args.reasoning,
-    }
-    items = generate_synthetic(transcripts, targets, seed=args.seed)
-    write_items(items, args.out)
+    # each category's count flag is named by its value; unset, it takes the canonical count
+    targets = {}
+    for category in _lib.Category:
+        count = getattr(args, category.value)
+        targets[category] = _lib.CANONICAL_COUNTS[category] if count is None else count
+    items = _lib.generate_synthetic(transcripts, targets, seed=args.seed)
+    _lib.write_items(items, args.out)
     _print_json(
         {
             "out": args.out,
@@ -410,9 +418,9 @@ def _bench_table(report) -> str:
 
 
 def _cmd_bench_score(args) -> int:
-    items = read_items(args.items)
-    predictions = read_predictions(args.predictions)
-    report = score(items, predictions)
+    items = _lib.read_items(args.items)
+    predictions = _lib.read_predictions(args.predictions)
+    report = _lib.score(items, predictions)
     sys.stdout.write(_bench_table(report))
     if args.out:
         rows = [
@@ -453,7 +461,7 @@ def _cmd_report(args) -> int:
     savings = (
         _read_json_object(args.savings)
         if args.savings
-        else token_savings_report(bundled_stage3_path()).to_json_dict()
+        else _lib.token_savings_report(_lib.bundled_stage3_path()).to_json_dict()
     )
     bench_part = _read_json_object(args.bench) if args.bench else None
     accuracies = bench_part.get("accuracies", {}) if bench_part else {}
@@ -463,7 +471,7 @@ def _cmd_report(args) -> int:
         "suite": suite,
         "token_savings": savings,
         "benchmark": bench_part,
-        "reference_latencies": list(REFERENCE_LATENCIES),
+        "reference_latencies": list(_lib.REFERENCE_LATENCIES),
     }
 
     rows = [
@@ -484,7 +492,7 @@ def _cmd_report(args) -> int:
         for name, value in sorted(accuracies.items()):
             rows.append(("benchmark", f"{name}_accuracy", value))
         rows.append(("benchmark", "macro_average", bench_part.get("macro_average", "")))
-    for ref in REFERENCE_LATENCIES:
+    for ref in _lib.REFERENCE_LATENCIES:
         rows.append(("reference", f"{ref['system']}_latency_s", ref["latency_s"]))
         rows.append(("reference", f"{ref['system']}_model_calls", ref["model_calls"]))
     text = csv_text(("section", "metric", "value"), rows)
@@ -537,7 +545,9 @@ _SEED = _Flag("seed", int, required=True)
 _TASKS = _Flag("tasks", default="all")
 _MODE = _Flag("mode", default="truncated", choices=("truncated", "full"))
 _POLICY = _Flag("policy", default="scripted", choices=("scripted", "random"))
-_PACE = _Flag("pace-tokens-per-second", float, DEFAULT_PACE_TOKENS_PER_SECOND)
+# Left unset, the pace, the decode budget and the bench gen counts take
+# their defaults in the handler, from modules the table does not load.
+_PACE = _Flag("pace-tokens-per-second", float)
 
 # Keyed by (group, verb name); the order is the order of the help listings.
 _VERBS = {(verb.group, verb.name): verb for verb in (
@@ -558,7 +568,7 @@ _VERBS = {(verb.group, verb.name): verb for verb in (
         _Flag("seed", int, 0), _Flag("points", int, 100), _Flag("dim", int, 64),
         _Flag("step", float, 1e-5), _Flag("tolerance", float, 1e-4), _OUT)),
     _Verb("decode", "run", "decode each record in a dataset", _cmd_decode_run, (
-        _IN, _MODE, _Flag("budget", int, DEFAULT_TOKEN_BUDGET),
+        _IN, _MODE, _Flag("budget", int),
         _Flag("pace", float, help="tokens per second pacing"), _OUT)),
     _Verb("decode", "savings", "token savings of truncation", _cmd_decode_savings, (
         _Flag("in", help="default: bundled dataset", dest="in_path"), _OUT)),
@@ -569,7 +579,7 @@ _VERBS = {(verb.group, verb.name): verb for verb in (
     _Verb("bench", "validate", "schema and volume check", _cmd_bench_validate, (_IN,)),
     _Verb("bench", "gen", "synthesize items from episodes", _cmd_bench_gen, (
         _OUT_REQUIRED, _SEED, _TASKS, _Flag("episodes-per-task", int, 2),
-        *(_Flag(c.value, int, CANONICAL_COUNTS[c]) for c in Category))),
+        *(_Flag(category, int) for category in ("gathering", "comprehension", "reasoning")))),
     _Verb("bench", "score", "accuracy report", _cmd_bench_score, (
         _Flag("items", required=True), _Flag("predictions", required=True), _OUT)),
     _Verb("report", None, None, _cmd_report, (

@@ -15,7 +15,9 @@ without a newline, extra data, bad JSON) takes the general path: a
 ``strip()`` blank test and ``json.loads``. Both paths accept the same
 lines and raise the same ``ParseError``, also for JSON nested deeper
 than the decoder can recurse. A file that is not UTF-8 is a
-``ParseError`` naming its first undecodable line, also in ``read_text``.
+``ParseError`` naming its first undecodable line, also in ``read_text``;
+``read_jsonl`` first yields every line before that one, so a caller's
+check of an earlier line fails first.
 ``write_jsonl`` encodes with one shared key-sorting encoder, the bytes
 ``json.dumps(obj, sort_keys=True)`` gives, and writes each file in one call.
 """
@@ -62,26 +64,40 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, object)`` for each non-blank line of a JSONL file."""
     p = Path(path)
     with p.open("r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
+        yield from _rows(p, enumerate(fh, start=1))
+
+
+def _rows(p: Path, lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, dict]]:
+    """``read_jsonl``'s rows from ``p``'s numbered lines."""
+    lineno = 0
+    try:
+        for lineno, line in lines:
+            try:
+                obj, end = _raw_decode(line)
+            except (json.JSONDecodeError, RecursionError):
+                end = len(line)  # nothing decoded: take the general path
+            if line[end:] != "\n":
+                if not line.strip():
+                    continue
                 try:
-                    obj, end = _raw_decode(line)
-                except (json.JSONDecodeError, RecursionError):
-                    end = len(line)  # nothing decoded: take the general path
-                if line[end:] != "\n":
-                    if not line.strip():
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ParseError(str(p), lineno, f"bad JSON: {exc.msg}") from None
-                    except RecursionError:
-                        raise ParseError(str(p), lineno, f"bad JSON: {NESTED_TOO_DEEPLY}") from None
-                if not isinstance(obj, dict):
-                    raise ParseError(str(p), lineno, "expected a JSON object")
-                yield lineno, obj
-        except UnicodeDecodeError:
-            raise _undecodable(p) from None
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(str(p), lineno, f"bad JSON: {exc.msg}") from None
+                except RecursionError:
+                    raise ParseError(str(p), lineno, f"bad JSON: {NESTED_TOO_DEEPLY}") from None
+            if not isinstance(obj, dict):
+                raise ParseError(str(p), lineno, "expected a JSON object")
+            yield lineno, obj
+    except UnicodeDecodeError:
+        error = _undecodable(p)
+    else:
+        return
+    # The text reader decodes about 8 kB ahead of the lines it hands out, so
+    # the lines after ``lineno`` and before the first undecodable one may
+    # not have been read: read them as bytes, so a problem there comes first.
+    rest = p.read_bytes().splitlines(keepends=True)[lineno:error.line - 1]
+    yield from _rows(p, enumerate((raw.decode("utf-8") for raw in rest), start=lineno + 1))
+    raise error
 
 
 _TYPE_NAMES = {

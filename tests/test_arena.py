@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import math
+import random
 
 import pytest
 
@@ -583,3 +585,48 @@ def test_cycle_length_is_the_busiest_action_plus_a_tick():
     assert cycle_ms(ActionSet.of(_TAP(ActionCategory.IMMOBILIZE))) == 250 + _TICK
     assert cycle_ms(ActionSet.of(_TAP(ActionCategory.HEAL), _TAP(ActionCategory.DODGE))) == 500 + _TICK
     assert cycle_ms(ActionSet.of(_HOLD(ActionCategory.MOVE_FWD, 1.0))) == 1000 + _TICK
+
+
+_FUZZ_TRIALS = 200
+_FUZZ_STEPS = 40
+
+
+def _random_commands(rng):
+    if rng.random() < 0.2:
+        return None
+    events = []
+    for category in rng.sample(list(ActionCategory), rng.randint(0, 4)):
+        if category.tap_only or rng.random() < 0.5:
+            events.append(ActionEvent.tap(category))
+        else:
+            events.append(ActionEvent.hold_ms(category, rng.randint(1, 2000)))
+    return ActionSet(tuple(events))
+
+
+def test_random_steps_keep_the_arena_invariants():
+    # a seeded fuzz: random action sets and durations on every bundled
+    # task, with the state checked after each step
+    tasks = list(load_task_configs().values())
+    rng = random.Random(20240)
+    tick, interval = ArenaConfig.tick_ms, ArenaConfig.frame_interval_ms
+    calls = 0
+    for trial in range(_FUZZ_TRIALS):
+        task = tasks[trial % len(tasks)]
+        state = new_arena(task, seed=rng.randrange(1 << 30))
+        frames = []
+        for _ in range(_FUZZ_STEPS):
+            before, shown = state.clock_ms, len(frames)
+            duration = rng.randint(1, 1500)
+            step(state, _random_commands(rng), duration, frames)
+            calls += 1
+            where = (task.task_id, trial, before, duration)
+            assert state.clock_ms == before + -(-duration // tick) * tick, where
+            assert 0.0 <= state.player_hp <= ArenaConfig.player_max_hp, where
+            assert 0.0 <= state.enemy_hp <= task.enemy_max_hp, where
+            assert 0 <= state.heal_charges <= ArenaConfig.heal_charges, where
+            assert all(map(math.isfinite, (*state.player_pos, *state.enemy_pos))), where
+            first = before - before % interval + interval
+            assert [f.t_ms for f in frames[shown:]] == list(
+                range(first, state.clock_ms + 1, interval)
+            ), where
+    assert calls == _FUZZ_TRIALS * _FUZZ_STEPS

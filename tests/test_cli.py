@@ -637,6 +637,32 @@ def test_bench_score_invalid_item_names_items_file(capsys, tmp_path):
     assert payload["message"].startswith(f"{bad}:3: field 'gold'")
 
 
+def test_bench_score_reports_an_invalid_item_ahead_of_a_later_line_that_is_not_utf8(
+    capsys, tmp_path
+):
+    # the text reader decodes ahead of the lines it hands out; line 2's
+    # problem must still come before line 4's undecodable byte
+    lines = ITEMS.read_text(encoding="utf-8").splitlines()[:3]
+    lines[1] = json.dumps(dict(json.loads(lines[1]), gold="Perhaps"))
+    bad = tmp_path / "items.jsonl"
+    bad.write_bytes("\n".join(lines).encode("utf-8") + b'\n{"id": "\xff"}\n')
+    code, out, err = run(capsys, "bench", "score", "--items", bad, "--predictions", PREDICTIONS)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert payload["message"].startswith(f"{bad}:2: field 'gold'")
+
+
+def test_bench_gen_defaults_rebuild_the_committed_items(capsys, tmp_path):
+    # unset, the tasks, episodes and category counts are the canonical
+    # ones scripts/build_fixtures.py builds the fixture with (seed 0)
+    out_path = tmp_path / "items.jsonl"
+    code, out, _ = run(capsys, "bench", "gen", "--out", out_path, "--seed", 0)
+    assert code == 0
+    assert json.loads(out)["counts"] == {"gathering": 360, "comprehension": 204, "reasoning": 350}
+    assert out_path.read_bytes() == ITEMS.read_bytes()
+
+
 def test_bench_gen_validates_cleanly(capsys, tmp_path):
     out_path = tmp_path / "items.jsonl"
     code, out, _ = run(

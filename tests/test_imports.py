@@ -10,8 +10,9 @@ numpy blocked, every other module, ``combatkit.cli`` included, imports
 and writes the pinned suite reports and the committed fixtures byte for
 byte, the other verbs run through ``cli.main`` with the same output as
 with numpy, and ``loss check`` ends in a typed ``MissingDependency``
-error. Importing ``combatkit.cli`` does not load numpy. Only
-``combatkit.decoding`` imports ``time``.
+error. Importing ``combatkit.cli`` does not load numpy, and a fresh
+``aot stats`` loads none of ``arena``, ``bench``, ``runner``,
+``policies`` and ``loss``. Only ``combatkit.decoding`` imports ``time``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from combatkit.aot import bundled_stage3_path, dataset_stats, read_records
 from combatkit.cli import main
+from combatkit.rows import json_text
 
 from test_fixtures import assert_equal_committed
 from test_runner import SUITE_DIGESTS
@@ -219,3 +222,28 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     loaded = json.loads(proc.stdout)
     assert "combatkit.cli" in loaded
     assert [m for m in loaded if m == "combatkit.loss" or m.split(".")[0] == "numpy"] == []
+
+
+def test_aot_stats_loads_only_its_own_modules():
+    # the verb table and the aot verbs need none of the episode, benchmark
+    # or loss layers, so a fresh `aot stats` must not pay for loading them
+    bundled = bundled_stage3_path()
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from combatkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "aot", "stats", "--in", str(bundled)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    exit_code, out, loaded = json.loads(proc.stdout)
+    assert exit_code == 0
+    assert out == json_text(dataset_stats(read_records(bundled)))
+    deferred = {f"combatkit.{name}" for name in ("arena", "bench", "runner", "policies", "loss")}
+    assert "combatkit.aot" in loaded
+    assert deferred.intersection(loaded) == set()

@@ -89,6 +89,23 @@ def test_read_jsonl_names_the_line_that_is_not_utf8_or_nests_too_deeply(tmp_path
     assert (err.value.path, err.value.line, err.value.reason) == (str(p), 4, reason)
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("rows", [b"", _LONG_ROWS], ids=["short", "long"])
+def test_read_jsonl_yields_every_line_before_the_first_that_is_not_utf8(tmp_path, rows, newline):
+    p = tmp_path / "rows.jsonl"
+    head = rows.replace(b"\n", newline) + newline.join([b'{"a": 1}', b"", b'{"b": 2}', b""])
+    p.write_bytes(head + b'{"c": "\xff"}' + newline + b"{}" + newline)
+    before = len(rows.splitlines())
+    seen = []
+    with pytest.raises(ParseError) as err:
+        for lineno, obj in read_jsonl(p):
+            seen.append((lineno, obj))
+    assert seen[:before] == [(i, {"pad": "x" * 4000}) for i in range(1, before + 1)]
+    assert seen[before:] == [(before + 1, {"a": 1}), (before + 3, {"b": 2})]
+    assert err.value.line == before + 4
+    assert err.value.reason == "not UTF-8: invalid start byte at byte 8"
+
+
 def test_read_text_names_the_line_that_is_not_utf8(tmp_path):
     p = tmp_path / "meta"
     p.write_bytes(_LONG_ROWS + b"caf\xc3\xa9\r\nna\xefve\n")

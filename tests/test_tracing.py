@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from combatkit import runner
+from combatkit import cli, runner
+from combatkit.aot import bundled_stage3_path
 from combatkit.arena import load_task_configs
 
 pytest.importorskip("numpy")  # install() patches combatkit.loss
@@ -57,3 +58,38 @@ def test_a_traced_episode_records_one_arena_step_per_cycle_and_the_warm_up(traci
     assert report.decision_cycles > 1
     steps = list(tracer.name).count(tracer.names.index("arena.step"))
     assert steps == report.decision_cycles + 1
+
+
+def test_the_cli_serves_each_patched_name_as_its_home_modules_object(tracing):
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        served = [(attr, original) for owner, attr, original in tracer._undo if owner is cli]
+    finally:
+        tracer.uninstall()
+    assert len(served) == 19
+    for attr, original in served:
+        assert getattr(sys.modules[original.__module__], attr) is original, attr
+        if attr != "main":  # the rest come from the cli's lazy table
+            assert cli.__getattr__(attr) is original, attr
+
+
+def test_cli_verbs_call_the_names_the_tracer_wraps(tracing, tmp_path, capsys):
+    # a handler that bypassed a wrapped name would record no span for it
+    items = Path(__file__).resolve().parent / "data" / "bench_items.jsonl"
+    stage3 = str(bundled_stage3_path())
+    runs = [
+        (["aot", "stats", "--in", stage3], {"aot.read"}),
+        (["decode", "run", "--in", stage3, "--out", str(tmp_path / "decoded.jsonl")],
+         {"aot.read", "decoding.decode", "actions.render"}),
+        (["bench", "validate", "--in", str(items)], {"bench.validate"}),
+    ]
+    for argv, spans in runs:
+        tracer = tracing.Tracer()
+        try:
+            tracing.install(tracer)
+            assert cli.main(argv) == 0, argv
+        finally:
+            tracer.uninstall()
+        assert {"cli.main", *spans} <= {tracer.names[i] for i in tracer.name}, argv
+    capsys.readouterr()
