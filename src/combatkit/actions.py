@@ -27,9 +27,8 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadDuration,
@@ -126,32 +125,41 @@ class ActionMode(Enum):
     HOLD = "hold"
 
 
-@dataclass(frozen=True, slots=True)
-class ActionEvent:
+class _ActionEventFields(NamedTuple):
+    category: ActionCategory
+    mode: ActionMode
+    duration_ms: int | None
+
+
+class ActionEvent(_ActionEventFields):
     """One action occurrence: a tap, or a hold with a duration.
 
     Durations live in integer milliseconds. Rendered text shows seconds
     with up to three decimals, which the integer representation preserves
-    exactly.
+    exactly. A named tuple whose constructor checks the fields; ``_make``
+    and ``_replace`` build through it.
     """
 
-    category: ActionCategory
-    mode: ActionMode
-    duration_ms: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mode is ActionMode.TAP:
-            if self.duration_ms is not None:
+    def __new__(
+        cls, category: ActionCategory, mode: ActionMode, duration_ms: int | None = None
+    ) -> "ActionEvent":
+        if mode is ActionMode.TAP:
+            if duration_ms is not None:
                 raise InvalidActionMode("taps carry no duration")
         else:
-            if self.category.tap_only:
-                raise InvalidActionMode(
-                    f"{self.category.name} is tap-only and cannot be held"
-                )
-            if not isinstance(self.duration_ms, int) or self.duration_ms <= 0:
+            if category.tap_only:
+                raise InvalidActionMode(f"{category.name} is tap-only and cannot be held")
+            if not isinstance(duration_ms, int) or duration_ms <= 0:
                 raise BadDuration(
-                    f"hold duration must be a positive integer ms, got {self.duration_ms!r}"
+                    f"hold duration must be a positive integer ms, got {duration_ms!r}"
                 )
+        return tuple.__new__(cls, (category, mode, duration_ms))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "ActionEvent":
+        return cls(*iterable)
 
     @classmethod
     def tap(cls, category: ActionCategory) -> "ActionEvent":
@@ -169,22 +177,43 @@ class ActionEvent:
 _PRIORITY_RANK = operator.attrgetter("category.priority_rank")
 
 
-@dataclass(frozen=True, slots=True)
 class ActionSet:
     """The actions of one decision cycle. No category appears twice.
 
     ``events`` is stored in priority order, so ``==`` is set equality.
+    Not a tuple, since it iterates its events; its one slot is set by the
+    constructor and cannot be set again.
     """
 
-    events: tuple[ActionEvent, ...]
+    __slots__ = ("events",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, events: tuple[ActionEvent, ...]) -> None:
         seen: set[ActionCategory] = set()
-        for ev in self.events:
+        for ev in events:
             if ev.category in seen:
                 raise DuplicateAction(f"{ev.category.name} appears twice in one set")
             seen.add(ev.category)
-        object.__setattr__(self, "events", tuple(sorted(self.events, key=_PRIORITY_RANK)))
+        object.__setattr__(self, "events", tuple(sorted(events, key=_PRIORITY_RANK)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an ActionSet")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an ActionSet")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.events == other.events
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.events)
+
+    def __repr__(self) -> str:
+        return f"ActionSet(events={self.events!r})"
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, (self.events,))
 
     @classmethod
     def of(cls, *events: ActionEvent) -> "ActionSet":

@@ -20,12 +20,10 @@ A record derives its serialized form and actions; no builder picks a layout.
 from __future__ import annotations
 
 import bisect
-import importlib.resources
 import random
 import warnings
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .actions import (
     NO_ACTION_TEXT,
@@ -75,30 +73,47 @@ TRUNC_TOKEN = "⟨TRUNC⟩"
 EOS_TOKEN = "⟨EOS⟩"
 
 
-@dataclass(frozen=True, slots=True)
-class StageConfig:
+class _StageFields(NamedTuple):
+    n: int
+    m: int
+    k_frames: int
+    split_fraction: float
+    seed: int
+    merge_window_ms: int
+
+
+class StageConfig(_StageFields):
     """Settings of the dataset builders and the train/val split.
 
     n frames per stage-1 window at m frames/sec, k_frames of history per
     stage-2 record, merge_window_ms to merge near-simultaneous actions
     into one stage-2 decision, and a train fraction and seed for
-    splitting.
+    splitting. The constructor checks them, and ``_make`` and
+    ``_replace`` build through it.
     """
 
-    n: int = 20
-    m: int = 10
-    k_frames: int = 4
-    split_fraction: float = 0.95
-    seed: int = 0
-    merge_window_ms: int = 50
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n <= 0 or self.m <= 0 or self.k_frames <= 0:
+    def __new__(
+        cls,
+        n: int = 20,
+        m: int = 10,
+        k_frames: int = 4,
+        split_fraction: float = 0.95,
+        seed: int = 0,
+        merge_window_ms: int = 50,
+    ) -> "StageConfig":
+        if n <= 0 or m <= 0 or k_frames <= 0:
             raise ValueError("n, m, and k_frames must be positive")
-        if not 0.0 < self.split_fraction < 1.0:
+        if not 0.0 < split_fraction < 1.0:
             raise ValueError("split_fraction must be inside (0, 1)")
-        if self.merge_window_ms < 0:
+        if merge_window_ms < 0:
             raise ValueError("merge_window_ms cannot be negative")
+        return tuple.__new__(cls, (n, m, k_frames, split_fraction, seed, merge_window_ms))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "StageConfig":
+        return cls(*iterable)
 
 
 def serialize_stage3(action_text: str, explanation: str) -> str:
@@ -108,33 +123,68 @@ def serialize_stage3(action_text: str, explanation: str) -> str:
     return f"[{action_text}] {TRUNC_TOKEN} {EOS_TOKEN}"
 
 
-@dataclass(frozen=True, slots=True)
-class AoTRecord:
-    """One training sample: frames in, action text and explanation out.
-
-    ``actions`` and ``serialized`` are derived when the record is built:
-    the events ``action_text`` parses to, and the stage's wire form. A
-    stage other than 1, 2 or 3 is a ``ValueError``.
-    """
-
+class _AoTFields(NamedTuple):
     stage: int
     frame_refs: tuple[int, ...]
     question: str
     action_text: str
     explanation: str
-    actions: tuple[ActionEvent, ...] = field(init=False)
-    serialized: str = field(init=False)
+    actions: tuple[ActionEvent, ...]
+    serialized: str
 
-    def __post_init__(self) -> None:
-        if self.stage not in (1, 2, 3):
-            raise ValueError(f"stage must be 1, 2 or 3, got {self.stage!r}")
-        text, why = self.action_text, self.explanation
-        if self.stage == 3:
-            serialized = serialize_stage3(text, why)
-        else:  # explanation first
-            serialized = f"[{why}] [{text}] {EOS_TOKEN}" if why else f"[{text}] {EOS_TOKEN}"
-        object.__setattr__(self, "actions", parse_action_events(text))
-        object.__setattr__(self, "serialized", serialized)
+
+# The fields a record is built from; the rest are derived from them.
+_AOT_INPUTS = _AoTFields._fields[:5]
+
+
+class AoTRecord(_AoTFields):
+    """One training sample: frames in, action text and explanation out.
+
+    Built from its first five fields; ``actions`` and ``serialized`` are
+    derived from them: the events ``action_text`` parses to, and the
+    stage's wire form. A stage other than 1, 2 or 3 is a ``ValueError``.
+    ``_make`` takes the five input fields, and ``_replace`` changes only
+    those and derives the other two afresh.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        stage: int,
+        frame_refs: tuple[int, ...],
+        question: str,
+        action_text: str,
+        explanation: str,
+    ) -> "AoTRecord":
+        if stage not in (1, 2, 3):
+            raise ValueError(f"stage must be 1, 2 or 3, got {stage!r}")
+        if stage == 3:
+            serialized = serialize_stage3(action_text, explanation)
+        elif explanation:  # explanation first
+            serialized = f"[{explanation}] [{action_text}] {EOS_TOKEN}"
+        else:
+            serialized = f"[{action_text}] {EOS_TOKEN}"
+        return tuple.__new__(
+            cls,
+            (stage, frame_refs, question, action_text, explanation,
+             parse_action_events(action_text), serialized),
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "AoTRecord":
+        return cls(*iterable)
+
+    def _replace(self, /, **changes) -> "AoTRecord":
+        record = self._make(map(changes.pop, _AOT_INPUTS, self))
+        if changes:
+            raise ValueError(f"only input fields can be replaced, got {sorted(changes)}")
+        return record
+
+    __replace__ = _replace  # copy.replace, Python 3.13 and later
+
+    def __getnewargs__(self) -> tuple:
+        return self[:len(_AOT_INPUTS)]
 
     def action_set(self) -> ActionSet:
         return ActionSet(self.actions)
@@ -171,8 +221,7 @@ class AoTRecord:
 
 # ------------------------------------------------------------- alignment
 
-@dataclass(frozen=True, slots=True)
-class AlignedSession:
+class AlignedSession(NamedTuple):
     """A gated session with its coalesced actions and frame alignment."""
 
     session: TrackSession
@@ -261,8 +310,7 @@ def build_video_aot(aligned: AlignedSession, cfg: StageConfig | None = None) -> 
 
 # --------------------------------------------------------------- stage 2
 
-@dataclass(frozen=True, slots=True)
-class FramesAotResult:
+class FramesAotResult(NamedTuple):
     records: tuple[AoTRecord, ...]
     skipped: tuple[AlignedSample, ...]
 
@@ -331,7 +379,9 @@ def to_truncated_form(record: AoTRecord) -> AoTRecord:
     """
     if record.stage not in (2, 3):
         raise ValueError(f"truncated form applies to stage 2/3 records, got stage {record.stage}")
-    return replace(record, stage=3)
+    return AoTRecord(
+        3, record.frame_refs, record.question, record.action_text, record.explanation
+    )
 
 
 # ------------------------------------------------------------------ split
@@ -389,7 +439,9 @@ def dataset_stats(records: Sequence[AoTRecord]) -> dict:
 
 def bundled_stage3_path() -> Path:
     """Location of the truncation-format dataset shipped with the package."""
-    return Path(str(importlib.resources.files("combatkit") / "data" / "stage3_sample.jsonl"))
+    # Beside this module, as importlib.resources finds it in an unzipped package;
+    # importing importlib.resources loads inspect and ast on Python 3.12 and later.
+    return Path(__file__).with_name("data") / "stage3_sample.jsonl"
 
 
 def load_bundled_stage3() -> list[AoTRecord]:

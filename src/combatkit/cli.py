@@ -17,8 +17,8 @@ Loading this module loads ``errors``, ``rows`` and ``aot`` (whose
 ``actions`` and ``tracker`` modules. A handler reads each library name
 it calls on this module, where one lazy table, ``_HOMES``, serves it
 from its home module, imported when the verb first needs it. So ``track``
-and ``aot`` load no further module; ``decode`` adds ``decoding``;
-``agent`` and ``report`` add ``arena``, ``decoding``, ``policies`` and
+and ``aot`` load no further module; ``decode`` and ``report`` add
+``decoding``; ``agent`` adds ``arena``, ``decoding``, ``policies`` and
 ``runner``; ``bench`` adds ``bench`` and those four; and only ``loss``
 loads ``loss`` and numpy. The table also serves each name the benchmark
 tracer (``perfbench/tracing.py``) wraps on this module, as the home
@@ -61,12 +61,12 @@ _HOMES = {
     "arena": ("iter_tasks", "load_task_configs"),
     "bench": ("CANONICAL_COUNTS", "Category", "generate_synthetic", "read_items",
               "read_predictions", "score", "validate_dataset", "write_items"),
-    "decoding": ("DEFAULT_TOKEN_BUDGET", "DecodeMode", "TokenStream", "decode",
-                 "token_savings_report"),
+    "decoding": ("DEFAULT_TOKEN_BUDGET", "REFERENCE_LATENCIES", "DecodeMode", "TokenStream",
+                 "decode", "token_savings_report"),
     "loss": ("gradient_check_rows",),
-    "runner": ("DEFAULT_PACE_TOKENS_PER_SECOND", "REFERENCE_LATENCIES", "collect_transcripts",
-               "export_transcript", "make_policy", "run_episode", "run_suite",
-               "simulated_latency_ms", "write_suite_report"),
+    "runner": ("DEFAULT_PACE_TOKENS_PER_SECOND", "collect_transcripts", "export_transcript",
+               "make_policy", "run_episode", "run_suite", "simulated_latency_ms",
+               "write_suite_report"),
     "tracker": ("export_session", "import_session"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}

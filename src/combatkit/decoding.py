@@ -25,6 +25,7 @@ from .errors import ActionParseError, CombatkitError, EmptyDataset
 
 __all__ = [
     "DEFAULT_TOKEN_BUDGET",
+    "REFERENCE_LATENCIES",
     "TokenStream",
     "DecodeMode",
     "StopReason",
@@ -35,6 +36,14 @@ __all__ = [
 ]
 
 DEFAULT_TOKEN_BUDGET = 256
+
+# Published reference latencies echoed in reports for context; never
+# asserted against measurements.
+REFERENCE_LATENCIES = (
+    {"system": "cradle", "latency_s": 61.68, "model_calls": 5},
+    {"system": "varp", "latency_s": 90.23, "model_calls": 10},
+    {"system": "truncated_reference", "latency_s": 1.85, "model_calls": 1},
+)
 
 _BRACKET_RE = re.compile(r"\[([^\[\]]*)\]")
 

@@ -30,7 +30,7 @@ from .arena import (
     sample_frames,
     step,
 )
-from .decoding import DecodeMode, decode
+from .decoding import REFERENCE_LATENCIES, DecodeMode, decode
 from .errors import ActionParseError, ConfigError
 from .policies import Policy, RandomPolicy, ScriptedPolicy
 from .rows import csv_text, write_report
@@ -42,7 +42,6 @@ __all__ = [
     "EpisodeTranscript",
     "SuiteRow",
     "SuiteReport",
-    "REFERENCE_LATENCIES",
     "DEFAULT_PACE_TOKENS_PER_SECOND",
     "run_episode",
     "simulated_latency_ms",
@@ -51,14 +50,6 @@ __all__ = [
     "collect_transcripts",
     "make_policy",
 ]
-
-# Published reference latencies echoed in reports for context; never
-# asserted against measurements.
-REFERENCE_LATENCIES = (
-    {"system": "cradle", "latency_s": 61.68, "model_calls": 5},
-    {"system": "varp", "latency_s": 90.23, "model_calls": 10},
-    {"system": "truncated_reference", "latency_s": 1.85, "model_calls": 1},
-)
 
 DEFAULT_PACE_TOKENS_PER_SECOND = 40.0
 

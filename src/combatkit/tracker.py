@@ -16,12 +16,11 @@ byte-identical.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .actions import ActionEvent, binding_to_category
 from .errors import (
@@ -55,8 +54,7 @@ class Edge(Enum):
     UP = "up"
 
 
-@dataclass(frozen=True, slots=True)
-class RawInputEvent:
+class RawInputEvent(NamedTuple):
     """One device edge: a key or button going down or up."""
 
     device: str
@@ -65,8 +63,7 @@ class RawInputEvent:
     t_ms: int
 
 
-@dataclass(frozen=True, slots=True)
-class FrameRecord:
+class FrameRecord(NamedTuple):
     """One captured frame; payload is an observation dict or image path."""
 
     index: int
@@ -74,37 +71,53 @@ class FrameRecord:
     payload: Any = None
 
 
-@dataclass(frozen=True, slots=True)
-class TrackSession:
-    """A recorded session, checked when built: frame indices strictly rise,
-    frame and event times never fall, and intervals are sorted, disjoint
-    and not inverted. Anything else is an ``OrderingViolation``."""
-
+class _TrackSessionFields(NamedTuple):
     frames: tuple[FrameRecord, ...]
     raw_events: tuple[RawInputEvent, ...]
-    active_intervals: tuple[tuple[int, int], ...] = ()
-    meta: dict[str, str] = field(default_factory=dict)
+    active_intervals: tuple[tuple[int, int], ...]
+    meta: dict[str, str]
 
-    def __post_init__(self) -> None:
+
+class TrackSession(_TrackSessionFields):
+    """A recorded session, checked when built: frame indices strictly rise,
+    frame and event times never fall, and intervals are sorted, disjoint
+    and not inverted. Anything else is an ``OrderingViolation``. ``_make``
+    and ``_replace`` build through the same check."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        frames: tuple[FrameRecord, ...],
+        raw_events: tuple[RawInputEvent, ...],
+        active_intervals: tuple[tuple[int, int], ...] = (),
+        meta: dict[str, str] | None = None,
+    ) -> "TrackSession":
         prev_idx, prev_t = 0, None
-        for fr in self.frames:
+        for fr in frames:
             if fr.index <= prev_idx:
                 raise OrderingViolation(f"frame index {fr.index} not strictly increasing")
             if prev_t is not None and fr.t_ms < prev_t:
                 raise OrderingViolation(f"frame t_ms {fr.t_ms} decreases")
             prev_idx, prev_t = fr.index, fr.t_ms
         prev_t = None
-        for ev in self.raw_events:
+        for ev in raw_events:
             if prev_t is not None and ev.t_ms < prev_t:
                 raise OrderingViolation(f"event t_ms {ev.t_ms} decreases")
             prev_t = ev.t_ms
         prev_end = None
-        for start, end in self.active_intervals:
+        for start, end in active_intervals:
             if end < start:
                 raise OrderingViolation(f"interval [{start}, {end}] is inverted")
             if prev_end is not None and start < prev_end:
                 raise OrderingViolation("intervals overlap or are unsorted")
             prev_end = end
+        meta = {} if meta is None else meta
+        return tuple.__new__(cls, (frames, raw_events, active_intervals, meta))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "TrackSession":
+        return cls(*iterable)
 
 
 class SessionRecorder:
@@ -139,8 +152,7 @@ class SessionRecorder:
 
 # ------------------------------------------------------------- coalescing
 
-@dataclass(frozen=True, slots=True)
-class TimedAction:
+class TimedAction(NamedTuple):
     """A coalesced action stamped at its down edge."""
 
     event: ActionEvent
@@ -180,8 +192,7 @@ def coalesce_events(raw: Sequence[RawInputEvent]) -> list[TimedAction]:
 
 # -------------------------------------------------------------- alignment
 
-@dataclass(frozen=True, slots=True)
-class AlignedSample:
+class AlignedSample(NamedTuple):
     """An action attached to the first frame at or after it."""
 
     action: ActionEvent
@@ -189,8 +200,7 @@ class AlignedSample:
     frame_index: int
 
 
-@dataclass(frozen=True, slots=True)
-class AlignmentResult:
+class AlignmentResult(NamedTuple):
     samples: tuple[AlignedSample, ...]
     dropped: tuple[TimedAction, ...]
 
@@ -229,8 +239,7 @@ def gate_session(session: TrackSession) -> TrackSession:
     def keep(t: int) -> bool:
         return any(start <= t <= end for start, end in session.active_intervals)
 
-    return replace(
-        session,
+    return session._replace(
         frames=tuple(fr for fr in session.frames if keep(fr.t_ms)),
         raw_events=tuple(ev for ev in session.raw_events if keep(ev.t_ms)),
     )

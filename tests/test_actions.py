@@ -1,7 +1,9 @@
 """Action vocabulary, weights, matching, and the action-text grammar."""
 
+import copy
 import json
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -369,3 +371,27 @@ def test_construction_sorts_by_priority():
     assert reversed_set.events == s.events
     assert hash(reversed_set) == hash(s)
     assert ActionSet(()).events == ()
+
+
+def test_action_records_cannot_be_built_around_their_checks():
+    ev = ActionEvent.hold(ActionCategory.SPRINT, 0.5)
+    s = ActionSet.of(ev, ActionEvent.tap(ActionCategory.DODGE))
+    for record, name in ((ev, "duration_ms"), (ev, "extra"), (s, "events"), (s, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, ())
+    with pytest.raises(AttributeError):
+        del s.events
+    # _replace and _make build through the constructor and its check
+    with pytest.raises(BadDuration):
+        ev._replace(duration_ms=0)
+    with pytest.raises(InvalidActionMode):
+        ev._replace(category=ActionCategory.HEAL)
+    with pytest.raises(InvalidActionMode):
+        ActionEvent._make((ActionCategory.MOVE_FWD, ActionMode.TAP, 100))
+    assert ev._replace(duration_ms=250) == ActionEvent.hold(ActionCategory.SPRINT, 0.25)
+    assert ActionEvent._make(ev) == ev
+    # copies are equal, and a set's copy keeps its priority order
+    for record in (ev, s):
+        assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+    assert copy.deepcopy(s).events == s.events
+    assert repr(s) == f"ActionSet(events={s.events!r})"

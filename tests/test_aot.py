@@ -1,6 +1,8 @@
 """Three-stage dataset construction, serialization, split, and files."""
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -63,6 +65,45 @@ def test_a_record_derives_its_actions_and_its_stage_layout():
     for stage in (0, 4):
         with pytest.raises(ValueError, match="stage must be 1, 2 or 3"):
             AoTRecord(stage, (1,), QUESTION_TEXT, "press r", "")
+
+
+def test_aot_records_cannot_be_built_around_their_checks():
+    text = "press r, hold w for 0.25 seconds"
+    record = AoTRecord(2, (1,), QUESTION_TEXT, text, "Heal.")
+    cfg = StageConfig()
+    session = _session(list(range(0, 1001, 125)), [("space", 600, 650)])
+    aligned = align_session(session)
+    result = build_frames_aot(aligned, StageConfig(k_frames=1))
+    for rec in (record, cfg, aligned, result):
+        for name in (rec._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+    # StageConfig's _replace and _make run its check
+    with pytest.raises(ValueError, match="must be positive"):
+        cfg._replace(n=0)
+    with pytest.raises(ValueError, match="split_fraction"):
+        StageConfig._make((20, 10, 4, 1.5, 0, 50))
+    assert cfg._replace(seed=3) == StageConfig(seed=3)
+    # an AoTRecord's _replace re-derives actions and serialized, and sets neither
+    stage3 = record._replace(stage=3)
+    assert stage3 == to_truncated_form(record)
+    assert stage3.serialized == serialize_stage3(text, "Heal.")
+    tap = record._replace(action_text="press space")
+    assert tap.actions == parse_action_events("press space")
+    assert tap.serialized == f"[Heal.] [press space] {EOS_TOKEN}"
+    with pytest.raises(ValueError, match="stage must be 1, 2 or 3"):
+        record._replace(stage=4)
+    for derived in ("actions", "serialized"):
+        with pytest.raises(ValueError, match="only input fields"):
+            record._replace(**{derived: getattr(record, derived)})
+    # _make takes the five input fields only
+    assert AoTRecord._make(record[:5]) == record
+    with pytest.raises(TypeError):
+        AoTRecord._make(record)
+    for rec in (record, stage3):
+        assert copy.copy(rec) == rec == pickle.loads(pickle.dumps(rec))
+    if hasattr(copy, "replace"):  # Python 3.13 and later
+        assert copy.replace(record, stage=3) == stage3
 
 
 def test_serialize_stage3_forms():
@@ -207,7 +248,7 @@ def test_truncated_form_reorders_and_is_idempotent():
     session = _session(frame_ts, [("space", 600, 650), ("w", 610, 910)])
     stage2 = build_frames_aot(align_session(session)).records[0]
     stage3 = to_truncated_form(stage2)
-    assert stage3.stage == 3
+    assert type(stage3) is AoTRecord and stage3.stage == 3
     assert stage3.action_text == stage2.action_text
     assert stage3.explanation == stage2.explanation
     assert stage3.serialized == (

@@ -10,9 +10,15 @@ numpy blocked, every other module, ``combatkit.cli`` included, imports
 and writes the pinned suite reports and the committed fixtures byte for
 byte, the other verbs run through ``cli.main`` with the same output as
 with numpy, and ``loss check`` ends in a typed ``MissingDependency``
-error. Importing ``combatkit.cli`` does not load numpy, and a fresh
+error. Importing ``combatkit.cli`` does not load numpy. A fresh
 ``aot stats`` loads none of ``arena``, ``bench``, ``runner``,
-``policies`` and ``loss``. Only ``combatkit.decoding`` imports ``time``.
+``policies`` and ``loss``, and none of ``dataclasses``, ``inspect`` and
+``ast``: its records are named tuples, and ``aot`` does not import
+``importlib.resources``, which loads ``inspect`` on Python 3.12 and
+later. A fresh ``report`` given
+``--savings`` loads none of ``runner``, ``arena`` and ``policies``, and
+writes the bytes it always wrote. Only ``combatkit.decoding`` imports
+``time``.
 """
 
 from __future__ import annotations
@@ -224,10 +230,8 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert [m for m in loaded if m == "combatkit.loss" or m.split(".")[0] == "numpy"] == []
 
 
-def test_aot_stats_loads_only_its_own_modules():
-    # the verb table and the aot verbs need none of the episode, benchmark
-    # or loss layers, so a fresh `aot stats` must not pay for loading them
-    bundled = bundled_stage3_path()
+def _fresh_main(argv: list[str], cwd: Path | None = None) -> tuple[int, str, list[str]]:
+    """``cli.main(argv)`` in a fresh interpreter: exit code, stdout and loaded modules."""
     code = (
         "import contextlib, io, json, sys\n"
         "from combatkit.cli import main\n"
@@ -236,14 +240,53 @@ def test_aot_stats_loads_only_its_own_modules():
         "print(json.dumps([code, out.getvalue(), sorted(sys.modules)]))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, "aot", "stats", "--in", str(bundled)],
-        capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, timeout=60, cwd=cwd,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert proc.returncode == 0, proc.stderr
     exit_code, out, loaded = json.loads(proc.stdout)
+    return exit_code, out, loaded
+
+
+def test_aot_stats_loads_only_its_own_modules():
+    # the verb table and the aot verbs need none of the episode, benchmark
+    # or loss layers, and their records none of the code dataclasses
+    # generates, so a fresh `aot stats` must not pay for loading them
+    bundled = bundled_stage3_path()
+    exit_code, out, loaded = _fresh_main(["aot", "stats", "--in", str(bundled)])
     assert exit_code == 0
     assert out == json_text(dataset_stats(read_records(bundled)))
     deferred = {f"combatkit.{name}" for name in ("arena", "bench", "runner", "policies", "loss")}
     assert "combatkit.aot" in loaded
     assert deferred.intersection(loaded) == set()
+    assert {"dataclasses", "inspect", "ast"}.intersection(loaded) == set()
+
+
+# sha256 of the CSV and JSON that `report` writes for the inputs below
+REPORT_DIGESTS = (
+    "341a75cf62ce63f9c0d04bf8f9ce05c30cce66d9c0b7ea4e5a33cc914c9e8a64",
+    "a57aef0ead338ba6bec7249764d376c5dc11b227d9f662aa07dc61a6c17270b7",
+)
+
+
+def test_report_with_savings_loads_no_episode_layer(tmp_path):
+    # the reference latencies live in decoding, so a report that reads its
+    # token savings from a file decodes nothing and runs no episode
+    suite = {"policy": "scripted", "seed": 0,
+             "rows": [{"task_id": 1, "success_rate": 0.5, "mean_latency_ms": 12.25}]}
+    savings = {"records": 3, "mean_full_tokens": 10.0, "mean_truncated_tokens": 4.0, "ratio": 0.4}
+    (tmp_path / "suite.json").write_text(json.dumps(suite), encoding="utf-8")
+    (tmp_path / "savings.json").write_text(json.dumps(savings), encoding="utf-8")
+    argv = ["report", "--suite", "suite.json", "--savings", "savings.json", "--out", "overview"]
+    exit_code, out, loaded = _fresh_main(argv, cwd=tmp_path)
+    assert exit_code == 0
+    assert out == (tmp_path / "overview.csv").read_text(encoding="utf-8")
+    digests = tuple(
+        hashlib.sha256((tmp_path / f"overview.{ext}").read_bytes()).hexdigest()
+        for ext in ("csv", "json")
+    )
+    assert digests == REPORT_DIGESTS
+    episode_layer = {f"combatkit.{name}" for name in ("runner", "arena", "policies")}
+    assert "combatkit.decoding" in loaded
+    assert episode_layer.intersection(loaded) == set()

@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -312,20 +311,50 @@ def test_import_names_the_meta_line_that_is_not_utf8(tmp_path):
     ],
 )
 def test_export_rejects_meta_that_cannot_round_trip(tmp_path, meta):
-    session = replace(_sample_session(), meta=meta)
+    session = _sample_session()._replace(meta=meta)
     with pytest.raises(UnencodableMeta):
         export_session(session, tmp_path / "sess")
     assert not (tmp_path / "sess").exists()
 
 
 def test_export_keeps_equals_signs_in_meta_values(tmp_path):
-    session = replace(_sample_session(), meta={"query": "k=v&x=y", "empty": ""})
+    session = _sample_session()._replace(meta={"query": "k=v&x=y", "empty": ""})
     assert import_session(export_session(session, tmp_path / "sess")).meta == session.meta
 
 
 def test_aligned_sample_fields():
     s = AlignedSample(_tap_at(10).event, 10, 3)
     assert (s.action_t_ms, s.frame_index) == (10, 3)
+
+
+def test_tracker_records_refuse_assignment():
+    session = _sample_session()
+    tap = _tap_at(10)
+    records = (
+        session,
+        session.frames[0],
+        session.raw_events[0],
+        tap,
+        AlignedSample(tap.event, 10, 3),
+        align_actions_to_frames([tap], session.frames),
+    )
+    for record in records:
+        for name in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_track_session_replace_and_make_keep_the_order_check():
+    session = _sample_session()
+    backwards = tuple(reversed(session.frames))
+    with pytest.raises(OrderingViolation):
+        session._replace(frames=backwards)
+    with pytest.raises(OrderingViolation):
+        session._replace(active_intervals=((0, 100), (50, 200)))
+    with pytest.raises(OrderingViolation):
+        TrackSession._make((session.frames, tuple(reversed(session.raw_events)), (), {}))
+    assert session._replace(meta=dict(session.meta)) == session
+    assert TrackSession._make(session) == session
 
 
 @pytest.mark.parametrize(
