@@ -18,9 +18,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
 
@@ -66,19 +64,13 @@ class PlayerStatus(Enum):
     BURNING = "burning"
 
 
-@dataclass(frozen=True, slots=True)
-class Telegraph:
+class Telegraph(NamedTuple):
     kind: str
     remaining_ms: int
 
 
 class ObservationFrame(NamedTuple):
-    """One rendered snapshot of the duel, health normalized to [0, 1].
-
-    A named tuple: immutable and hashable, and built far more cheaply
-    than a frozen dataclass, which matters at one frame per 125 ms of
-    every episode.
-    """
+    """One rendered snapshot of the duel, health normalized to [0, 1]."""
 
     t_ms: int
     player_hp: float
@@ -157,8 +149,7 @@ def _check_frame_grid(cfg: type[ArenaConfig]) -> None:
 _check_frame_grid(ArenaConfig)
 
 
-@dataclass(frozen=True, slots=True)
-class TaskConfig:
+class TaskConfig(NamedTuple):
     """One duel in the task grid."""
 
     task_id: int
@@ -178,9 +169,10 @@ class TaskConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TaskConfig":
-        """One task-file entry; a missing field or one of another JSON type
-        is a ``ConfigError`` naming the task and the field. A float field
-        takes a JSON integer (``"enemy_max_hp": 780``) but no bool."""
+        """One task-file entry; a missing field, one of another JSON type
+        and an unknown game mode or difficulty are each a ``ConfigError``
+        naming the task and the field. A float field takes a JSON integer
+        (``"enemy_max_hp": 780``) but no bool."""
         task = obj.get("task_id")
 
         def typed(key: str, kind: type) -> Any:
@@ -193,11 +185,21 @@ class TaskConfig:
             except TypeError as exc:
                 raise ConfigError(f"task {task!r}: {exc}") from None
 
+        def member(key: str, kind: type[Enum]) -> Any:
+            value = typed(key, str)
+            try:
+                return kind(value)
+            except ValueError:
+                known = ", ".join(repr(m.value) for m in kind)
+                raise ConfigError(
+                    f"task {task!r}: field {key!r} is not one of {known}: {value!r}"
+                ) from None
+
         return cls(
             task_id=typed("task_id", int),
             name=typed("name", str),
-            game_mode=GameMode(typed("game_mode", str)),
-            difficulty=Difficulty(typed("difficulty", str)),
+            game_mode=member("game_mode", GameMode),
+            difficulty=member("difficulty", Difficulty),
             enemy_max_hp=typed("enemy_max_hp", float),
             strike_power=typed("strike_power", float),
             strike_range_m=typed("strike_range_m", float),
@@ -212,23 +214,29 @@ class TaskConfig:
 
 
 def load_task_configs(path: str | Path | None = None) -> dict[int, TaskConfig]:
-    """Load the versioned task file; defaults to the bundled grid."""
+    """Load the versioned task file; defaults to the bundled grid.
+
+    A file of another shape or version, a bad entry and a repeated
+    ``task_id`` are each a ``ConfigError``.
+    """
     if path is None:
-        text = resources.files("combatkit.data").joinpath("tasks.json").read_text("utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    obj = json.loads(text)
+        # beside this module, as importlib.resources finds it in an unzipped
+        # package; importing importlib.resources loads inspect and ast on
+        # Python 3.12 and later
+        path = Path(__file__).with_name("data") / "tasks.json"
+    obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(obj, dict) or not isinstance(obj.get("tasks"), list):
         raise ConfigError("task file: expected an object with a list of tasks")
-    if obj.get("version") != 1:
-        raise ValueError(f"unsupported task file version: {obj.get('version')!r}")
+    version = obj.get("version")
+    if type(version) is not int or version != 1:
+        raise ConfigError(f"task file: field 'version' is not 1: {version!r}")
     tasks = {}
     for i, entry in enumerate(obj["tasks"]):
         if not isinstance(entry, dict):
             raise ConfigError(f"task file: entry {i} is not an object: {entry!r}")
         task = TaskConfig.from_json_dict(entry)
         if task.task_id in tasks:
-            raise ValueError(f"duplicate task_id {task.task_id}")
+            raise ConfigError(f"task {task.task_id}: field 'task_id' is repeated")
         tasks[task.task_id] = task
     return tasks
 
@@ -239,32 +247,45 @@ class _Phase(Enum):
     RECOVERY = "recovery"
 
 
-@dataclass
 class ArenaState:
-    """Mutable duel state. All times are sim-clock milliseconds."""
+    """Mutable duel state. All times are sim-clock milliseconds.
 
-    task: TaskConfig
-    rng: random.Random
-    clock_ms: int = 0
-    player_hp: float = 0.0
-    enemy_hp: float = 0.0
-    player_pos: list[float] = field(default_factory=lambda: [0.0, 0.0])
-    enemy_pos: list[float] = field(default_factory=lambda: [0.0, 0.0])
-    heal_charges: int = 0
-    pending_heal_at: int | None = None
-    immobilize_ready_at: int = 0
-    enemy_stunned_until: int = 0
-    iframes_until: int = 0
-    block_until: int = 0
-    burning_until: int = 0
-    # movement hold windows: category -> [start, end)
-    move_until: dict[ActionCategory, int] = field(default_factory=dict)
-    sprint_until: int = 0
-    # queued player attacks: (lands_at_ms, damage)
-    pending_attacks: list[tuple[int, float]] = field(default_factory=list)
-    phase: _Phase = _Phase.IDLE
-    phase_ends_at: int = 0
-    action_log: list[dict] = field(default_factory=list)
+    A slotted class: setting an attribute it does not have, such as a
+    misspelt field, is an ``AttributeError``. The constructor draws the
+    spawn distance, then the first idle phase's jitter, from ``rng``.
+    """
+
+    __slots__ = (
+        "task", "rng", "clock_ms", "player_hp", "enemy_hp", "player_pos", "enemy_pos",
+        "heal_charges", "pending_heal_at", "immobilize_ready_at", "enemy_stunned_until",
+        "iframes_until", "block_until", "burning_until", "move_until", "sprint_until",
+        "pending_attacks", "phase", "phase_ends_at", "action_log",
+    )
+
+    def __init__(self, task: TaskConfig, rng: random.Random):
+        distance = task.initial_distance_m + rng.uniform(-0.5, 0.5)
+        self.task = task
+        self.rng = rng
+        self.clock_ms = 0
+        self.player_hp = ArenaConfig.player_max_hp
+        self.enemy_hp = task.enemy_max_hp
+        self.player_pos = [0.0, 0.0]
+        self.enemy_pos = [0.0, max(1.0, distance)]
+        self.heal_charges = ArenaConfig.heal_charges
+        self.pending_heal_at: int | None = None
+        self.immobilize_ready_at = 0
+        self.enemy_stunned_until = 0
+        self.iframes_until = 0
+        self.block_until = 0
+        self.burning_until = 0
+        # movement hold windows: category -> end
+        self.move_until: dict[ActionCategory, int] = {}
+        self.sprint_until = 0
+        # queued player attacks: (lands_at_ms, damage)
+        self.pending_attacks: list[tuple[int, float]] = []
+        self.phase = _Phase.IDLE
+        self.phase_ends_at = task.idle_ms + _jitter_ticks(rng)
+        self.action_log: list[dict] = []
 
     def log(self, kind: str, **detail: Any) -> None:
         self.action_log.append({"t_ms": self.clock_ms, "kind": kind, **detail})
@@ -288,20 +309,7 @@ def _jitter_ticks(rng: random.Random, spread_ticks: int = 3) -> int:
 
 
 def new_arena(task: TaskConfig, seed: int = 0) -> ArenaState:
-    rng = random.Random(seed)
-    distance = task.initial_distance_m + rng.uniform(-0.5, 0.5)
-    state = ArenaState(
-        task=task,
-        rng=rng,
-        player_hp=ArenaConfig.player_max_hp,
-        enemy_hp=task.enemy_max_hp,
-        player_pos=[0.0, 0.0],
-        enemy_pos=[0.0, max(1.0, distance)],
-        heal_charges=ArenaConfig.heal_charges,
-    )
-    state.phase = _Phase.IDLE
-    state.phase_ends_at = task.idle_ms + _jitter_ticks(rng)
-    return state
+    return ArenaState(task, random.Random(seed))
 
 
 _MOVE_DIRECTION = {

@@ -15,11 +15,10 @@ and stun flags, reasoning golds from the scripted policy's rule table.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, zip_longest
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .arena import ObservationFrame, PlayerStatus
 from .errors import ConfigError, GenerationShortfall, ParseError, ValidationError
@@ -109,8 +108,7 @@ _GOLD_TO_SUBTASK = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class BenchItem:
+class BenchItem(NamedTuple):
     item_id: str
     category: Category
     subtask: str
@@ -133,8 +131,7 @@ class BenchItem:
 
 # ------------------------------------------------------------- validation
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     total: int
     counts: dict[str, int]
     fractions: dict[str, float]
@@ -147,10 +144,8 @@ class ValidationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "total": self.total,
-            "counts": self.counts,
+            **self._asdict(),
             "fractions": {k: round(v, 4) for k, v in self.fractions.items()},
-            "subtask_counts": self.subtask_counts,
             "violations": [str(v) for v in self.violations],
         }
 
@@ -270,8 +265,7 @@ def normalize_answer(raw: str, kind: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class BenchReport:
+class BenchReport(NamedTuple):
     total: int
     per_category_correct: dict[str, int]
     per_category_total: dict[str, int]
@@ -282,13 +276,9 @@ class BenchReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "total": self.total,
-            "per_category_correct": self.per_category_correct,
-            "per_category_total": self.per_category_total,
+            **self._asdict(),
             "accuracies": {k: round(v, 2) for k, v in self.accuracies.items()},
             "macro_average": round(self.macro_average, 2),
-            "missing_predictions": self.missing_predictions,
-            "unparseable_predictions": self.unparseable_predictions,
         }
 
 

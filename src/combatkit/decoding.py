@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import re
 import time
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from pathlib import Path
@@ -174,8 +173,7 @@ def decode(
 
 # ---------------------------------------------------------- token savings
 
-@dataclass(frozen=True, slots=True)
-class SavingsReport:
+class SavingsReport(NamedTuple):
     records: int
     mean_full_tokens: float
     mean_truncated_tokens: float
@@ -185,12 +183,7 @@ class SavingsReport:
         return self.mean_truncated_tokens / self.mean_full_tokens
 
     def to_json_dict(self) -> dict:
-        return {
-            "records": self.records,
-            "mean_full_tokens": self.mean_full_tokens,
-            "mean_truncated_tokens": self.mean_truncated_tokens,
-            "ratio": self.ratio,
-        }
+        return {**self._asdict(), "ratio": self.ratio}
 
 
 def token_savings_report(records: Sequence[AoTRecord] | str | Path) -> SavingsReport:

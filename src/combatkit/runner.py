@@ -14,7 +14,6 @@ fixed pace, and the loop reads no clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -64,8 +63,7 @@ class CycleRecord(NamedTuple):
     stop_reason: str
 
 
-@dataclass(frozen=True, slots=True)
-class EpisodeReport:
+class EpisodeReport(NamedTuple):
     task_id: int
     mode: str
     seed: int
@@ -77,21 +75,10 @@ class EpisodeReport:
     sim_duration_ms: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "mode": self.mode,
-            "seed": self.seed,
-            "success": self.success,
-            "failure_reason": self.failure_reason,
-            "decision_cycles": self.decision_cycles,
-            "policy_calls": self.policy_calls,
-            "mean_emitted_tokens": round(self.mean_emitted_tokens, 3),
-            "sim_duration_ms": self.sim_duration_ms,
-        }
+        return {**self._asdict(), "mean_emitted_tokens": round(self.mean_emitted_tokens, 3)}
 
 
-@dataclass(frozen=True, slots=True)
-class EpisodeTranscript:
+class EpisodeTranscript(NamedTuple):
     """Everything needed to rebuild datasets and benchmarks offline."""
 
     task: TaskConfig
@@ -221,8 +208,7 @@ def export_transcript(transcript: EpisodeTranscript, out_dir: str | Path) -> Pat
 
 # ----------------------------------------------------------------- suite
 
-@dataclass(frozen=True, slots=True)
-class SuiteRow:
+class SuiteRow(NamedTuple):
     task_id: int
     mode: str
     repeats: int
@@ -230,9 +216,16 @@ class SuiteRow:
     mean_latency_ms: float
     mean_cycles: float
 
+    def to_json_dict(self) -> dict:
+        return {
+            **self._asdict(),
+            "success_rate": round(self.success_rate, 4),
+            "mean_latency_ms": round(self.mean_latency_ms, 3),
+            "mean_cycles": round(self.mean_cycles, 2),
+        }
 
-@dataclass(frozen=True, slots=True)
-class SuiteReport:
+
+class SuiteReport(NamedTuple):
     policy: str
     seed: int
     pace_tokens_per_second: float
@@ -240,7 +233,7 @@ class SuiteReport:
 
     def to_csv(self) -> str:
         return csv_text(
-            ("task_id", "mode", "repeats", "success_rate", "mean_latency_ms", "mean_cycles"),
+            SuiteRow._fields,
             (
                 (
                     row.task_id,
@@ -256,21 +249,9 @@ class SuiteReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "policy": self.policy,
-            "seed": self.seed,
-            "pace_tokens_per_second": self.pace_tokens_per_second,
+            **self._asdict(),
             "reference_latencies": list(REFERENCE_LATENCIES),
-            "rows": [
-                {
-                    "task_id": row.task_id,
-                    "mode": row.mode,
-                    "repeats": row.repeats,
-                    "success_rate": round(row.success_rate, 4),
-                    "mean_latency_ms": round(row.mean_latency_ms, 3),
-                    "mean_cycles": round(row.mean_cycles, 2),
-                }
-                for row in self.rows
-            ],
+            "rows": [row.to_json_dict() for row in self.rows],
         }
 
 

@@ -1,6 +1,5 @@
 """Deterministic duel simulator: timing, combat math, and the task grid."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -13,11 +12,13 @@ from combatkit.arena import (
     FRAME_SAMPLE_OFFSETS,
     FRAME_SAMPLE_WINDOW,
     ArenaConfig,
+    ArenaState,
     Difficulty,
     GameMode,
     ObservationFrame,
     PlayerStatus,
     TaskConfig,
+    Telegraph,
     _check_frame_grid,
     cycle_ms,
     iter_tasks,
@@ -137,12 +138,15 @@ def test_task_file_rejects_duplicates_and_bad_version(tmp_path):
     }
     dup = tmp_path / "dup.json"
     dup.write_text(json.dumps({"version": 1, "tasks": [row, row]}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError) as err:
         load_task_configs(dup)
+    assert str(err.value) == "task 1: field 'task_id' is repeated"
     wrong = tmp_path / "wrong.json"
-    wrong.write_text(json.dumps({"version": 2, "tasks": [row]}))
-    with pytest.raises(ValueError):
-        load_task_configs(wrong)
+    for version in (2, True, "1", None):
+        wrong.write_text(json.dumps({"version": version, "tasks": [row]}))
+        with pytest.raises(ConfigError) as err:
+            load_task_configs(wrong)
+        assert str(err.value) == f"task file: field 'version' is not 1: {version!r}"
     assert len(tasks) == 13
 
 
@@ -166,6 +170,12 @@ _TASK_ROW = {
         ("name", 7, "field 'name' is not a string: 7"),
         ("game_mode", None, "field 'game_mode' is not a string: None"),
         ("idle_ms", ..., "missing field 'idle_ms'"),
+        ("game_mode", "XYZ", "field 'game_mode' is not one of 'BMW', 'SSDT': 'XYZ'"),
+        (
+            "difficulty",
+            "insane",
+            "field 'difficulty' is not one of 'easy', 'middle', 'hard', 'very_hard': 'insane'",
+        ),
     ],
 )
 def test_task_file_refuses_a_field_of_another_json_type(tmp_path, key, value, reason):
@@ -410,6 +420,18 @@ def test_telegraph_hidden_when_stunned_or_dead():
     assert render_observation(state).enemy_telegraph is None
 
 
+def test_arena_records_refuse_assignment_and_the_state_refuses_a_typo():
+    for record in (Telegraph("slash", 100), _task()):
+        for name in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    state = _arena()
+    state.clock_ms = 5
+    with pytest.raises(AttributeError):
+        state.clock = 5  # the mutable state has no such field, and takes none
+    assert state.clock_ms == 5 and not hasattr(state, "clock")
+
+
 def test_frames_are_immutable_and_replace_keeps_the_type():
     state = _arena(seed=4)
     _run(state, 60)
@@ -471,7 +493,7 @@ def test_iter_tasks_rejects_bad_selectors(selector, reason):
 
 def _snapshot(state):
     """Every field of the state, with the generator's internal state in place of the object."""
-    snap = {f.name: getattr(state, f.name) for f in dataclasses.fields(state) if f.name != "rng"}
+    snap = {name: getattr(state, name) for name in ArenaState.__slots__ if name != "rng"}
     snap["rng"] = state.rng.getstate()
     return snap
 

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -241,6 +240,20 @@ def test_fixture_scoring_reproduces_reference_accuracies():
     assert report.unparseable_predictions == 0
 
 
+def test_bench_records_refuse_assignment_and_write_their_fields():
+    items = read_items(ITEMS_PATH)
+    validation = validate_dataset(ITEMS_PATH)
+    report = score(items, read_predictions(PREDICTIONS_PATH))
+    for record in (items[0], validation, report):
+        for name in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    # a report's JSON keys are its fields; an item writes its item_id as "id"
+    assert list(validation.to_json_dict()) == list(validation._fields)
+    assert list(report.to_json_dict()) == list(report._fields)
+    assert list(items[0].to_json_dict()) == ["id", *items[0]._fields[1:]]
+
+
 def test_score_is_permutation_invariant():
     items = read_items(ITEMS_PATH)
     predictions = read_predictions(PREDICTIONS_PATH)
@@ -302,7 +315,7 @@ def test_generated_golds_at_thresholds_and_rule_table():
     )
     heal = low._replace(player_hp=0.2)
     transcripts = [
-        replace(base, seed=seed, frames=(frame,) * 6)
+        base._replace(seed=seed, frames=(frame,) * 6)
         for seed, frame in enumerate((high, low, heal), start=1)
     ]
     targets = {Category.GATHERING: 20, Category.COMPREHENSION: 8, Category.REASONING: 7}

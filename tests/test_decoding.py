@@ -321,6 +321,10 @@ def test_savings_report_means():
     assert report.ratio == pytest.approx(4 / 15)
     d = report.to_json_dict()
     assert set(d) == {"records", "mean_full_tokens", "mean_truncated_tokens", "ratio"}
+    assert list(d) == [*report._fields, "ratio"]
+    for name in (report._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
 
 
 def test_savings_missing_sentinel_counts_full_both_sides():

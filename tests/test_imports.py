@@ -12,13 +12,14 @@ byte, the other verbs run through ``cli.main`` with the same output as
 with numpy, and ``loss check`` ends in a typed ``MissingDependency``
 error. Importing ``combatkit.cli`` does not load numpy. A fresh
 ``aot stats`` loads none of ``arena``, ``bench``, ``runner``,
-``policies`` and ``loss``, and none of ``dataclasses``, ``inspect`` and
-``ast``: its records are named tuples, and ``aot`` does not import
+``policies`` and ``loss``. Only ``loss`` imports ``dataclasses``: every
+other record is a named tuple or a slotted class, and no module imports
 ``importlib.resources``, which loads ``inspect`` on Python 3.12 and
-later. A fresh ``report`` given
-``--savings`` loads none of ``runner``, ``arena`` and ``policies``, and
-writes the bytes it always wrote. Only ``combatkit.decoding`` imports
-``time``.
+later. So a fresh ``aot stats``, ``agent run``, ``bench validate``,
+``decode savings`` and ``report`` each load none of ``dataclasses``,
+``inspect`` and ``ast``. A fresh ``report`` given ``--savings`` loads
+none of ``runner``, ``arena`` and ``policies``, and writes the bytes it
+always wrote. Only ``combatkit.decoding`` imports ``time``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from combatkit.aot import bundled_stage3_path, dataset_stats, read_records
 from combatkit.cli import main
@@ -93,6 +96,23 @@ def test_only_the_decoder_reads_the_clock():
         if "time" in _imported_names(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert importers == ["decoding.py"]
+
+
+def test_only_the_loss_module_imports_dataclasses():
+    # dataclasses loads inspect and ast; the other modules' records are
+    # named tuples or slotted classes, so no other verb pays for them
+    importers = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "dataclasses" for module in modules):
+                importers.append(path.name)
+    assert importers == ["loss.py"]
 
 
 def test_scan_flags_an_unused_import(tmp_path):
@@ -260,6 +280,25 @@ def test_aot_stats_loads_only_its_own_modules():
     deferred = {f"combatkit.{name}" for name in ("arena", "bench", "runner", "policies", "loss")}
     assert "combatkit.aot" in loaded
     assert deferred.intersection(loaded) == set()
+    assert {"dataclasses", "inspect", "ast"}.intersection(loaded) == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["agent", "run", "--task", "1", "--seed", "0"],
+        ["bench", "validate", "--in", str(ROOT / "tests" / "data" / "bench_items.jsonl")],
+        ["decode", "savings"],
+        ["report", "--suite", "suite.json"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_verbs_start_without_generated_code(tmp_path, argv):
+    # every verb but `loss check` runs on named tuples and slotted classes
+    suite = {"policy": "scripted", "seed": 0, "rows": []}
+    (tmp_path / "suite.json").write_text(json.dumps(suite), encoding="utf-8")
+    exit_code, out, loaded = _fresh_main(argv, cwd=tmp_path)
+    assert exit_code == 0 and out
     assert {"dataclasses", "inspect", "ast"}.intersection(loaded) == set()
 
 

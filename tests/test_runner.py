@@ -177,6 +177,18 @@ def test_suite_rows_and_csv_shape():
     assert report.pace_tokens_per_second == 40.0
 
 
+def test_runner_records_refuse_assignment_and_write_their_fields():
+    report, transcript = run_episode(TASKS[1], make_policy("scripted", TASKS[1], 0))
+    suite = run_suite([TASKS[1]], repeats=1)
+    for record in (report, transcript, suite, suite.rows[0]):
+        for name in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    assert list(report.to_json_dict()) == list(report._fields)
+    assert list(suite.rows[0].to_json_dict()) == list(suite.rows[0]._fields)
+    assert set(suite.to_json_dict()) == {*suite._fields, "reference_latencies"}
+
+
 def test_suite_latency_is_simulated_from_tokens():
     report = run_suite([TASKS[1]], repeats=1, seed=4, pace_tokens_per_second=40.0)
     ep_report, _ = run_episode(
