@@ -1,6 +1,7 @@
 """Action-weighted loss terms, branch selection, and gradient checking."""
 
 import math
+import pickle
 import random
 
 import numpy as np
@@ -24,6 +25,7 @@ from combatkit.loss import (
     PROB_CLAMP,
     ActionPrediction,
     EmbeddingPair,
+    LossBreakdown,
     alignment_gradient,
     alignment_term,
     central_difference_gradient,
@@ -192,6 +194,26 @@ def test_contrastive_gradients_match_finite_differences():
             assert finite_diff_check(value, grad, flat) < 1e-6
 
 
+def test_loss_records_refuse_assignment_and_compare_by_identity():
+    pair = EmbeddingPair([1.0, 0.0], [0.0, 1.0])
+    pred = _pred(UNIFORM_10, ActionCategory.DODGE)
+    out = composite_loss(pair, pred, _label(ActionCategory.DODGE), l_lang=1.0)
+    assert isinstance(out, LossBreakdown) and out.matched
+    for record, field in ((pair, "v_eos"), (pred, "probs"), (out, "total")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+    with pytest.raises(AttributeError):
+        pair.extra = 1
+    assert type(pair.v_eos) is np.ndarray and pair.v_eos.dtype == np.float64
+    # equal only to itself, so no array comparison runs
+    assert pair == pair and pair != EmbeddingPair([1.0, 0.0], [0.0, 1.0])
+    assert pred != _pred(UNIFORM_10, ActionCategory.DODGE)
+    assert len({pair, pred}) == 2
+    copied = pickle.loads(pickle.dumps(pred))
+    assert np.array_equal(copied.probs, pred.probs) and copied.output_set == pred.output_set
+    assert repr(pair) == "EmbeddingPair(v_eos=array([1., 0.]), a_eos=array([0., 1.]))"
+
+
 def test_alignment_gradient_shape_and_value():
     pred = _pred(UNIFORM_10)
     g = alignment_gradient(pred, ActionCategory.DODGE)
@@ -274,6 +296,32 @@ def test_gradient_check_rows_report_plain_floats():
     for row in gradient_check_rows(seed=1, points=3, dim=8):
         for key in ("step", "analytic_grad_norm", "fd_grad_norm", "max_rel_error"):
             assert type(row[key]) is float, (key, type(row[key]))
+
+
+# At these seeds a pull coordinate's true gradient is 2.1e-8 (2428) and
+# 7.7e-8 (6803): relative to it, the central difference's roundoff read
+# 2.45e-4 and 1.14e-4 while the gradients agreed.
+@pytest.mark.parametrize("seed", [2428, 6803])
+def test_gradient_check_compares_tiny_coordinates_by_absolute_difference(seed):
+    rows = gradient_check_rows(seed=seed, points=1, dim=64)
+    assert all(row["max_rel_error"] < 1e-4 for row in rows), rows
+
+
+@pytest.mark.parametrize("seed", [2428, 6803])
+def test_gradient_check_still_fails_a_coordinate_off_by_a_thousandth(monkeypatch, seed):
+    exact = loss.contrastive_gradients
+
+    def off(pair, matched):
+        dv, da = exact(pair, matched)
+        if matched:
+            dv = dv.copy()
+            dv[np.argmax(np.abs(dv))] *= 1.001
+        return dv, da
+
+    monkeypatch.setattr(loss, "contrastive_gradients", off)
+    rows = {row["component"]: row for row in gradient_check_rows(seed=seed, points=1, dim=64)}
+    assert rows["contrastive_pull"]["max_rel_error"] > 1e-4
+    assert rows["contrastive_push"]["max_rel_error"] < 1e-4
 
 
 def test_alignment_check_steps_relative_to_probability():

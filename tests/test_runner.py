@@ -1,7 +1,6 @@
 """Episode loop, transcript export, and the task-suite aggregator."""
 
 import enum
-import hashlib
 import json
 
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from combatkit import runner
 from combatkit.actions import ActionCategory, ActionMode
 from combatkit.aot import align_session
-from combatkit.arena import FRAME_SAMPLE_WINDOW, ArenaConfig, iter_tasks, load_task_configs
+from combatkit.arena import FRAME_SAMPLE_WINDOW, ArenaConfig, load_task_configs
 from combatkit.decoding import DecodeMode, StopReason
 from combatkit.errors import ConfigError
 from combatkit.policies import RandomPolicy, ScriptedPolicy
@@ -224,6 +223,8 @@ def test_simulated_latency_rejects_pace_that_is_not_positive(pace):
         simulated_latency_ms(report, pace)
 
 
+# The bytes of the seed-0 suite reports of each policy and mode are pinned
+# in the determinism manifest, tests/test_determinism.py.
 def test_suite_reruns_byte_identical(tmp_path):
     tasks = [TASKS[1]]
     a = run_suite(tasks, repeats=2, seed=3)
@@ -272,34 +273,3 @@ def test_collect_transcripts_rejects_fewer_than_one_episode_per_task(monkeypatch
 def test_episode_report_json_rounding():
     report = EpisodeReport(1, "truncated", 0, True, None, 3, 3, 10.98765, 5000)
     assert report.to_json_dict()["mean_emitted_tokens"] == 10.988
-
-
-# sha256 of the seed-0 suite CSV and JSON at 2 repeats over the 13 tasks,
-# taken from the per-tick loop that ran each tick through ``step``; the
-# fused tick loop must reproduce them byte for byte.
-SUITE_DIGESTS = {
-    ("scripted", "truncated"): (
-        "e55c293bf973f416347613b85ca565475cd6e40e46485dd830aeebdd46866b3b",
-        "3fe65f389c5f54da1b165f70c1335e6be941fa08e2e6d3c6c8655cc453210ba5",
-    ),
-    ("scripted", "full"): (
-        "28ee849f07815de766da72d8bd82629e848491a133c11c9be8afd01a1b2d26a2",
-        "41180df4d3403561161c04ed485be763b131289947a5015915065dee0b5b8e06",
-    ),
-    ("random", "truncated"): (
-        "11ccd5a4dd5b1349c993246944e410fd20a4cc40906c0a6271ffd020a5335670",
-        "7818d5991a9c3de1ab45c4d854c7fdc0824ae85bf31e296695b1e66c43053ee3",
-    ),
-    ("random", "full"): (
-        "bb81fee93d82e35b06c890377b56e8d44061017c71facaa61e96549468d3900f",
-        "383f210af049356343cc52f9a66b0ba9be735fa0ab668407bd60946637f20bdd",
-    ),
-}
-
-
-@pytest.mark.parametrize("policy, mode", sorted(SUITE_DIGESTS))
-def test_suite_reports_match_pinned_digests(tmp_path, policy, mode):
-    report = run_suite(iter_tasks(TASKS, "all"), DecodeMode(mode), 2, 0, policy)
-    csv_path, json_path = write_suite_report(report, tmp_path / f"{policy}-{mode}.csv")
-    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path))
-    assert digests == SUITE_DIGESTS[(policy, mode)]
