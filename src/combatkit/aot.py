@@ -33,8 +33,8 @@ from .actions import (
     render_action,
     render_explanation,
 )
-from .errors import CombatkitError, EmptyDatasetWarning, ParseError
-from .rows import read_jsonl, typed_field, write_jsonl
+from .errors import EmptyDatasetWarning
+from .rows import read_rows, typed_field, write_jsonl
 from .tracker import (
     AlignedSample,
     AlignmentResult,
@@ -410,13 +410,8 @@ def write_records(records: Iterable[AoTRecord], path: str | Path) -> Path:
 
 
 def read_records(path: str | Path) -> list[AoTRecord]:
-    records: list[AoTRecord] = []
-    for lineno, obj in read_jsonl(path):
-        try:
-            records.append(AoTRecord.from_json_dict(obj))
-        except (KeyError, TypeError, ValueError, CombatkitError) as exc:
-            raise ParseError(str(Path(path)), lineno, f"bad record: {exc}") from None
-    return records
+    """The records of a JSONL file; a bad line or record is a ``ParseError`` naming it."""
+    return read_rows(path, AoTRecord.from_json_dict)
 
 
 def dataset_stats(records: Sequence[AoTRecord]) -> dict:

@@ -15,7 +15,6 @@ versioned task file.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from enum import Enum
@@ -23,8 +22,8 @@ from pathlib import Path
 from typing import Any, NamedTuple, Sequence
 
 from .actions import ActionCategory, ActionMode, ActionSet
-from .errors import ConfigError, InsufficientHistory
-from .rows import typed_field
+from .errors import ConfigError, InsufficientHistory, ParseError
+from .rows import read_json, typed_field
 
 __all__ = [
     "GameMode",
@@ -171,14 +170,12 @@ class TaskConfig(NamedTuple):
     def from_json_dict(cls, obj: dict) -> "TaskConfig":
         """One task-file entry; a missing field, one of another JSON type
         and an unknown game mode or difficulty are each a ``ConfigError``
-        naming the task and the field. A float field takes a JSON integer
-        (``"enemy_max_hp": 780``) but no bool."""
+        naming the task and the field. ``typed_field`` types each field, so a
+        float field takes a JSON integer (``"enemy_max_hp": 780``)."""
         task = obj.get("task_id")
 
         def typed(key: str, kind: type) -> Any:
             try:
-                if kind is float and type(obj.get(key)) is int:
-                    return float(obj[key])
                 return typed_field(obj, key, kind)
             except KeyError:
                 raise ConfigError(f"task {task!r}: missing field {key!r}") from None
@@ -216,15 +213,18 @@ class TaskConfig(NamedTuple):
 def load_task_configs(path: str | Path | None = None) -> dict[int, TaskConfig]:
     """Load the versioned task file; defaults to the bundled grid.
 
-    A file of another shape or version, a bad entry and a repeated
-    ``task_id`` are each a ``ConfigError``.
+    A file that is not UTF-8 JSON (naming its line), of another shape or
+    version, a bad entry and a repeated ``task_id`` are each a ``ConfigError``.
     """
     if path is None:
         # beside this module, as importlib.resources finds it in an unzipped
         # package; importing importlib.resources loads inspect and ast on
         # Python 3.12 and later
         path = Path(__file__).with_name("data") / "tasks.json"
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        obj = read_json(path)
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from None
     if not isinstance(obj, dict) or not isinstance(obj.get("tasks"), list):
         raise ConfigError("task file: expected an object with a list of tasks")
     version = obj.get("version")

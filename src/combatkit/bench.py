@@ -21,10 +21,10 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .arena import ObservationFrame, PlayerStatus
-from .errors import ConfigError, GenerationShortfall, ParseError, ValidationError
+from .errors import ConfigError, GenerationShortfall, ValidationError
 from .policies import ScriptedPolicy
 from .actions import ActionCategory
-from .rows import read_jsonl, typed_field, write_jsonl
+from .rows import read_jsonl, read_rows, typed_field, write_jsonl
 from .runner import EpisodeTranscript
 
 __all__ = [
@@ -463,20 +463,15 @@ def write_predictions(predictions: Mapping[str, str], path: str | Path) -> Path:
 
 
 def read_predictions(path: str | Path) -> dict[str, str]:
-    """Each item id's raw answer.
-
-    A line without both string fields, or with a repeated id, is a ``ParseError``.
-    """
-    where = str(Path(path))
+    """Each item id's raw answer; a line without both string fields, or with a
+    repeated id, is a ``ParseError``."""
     out: dict[str, str] = {}
-    for lineno, obj in read_jsonl(path):
-        if "id" not in obj or "raw_answer" not in obj:
-            raise ParseError(where, lineno, "need id and raw_answer fields")
-        try:
-            item_id, answer = typed_field(obj, "id", str), typed_field(obj, "raw_answer", str)
-        except TypeError as exc:
-            raise ParseError(where, lineno, str(exc)) from None
+
+    def add(row: dict) -> None:
+        item_id, answer = typed_field(row, "id", str), typed_field(row, "raw_answer", str)
         if item_id in out:
-            raise ParseError(where, lineno, f"repeated id {item_id!r}")
+            raise ValueError(f"repeated id {item_id!r}")
         out[item_id] = answer
+
+    read_rows(path, add)
     return out

@@ -48,7 +48,9 @@ from typing import Callable, NamedTuple
 
 from .aot import StageConfig
 from .errors import CombatkitError, ConfigError, EmptyDataset, MissingDependency, ParseError
-from .rows import NESTED_TOO_DEEPLY, csv_text, json_text, read_text, write_jsonl, write_report
+from .rows import (
+    build_rows, csv_text, json_text, read_json_object, typed_field, write_jsonl, write_report,
+)
 
 __all__ = ["build_parser", "main"]
 
@@ -73,13 +75,8 @@ _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 
 
 def __getattr__(name: str):
-    """Serve a library name in ``_HOMES`` from its module, imported on first use.
-
-    This module binds none of them, so a command loads only the modules
-    its verb calls. A name read here is its home module's current object,
-    unless it was set on this module, which is how the benchmark tracer's
-    wrappers reach the handlers.
-    """
+    """Serve a library name in ``_HOMES`` from its module, imported on first use;
+    a name set on this module, as the tracer sets its wrappers, is not served."""
     try:
         home = _HOME_OF[name]
     except KeyError:
@@ -87,10 +84,8 @@ def __getattr__(name: str):
     return getattr(import_module(f".{home}", __package__), name)
 
 
-# The handlers call each library name as an attribute of this module, so
-# it resolves when the verb runs, and a wrapper set here is the one called:
-# the tracer wraps ``render_action`` on its callers, this module among
-# them, and not on ``actions``.
+# Handlers call each library name on this module, so it resolves when the
+# verb runs and a wrapper the tracer sets here (not on its home) is called.
 _lib = sys.modules[__name__]
 
 
@@ -100,20 +95,6 @@ def _print_json(obj) -> None:
 
 def _fail(payload: dict) -> None:
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def _read_json_object(p: str | Path) -> dict:
-    """A file holding one JSON object; anything else is a ``ParseError`` naming the file."""
-    path = Path(p)
-    try:
-        obj = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(path), exc.lineno, f"bad JSON: {exc.msg}") from None
-    except RecursionError:
-        raise ParseError(str(path), 1, f"bad JSON: {NESTED_TOO_DEEPLY}") from None
-    if not isinstance(obj, dict):
-        raise ParseError(str(path), 1, "expected a JSON object")
-    return obj
 
 
 def _csv_path(out: str | Path) -> Path:
@@ -440,30 +421,26 @@ def _cmd_bench_score(args) -> int:
 
 # ----------------------------------------------------------------- report
 
-def _suite_rows(suite: dict, path: str | Path) -> list[dict]:
-    """The suite report's rows, each checked for the fields ``report`` prints."""
-    where = str(Path(path))
-    rows = suite.get("rows", [])
-    if not isinstance(rows, list):
-        raise ParseError(where, 1, "suite 'rows' must be a list")
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict) or "task_id" not in row:
-            raise ParseError(where, 1, f"suite rows[{i}] must be an object with a task_id")
-        for key in ("success_rate", "mean_latency_ms"):
-            if not isinstance(row.get(key), (int, float)):
-                raise ParseError(where, 1, f"suite rows[{i}].{key} must be a number")
-    return rows
+def _suite_lines(row) -> tuple:
+    """The two ``report`` lines of a suite report row."""
+    if not isinstance(row, dict) or "task_id" not in row:
+        raise ValueError("must be an object with a task_id")
+    task = f"task_{row['task_id']}"
+    return (
+        ("suite", f"{task}_success_rate", f"{typed_field(row, 'success_rate', float):.4f}"),
+        ("suite", f"{task}_mean_latency_ms", f"{typed_field(row, 'mean_latency_ms', float):.3f}"),
+    )
 
 
 def _cmd_report(args) -> int:
-    suite = _read_json_object(args.suite)
-    suite_rows = _suite_rows(suite, args.suite)
+    suite = read_json_object(args.suite)
+    suite_lines = build_rows(args.suite, suite.get("rows", []), _suite_lines)
     savings = (
-        _read_json_object(args.savings)
+        read_json_object(args.savings)
         if args.savings
         else _lib.token_savings_report(_lib.bundled_stage3_path()).to_json_dict()
     )
-    bench_part = _read_json_object(args.bench) if args.bench else None
+    bench_part = read_json_object(args.bench) if args.bench else None
     accuracies = bench_part.get("accuracies", {}) if bench_part else {}
     if not isinstance(accuracies, dict):
         raise ParseError(str(Path(args.bench)), 1, "benchmark 'accuracies' must be an object")
@@ -477,14 +454,8 @@ def _cmd_report(args) -> int:
     rows = [
         ("suite", "policy", suite.get("policy", "")),
         ("suite", "seed", suite.get("seed", "")),
+        *(line for lines in suite_lines for line in lines),
     ]
-    for row in suite_rows:
-        rows.append(
-            ("suite", f"task_{row['task_id']}_success_rate", f"{row['success_rate']:.4f}")
-        )
-        rows.append(
-            ("suite", f"task_{row['task_id']}_mean_latency_ms", f"{row['mean_latency_ms']:.3f}")
-        )
     for key in ("records", "mean_full_tokens", "mean_truncated_tokens", "ratio"):
         if key in savings:
             rows.append(("token_savings", key, savings[key]))
@@ -661,7 +632,7 @@ def _apply_config(args: argparse.Namespace, verb: _Verb) -> None:
         return
     cfg_path = args.config
     try:
-        obj = _read_json_object(cfg_path)
+        obj = read_json_object(cfg_path)
     except ParseError as exc:
         raise ConfigError(str(exc)) from None
     flags = {flag.name.replace("-", "_"): flag for flag in verb.flags}

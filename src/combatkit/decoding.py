@@ -20,11 +20,12 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .actions import ActionSet, parse_action_text
 from .aot import AoTRecord, EOS_TOKEN, TRUNC_TOKEN, read_records
-from .errors import ActionParseError, CombatkitError, EmptyDataset
+from .errors import ActionParseError, CombatkitError, ConfigError, EmptyDataset
 
 __all__ = [
     "DEFAULT_TOKEN_BUDGET",
     "REFERENCE_LATENCIES",
+    "check_pace",
     "TokenStream",
     "DecodeMode",
     "StopReason",
@@ -61,11 +62,19 @@ class StopReason(Enum):
     BUDGET = "budget"
 
 
+def check_pace(tokens_per_second: float) -> None:
+    """A pace that is not a positive number, NaN included, is a ``ConfigError``."""
+    if not tokens_per_second > 0:
+        raise ConfigError(
+            f"pace must be a positive number of tokens per second, got {tokens_per_second}"
+        )
+
+
 class TokenStream:
     """A token source, optionally paced at a fixed rate.
 
-    Pacing charges 1/rate of sleep for each token the decoder takes up to
-    its stop, emulating generation cadence. The sleep function is
+    Pacing charges one sleep of n/rate for the n tokens the decoder takes
+    up to its stop, emulating generation cadence. The sleep function is
     injectable so tests can run paced streams without real delays.
     """
 
@@ -75,11 +84,10 @@ class TokenStream:
         tokens_per_second: float | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        # "not > 0" so that NaN, false in every comparison, fails too
-        if tokens_per_second is not None and not tokens_per_second > 0:
-            raise ValueError("tokens_per_second must be positive")
+        if tokens_per_second is not None:
+            check_pace(tokens_per_second)
         self._tokens = iter(tokens)
-        self._interval = None if tokens_per_second is None else 1.0 / tokens_per_second
+        self._pace = tokens_per_second
         self._sleep = sleep
 
     @classmethod
@@ -140,10 +148,9 @@ def decode(
     tokens of the iterable, or of a ``TokenStream``'s source, so an
     endless stream still ends at the budget. That tuple is cut at the
     stopping sentinel with ``in``, ``tuple.index`` and slicing. A paced
-    stream then sleeps once for each token a token-by-token reader would
-    have taken, the emission plus a truncation sentinel, so ``wall_ms``
-    charges no explanation token after the sentinel and none past the
-    budget.
+    stream then sleeps once, n/rate, for the n tokens a token-by-token
+    reader would have taken (the emission plus a truncation sentinel; no
+    call when n is 0), so ``wall_ms`` charges none past the stop.
     """
     if budget <= 0:
         raise ValueError("token budget must be positive")
@@ -164,9 +171,10 @@ def decode(
     if EOS_TOKEN in emitted:
         emitted = emitted[: emitted.index(EOS_TOKEN) + 1]
         stop = StopReason.EOS
-    if isinstance(stream, TokenStream) and stream._interval is not None:
-        for _ in range(len(emitted) + (stop is StopReason.TRUNC)):
-            stream._sleep(stream._interval)
+    if isinstance(stream, TokenStream) and stream._pace is not None:
+        pulled = len(emitted) + (stop is StopReason.TRUNC)
+        if pulled:
+            stream._sleep(pulled / stream._pace)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return DecodeResult(emitted, _extract_actions(emitted, stop), stop, wall_ms)
 

@@ -56,7 +56,7 @@ class NoFrames(CombatkitError):
 
 
 class ParseError(CombatkitError):
-    """A session file line could not be parsed."""
+    """An input file, or one of its rows, could not be read."""
 
     def __init__(self, path: str, line: int, reason: str):
         super().__init__(f"{path}:{line}: {reason}")

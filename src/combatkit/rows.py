@@ -5,19 +5,21 @@ skip blank lines and refuse a line that is not a JSON object with
 ``ParseError(path, line)``. A report is a CSV table with ``\\n`` line
 ends plus a JSON sibling (same stem, ``.json``) indented by two with
 sorted keys, so reruns on the same inputs rewrite identical bytes.
-Readers coerce no field: a bool is no integer, a number no string.
+Readers coerce no field but an integer in a float field: a bool is no
+integer, a number no string.
 
-Rows move at the speed of the C JSON codec. ``read_jsonl`` decodes each
-line with one shared decoder's ``raw_decode`` and accepts the object
-when nothing but the line's ``\n`` follows it, the form every writer
-here produces. Any other line (blank, padded with spaces, the last line
-without a newline, extra data, bad JSON) takes the general path: a
-``strip()`` blank test and ``json.loads``. Both paths accept the same
-lines and raise the same ``ParseError``, also for JSON nested deeper
-than the decoder can recurse. A file that is not UTF-8 is a
+Rows move at the speed of the C JSON codec. ``read_jsonl`` decodes a
+line with one shared decoder's ``raw_decode`` when nothing but its
+``\n`` follows the object, the form every writer here produces, and
+any other line with a ``strip()`` blank test and ``json.loads``; both
+paths accept the same lines and raise the same ``ParseError``, also for
+JSON nested deeper than the decoder can recurse. A file that is not UTF-8 is a
 ``ParseError`` naming its first undecodable line, also in ``read_text``;
 ``read_jsonl`` first yields every line before that one, so a caller's
 check of an earlier line fails first.
+Every reader here fails one way, a ``ParseError(path, line, reason)``:
+a row ``read_rows`` or ``build_rows`` cannot build reads ``missing field
+'x'`` or the builder's message, such as ``typed_field``'s.
 ``write_jsonl`` encodes with one shared key-sorting encoder, the bytes
 ``json.dumps(obj, sort_keys=True)`` gives, and writes each file in one call.
 """
@@ -28,17 +30,17 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .errors import ParseError
+from .errors import CombatkitError, ParseError
 
 __all__ = [
-    "NESTED_TOO_DEEPLY", "read_jsonl", "read_text", "typed_field", "write_jsonl", "json_text",
-    "csv_text", "write_report",
+    "read_jsonl", "read_rows", "build_rows", "read_json", "read_json_object", "read_text",
+    "typed_field", "write_jsonl", "json_text", "csv_text", "write_report",
 ]
 
 _raw_decode = json.JSONDecoder().raw_decode
-NESTED_TOO_DEEPLY = "nested deeper than the decoder can recurse"
+_NESTED_TOO_DEEPLY = "nested deeper than the decoder can recurse"
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
@@ -84,7 +86,7 @@ def _rows(p: Path, lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, dict
                 except json.JSONDecodeError as exc:
                     raise ParseError(str(p), lineno, f"bad JSON: {exc.msg}") from None
                 except RecursionError:
-                    raise ParseError(str(p), lineno, f"bad JSON: {NESTED_TOO_DEEPLY}") from None
+                    raise ParseError(str(p), lineno, f"bad JSON: {_NESTED_TOO_DEEPLY}") from None
             if not isinstance(obj, dict):
                 raise ParseError(str(p), lineno, "expected a JSON object")
             yield lineno, obj
@@ -106,11 +108,62 @@ _TYPE_NAMES = {
 
 
 def typed_field(obj: dict, key: str, kind: type) -> Any:
-    """``obj[key]``, a ``KeyError`` if missing, a ``TypeError`` if not a JSON ``kind``."""
+    """``obj[key]``, a ``KeyError`` if missing, a ``TypeError`` if not a JSON ``kind``;
+    a float field takes a JSON integer, as a float, and only a bool field a bool."""
     value = obj[key]
     if type(value) is not kind:
+        if kind is float and type(value) is int:
+            return float(value)
         raise TypeError(f"field {key!r} is not {_TYPE_NAMES[kind]}: {value!r}")
     return value
+
+
+def read_rows(path: str | Path, build: Callable[[dict], Any]) -> list:
+    """``build(row)`` for each row of a JSONL file; a ``KeyError``, ``TypeError``,
+    ``ValueError`` or ``CombatkitError`` it raises is a ``ParseError`` at the row's line."""
+    return _built(path, read_jsonl(path), build)
+
+
+def build_rows(path: str | Path, rows: list, build: Callable[[Any], Any]) -> list:
+    """``build(row)`` for each row of ``rows``, a list from the JSON file ``path``;
+    a bad row fails as in ``read_rows``, at line 1, its reason led by ``rows[i]: ``."""
+    if not isinstance(rows, list):
+        raise ParseError(str(Path(path)), 1, "rows must be a list")
+    return _built(path, enumerate(rows), build, index=True)
+
+
+def _built(path: str | Path, numbered: Iterable, build: Callable, index: bool = False) -> list:
+    """``build(row)`` for each ``(n, row)``; ``n`` is a line, or with ``index`` a list index."""
+    built, n = [], 0
+    try:
+        for n, row in numbered:
+            built.append(build(row))
+    except (KeyError, TypeError, ValueError, CombatkitError) as exc:
+        if isinstance(exc, ParseError):
+            raise
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        line, reason = (1, f"rows[{n}]: {reason}") if index else (n, reason)
+        raise ParseError(str(Path(path)), line, reason) from None
+    return built
+
+
+def read_json(path: str | Path) -> Any:
+    """The JSON value a UTF-8 file holds; a bad file is a ``ParseError`` naming it."""
+    path = Path(path)
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(path), exc.lineno, f"bad JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(str(path), 1, f"bad JSON: {_NESTED_TOO_DEEPLY}") from None
+
+
+def read_json_object(path: str | Path) -> dict:
+    """A file holding one JSON object; anything else is a ``ParseError`` naming the file."""
+    obj = read_json(path)
+    if not isinstance(obj, dict):
+        raise ParseError(str(Path(path)), 1, "expected a JSON object")
+    return obj
 
 
 def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> Path:

@@ -29,7 +29,7 @@ from .arena import (
     sample_frames,
     step,
 )
-from .decoding import REFERENCE_LATENCIES, DecodeMode, decode
+from .decoding import REFERENCE_LATENCIES, DecodeMode, check_pace, decode
 from .errors import ActionParseError, ConfigError
 from .policies import Policy, RandomPolicy, ScriptedPolicy
 from .rows import csv_text, write_report
@@ -260,13 +260,6 @@ def episode_seed(base_seed: int, task_id: int, repeat: int) -> int:
     return base_seed * 1_000_003 + task_id * 1_009 + repeat
 
 
-def _check_pace(pace_tokens_per_second: float) -> None:
-    if not pace_tokens_per_second > 0:
-        raise ConfigError(
-            f"pace must be a positive number of tokens per second, got {pace_tokens_per_second}"
-        )
-
-
 def simulated_latency_ms(report: EpisodeReport, pace_tokens_per_second: float) -> float:
     """An episode's per-decision latency if its tokens streamed at a fixed pace.
 
@@ -274,7 +267,7 @@ def simulated_latency_ms(report: EpisodeReport, pace_tokens_per_second: float) -
     stay independent of host speed. A pace that is not positive is a
     ``ConfigError``.
     """
-    _check_pace(pace_tokens_per_second)
+    check_pace(pace_tokens_per_second)
     return report.mean_emitted_tokens / pace_tokens_per_second * 1000.0
 
 
@@ -303,7 +296,7 @@ def run_suite(
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
-    _check_pace(pace_tokens_per_second)
+    check_pace(pace_tokens_per_second)
     rows: list[SuiteRow] = []
     for task in tasks:
         successes = 0

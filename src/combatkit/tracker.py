@@ -20,7 +20,7 @@ from datetime import date, timedelta
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .actions import ActionEvent, binding_to_category
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     UnencodableMeta,
 )
-from .rows import read_jsonl, read_text, typed_field, write_jsonl
+from .rows import read_rows, read_text, typed_field, write_jsonl
 
 __all__ = [
     "Edge",
@@ -354,27 +354,10 @@ def export_session(session: TrackSession, path: str | Path) -> Path:
     return root
 
 
-def _read_rows(path: Path, build: Callable[[dict], Any]) -> tuple:
-    """``build(row)`` for each row of a JSONL file.
-
-    A missing file is a ``FileNotFoundError``; a missing field, or a value
-    ``build`` refuses, is a ``ParseError`` naming the file and line.
-    """
-    built = []
-    for lineno, obj in read_jsonl(path):
-        try:
-            built.append(build(obj))
-        except KeyError as exc:
-            raise ParseError(str(path), lineno, f"missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ParseError(str(path), lineno, str(exc)) from None
-    return tuple(built)
-
-
 def import_session(path: str | Path) -> TrackSession:
     """Load a session directory. t_ms fields are authoritative; ISO strings
-    are regenerated on export rather than trusted. Every field must have
-    the JSON type the writer gives it; nothing is coerced. A missing path
+    are regenerated on export rather than trusted. Rows are read by
+    ``read_rows`` and typed by ``typed_field``. A missing path
     is a ``FileNotFoundError`` and a path that is not a directory a
     ``NotADirectoryError``. All four files must be present; a missing one is
     a ``FileNotFoundError`` naming it."""
@@ -392,13 +375,13 @@ def import_session(path: str | Path) -> TrackSession:
         key, value = line.split("=", 1)
         meta[key] = value
 
-    frames = _read_rows(
+    frames = read_rows(
         root / _FRAMES_NAME,
         lambda row: FrameRecord(
             typed_field(row, "index", int), typed_field(row, "t_ms", int), row.get("payload")
         ),
     )
-    events = _read_rows(
+    events = read_rows(
         root / _EVENTS_NAME,
         lambda row: RawInputEvent(
             typed_field(row, "device", str),
@@ -407,8 +390,8 @@ def import_session(path: str | Path) -> TrackSession:
             typed_field(row, "t_ms", int),
         ),
     )
-    intervals = _read_rows(
+    intervals = read_rows(
         root / _INTERVALS_NAME,
         lambda row: (typed_field(row, "start_ms", int), typed_field(row, "end_ms", int)),
     )
-    return TrackSession(frames, events, intervals, meta)
+    return TrackSession(tuple(frames), tuple(events), tuple(intervals), meta)

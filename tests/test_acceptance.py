@@ -4,7 +4,6 @@ import math
 import random
 import time
 
-import numpy as np
 import pytest
 
 from combatkit.actions import (
@@ -30,12 +29,6 @@ from combatkit.bench import (
     write_items,
 )
 from combatkit.decoding import DecodeMode, TokenStream, decode, token_savings_report
-from combatkit.loss import (
-    ActionPrediction,
-    EmbeddingPair,
-    composite_loss,
-    gradient_check_rows,
-)
 from combatkit.policies import ReplayPolicy
 from combatkit.runner import (
     collect_transcripts,
@@ -146,6 +139,9 @@ def test_criterion_2_alignment_matches_brute_force_on_1000_streams():
 
 
 def test_criterion_3_gradients_match_finite_differences():
+    pytest.importorskip("numpy")
+    from combatkit.loss import gradient_check_rows
+
     t0 = time.perf_counter()
     rows = gradient_check_rows(seed=0, points=100, dim=64, h=1e-5)
     elapsed = time.perf_counter() - t0
@@ -164,6 +160,9 @@ def test_criterion_3_gradients_match_finite_differences():
 
 
 def test_criterion_4_action_loss_branches_over_10000_pairs():
+    np = pytest.importorskip("numpy")
+    from combatkit.loss import ActionPrediction, EmbeddingPair, composite_loss
+
     rng = random.Random(4)
     vec_rng = np.random.default_rng(4)
     weights = weight_schedule(len(PRIORITY_ORDER))

@@ -198,14 +198,23 @@ def test_task_file_refuses_a_field_of_another_json_type(tmp_path, key, value, re
         ({"version": 1}, "task file: expected an object with a list of tasks"),
         ({"version": 1, "tasks": {"1": {}}}, "task file: expected an object with a list of tasks"),
         ({"version": 1, "tasks": [5]}, "task file: entry 0 is not an object: 5"),
+        # bytes are written as they are: a file that is not JSON, or not UTF-8
+        (b'{"version": 1,\n"tasks": [', "{path}:2: bad JSON: Expecting value"),
+        (
+            b'{"version": 1, "tasks": [],\n"name": "\xff"}',
+            "{path}:2: not UTF-8: invalid start byte at byte 10",
+        ),
     ],
 )
 def test_task_file_of_another_shape_is_a_config_error(tmp_path, content, message):
     path = tmp_path / "tasks.json"
-    path.write_text(json.dumps(content))
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
     with pytest.raises(ConfigError) as err:
         load_task_configs(path)
-    assert str(err.value) == message
+    assert str(err.value) == message.format(path=path)
 
 
 def test_task_file_float_fields_take_json_integers(tmp_path):

@@ -702,15 +702,34 @@ def test_report_input_that_is_not_an_object_is_parse_error(capsys, tmp_path, fla
 @pytest.mark.parametrize(
     "flag, payload, reason",
     [
-        ("--suite", {"rows": [1]}, "suite rows[0] must be an object with a task_id"),
+        ("--suite", {"rows": {"task_id": 1}}, "rows must be a list"),
+        ("--suite", {"rows": [1]}, "rows[0]: must be an object with a task_id"),
         (
             "--suite",
             {"rows": [{"task_id": 1, "success_rate": None, "mean_latency_ms": 1.0}]},
-            "suite rows[0].success_rate must be a number",
+            "rows[0]: field 'success_rate' is not a number: None",
+        ),
+        (
+            "--suite",
+            {
+                "rows": [
+                    {"task_id": 1, "success_rate": 1, "mean_latency_ms": 1},  # integers pass
+                    {"task_id": 2, "success_rate": True, "mean_latency_ms": 1.0},
+                ]
+            },
+            "rows[1]: field 'success_rate' is not a number: True",
+        ),
+        (
+            "--suite",
+            {"rows": [{"task_id": 1, "success_rate": 1.0}]},
+            "rows[0]: missing field 'mean_latency_ms'",
         ),
         ("--bench", {"accuracies": [60.0]}, "benchmark 'accuracies' must be an object"),
     ],
-    ids=["row-not-object", "null-number", "accuracies-not-object"],
+    ids=[
+        "rows-not-list", "row-not-object", "null-number", "bool-number", "missing-number",
+        "accuracies-not-object",
+    ],
 )
 def test_report_malformed_section_is_parse_error(capsys, tmp_path, flag, payload, reason):
     suite = tmp_path / "suite.json"
@@ -805,20 +824,28 @@ def test_loss_check_rejects_fewer_than_one_point(capsys, points):
     assert "at least 1 point" in payload["message"]
 
 
-@pytest.mark.parametrize("field, value", [("action_text", "press banana"), ("stage", "x")])
-def test_aot_stats_names_bad_record_line(capsys, tmp_path, field, value):
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        pytest.param(
+            "action_text", "press banana", "unknown action binding: 'banana'",
+            id="action_text-press banana",
+        ),
+        pytest.param("stage", "x", "field 'stage' is not an integer: 'x'", id="stage-x"),
+        pytest.param("frame_refs", ..., "missing field 'frame_refs'", id="frame_refs-missing"),
+    ],
+)
+def test_aot_stats_names_bad_record_line(capsys, tmp_path, field, value, reason):
     lines = BUNDLED.read_text(encoding="utf-8").splitlines()[:2]
+    record = dict(json.loads(lines[1]), **{field: value})
+    if value is ...:
+        del record[field]
     bad = tmp_path / "stage3.jsonl"
-    bad.write_text(
-        lines[0] + "\n" + json.dumps(dict(json.loads(lines[1]), **{field: value})) + "\n",
-        encoding="utf-8",
-    )
+    bad.write_text(lines[0] + "\n" + json.dumps(record) + "\n", encoding="utf-8")
     code, out, err = run(capsys, "aot", "stats", "--in", bad)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
-    payload = json.loads(err)
-    assert payload["error"] == "ParseError"
-    assert payload["message"].startswith(f"{bad}:2: bad record:")
+    assert json.loads(err) == {"error": "ParseError", "message": f"{bad}:2: {reason}"}
 
 
 @pytest.mark.parametrize("verb", [("aot", "stats"), ("decode", "run")])
@@ -851,7 +878,7 @@ def test_a_record_that_contradicts_itself_or_has_no_stage_layout_is_refused(
     assert len(err.splitlines()) == 1
     payload = json.loads(err)
     assert payload["error"] == "ParseError"
-    assert payload["message"].startswith(f"{bad}:2: bad record: {reason}")
+    assert payload["message"].startswith(f"{bad}:2: {reason}")
 
 
 @pytest.mark.parametrize("verb", [("aot", "stats"), ("decode", "run"), ("bench", "validate")])

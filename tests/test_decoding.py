@@ -32,7 +32,7 @@ from combatkit.decoding import (
     decode,
     token_savings_report,
 )
-from combatkit.errors import ActionParseError, EmptyDataset
+from combatkit.errors import ActionParseError, ConfigError, EmptyDataset
 from combatkit.policies import (
     _COMBO,
     _DODGE,
@@ -109,29 +109,34 @@ def test_token_stream_pacing_uses_injected_sleep():
     stream = TokenStream("[press r] x".split(), tokens_per_second=40.0, sleep=naps.append)
     res = decode(stream, DecodeMode.FULL)
     assert res.emitted_tokens == ("[press", "r]", "x")
-    assert naps == [0.025, 0.025, 0.025]
+    assert naps == [3 / 40.0]  # one nap for the three tokens
     # unpaced stream never sleeps
     naps.clear()
     res = decode(TokenStream("[press r]".split(), sleep=naps.append), DecodeMode.FULL)
     assert res.emitted_count == 2
     assert naps == []
-    # the sleeps are charged inside the decode's wall time
+    # a paced stream with nothing to take makes no call
+    with pytest.raises(ActionParseError):
+        decode(TokenStream([], tokens_per_second=40.0, sleep=naps.append), DecodeMode.FULL)
+    assert naps == []
+    # the sleep is charged inside the decode's wall time
     res = decode(TokenStream("[press r] x".split(), tokens_per_second=200.0), DecodeMode.FULL)
     assert res.wall_ms >= 3 * 5.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         TokenStream(["a"], tokens_per_second=0.0)
 
 
 def test_a_nan_pace_is_refused_where_it_is_set(capsys):
-    with pytest.raises(ValueError, match="tokens_per_second must be positive"):
-        TokenStream(["a"], tokens_per_second=math.nan)
-    # refused before the first sleep, with a message that names the setting
-    code = main(["decode", "run", "--in", str(bundled_stage3_path()), "--pace", "nan"])
-    out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1
-    payload = json.loads(err)
-    assert payload["error"] == "ValueError" and "tokens_per_second" in payload["message"]
+    for pace in ("nan", "0", "-1"):
+        message = f"pace must be a positive number of tokens per second, got {float(pace)}"
+        with pytest.raises(ConfigError) as refused:
+            TokenStream(["a"], tokens_per_second=float(pace))
+        assert str(refused.value) == message
+        # refused before the first sleep, naming the value, as the agent verbs refuse it
+        code = main(["decode", "run", "--in", str(bundled_stage3_path()), "--pace", pace])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ConfigError", "message": message}
 
 
 def test_truncated_decode_skips_post_sentinel_pacing():
@@ -142,11 +147,11 @@ def test_truncated_decode_skips_post_sentinel_pacing():
     tokens = SAMPLE.split()
     stream = TokenStream(tokens, tokens_per_second=100.0, sleep=naps.append)
     res = decode(stream, DecodeMode.TRUNCATED)
-    assert len(naps) == res.emitted_count + 1  # sentinel itself was pulled
+    assert naps == [(res.emitted_count + 1) / 100.0]  # sentinel itself was pulled
     naps.clear()
     stream = TokenStream(tokens, tokens_per_second=100.0, sleep=naps.append)
     res_full = decode(stream, DecodeMode.FULL)
-    assert len(naps) == res_full.emitted_count
+    assert naps == [res_full.emitted_count / 100.0]
     assert res_full.emitted_count > res.emitted_count + 1
     for answer in _EDGE_ANSWERS:
         for mode in DecodeMode:
@@ -155,12 +160,12 @@ def test_truncated_decode_skips_post_sentinel_pacing():
                 stream = TokenStream(answer, tokens_per_second=100.0, sleep=naps.append)
                 assert _outcome(stream, mode, budget) == _pulled_outcome(answer, mode, budget)
                 emitted, stop, pulled = _pull(iter(answer), mode, budget)
-                assert len(naps) == len(emitted) + (stop is StopReason.TRUNC) == pulled
-                assert set(naps) <= {0.01}
+                assert pulled == len(emitted) + (stop is StopReason.TRUNC)
+                assert naps == ([pulled / 100.0] if pulled else [])
 
 
 def test_paced_stream_past_the_budget_is_pulled_budget_times():
-    # each token taken up to the budget costs a paced stream one sleep; the
+    # the tokens taken up to the budget cost a paced stream one sleep; the
     # decoder takes none past the budget, so the source still holds the next one
     tokens = ["[press", "space]"] + [f"filler{i}" for i in range(40)] + [EOS_TOKEN]
     for mode in DecodeMode:
@@ -170,7 +175,7 @@ def test_paced_stream_past_the_budget_is_pulled_budget_times():
         res = decode(stream, mode, budget=12)
         assert res.stop_reason is StopReason.BUDGET
         assert res.emitted_tokens == tuple(tokens[:12])
-        assert len(naps) == 12
+        assert naps == [12 / 100.0]
         assert next(source) == tokens[12]
     # an endless source, wrapped or not, ends at the budget too
     for mode in DecodeMode:

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
-from combatkit.errors import ParseError
-from combatkit.rows import read_jsonl, read_text, write_jsonl
+from combatkit.errors import EmptyDataset, ParseError
+from combatkit.rows import (
+    build_rows, read_json_object, read_jsonl, read_rows, read_text, typed_field, write_jsonl,
+)
 
 
 def _loads_loop(path):
@@ -134,3 +136,74 @@ def test_write_jsonl_leaves_the_file_alone_when_a_row_fails(tmp_path):
     with pytest.raises(TypeError):
         write_jsonl(p, [{"a": 2}, {"b": object()}])
     assert p.read_text(encoding="utf-8") == '{"a": 1}\n'
+
+
+def test_typed_field_takes_an_integer_for_a_float_but_a_bool_for_nothing_else():
+    row = {"x": 2, "y": 2.5, "flag": True}
+    assert typed_field(row, "x", float) == 2.0 and type(typed_field(row, "x", float)) is float
+    assert typed_field(row, "y", float) == 2.5
+    assert typed_field(row, "flag", bool) is True
+    for kind, name in ((float, "a number"), (int, "an integer"), (str, "a string")):
+        with pytest.raises(TypeError, match=f"^field 'flag' is not {name}: True$"):
+            typed_field(row, "flag", kind)
+    with pytest.raises(TypeError, match="^field 'y' is not an integer: 2.5$"):
+        typed_field(row, "y", int)
+    with pytest.raises(KeyError):
+        typed_field(row, "z", float)
+
+
+def _refuse(row):
+    if row.get("empty"):
+        raise EmptyDataset("no records")
+    if row.get("parse"):
+        raise ParseError("elsewhere.jsonl", 7, "kept as it is")
+    return typed_field(row, "n", int)
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ({}, "missing field 'n'"),
+        ({"n": "1"}, "field 'n' is not an integer: '1'"),
+        ({"empty": True}, "no records"),
+    ],
+)
+def test_every_reader_gives_a_row_it_cannot_build_one_form(tmp_path, row, reason):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [{"n": 1}, row])
+    with pytest.raises(ParseError) as err:
+        read_rows(path, _refuse)
+    assert (err.value.path, err.value.line, err.value.reason) == (str(path), 2, reason)
+    with pytest.raises(ParseError) as err:
+        build_rows(path, [{"n": 1}, row], _refuse)
+    where = (err.value.path, err.value.line, err.value.reason)
+    assert where == (str(path), 1, f"rows[1]: {reason}")
+
+
+def test_a_parse_error_from_a_builder_passes_through(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [{"parse": True}])
+    with pytest.raises(ParseError, match="^elsewhere.jsonl:7: kept as it is$"):
+        read_rows(path, _refuse)
+    with pytest.raises(ParseError, match="^elsewhere.jsonl:7: kept as it is$"):
+        build_rows(path, [{"parse": True}], _refuse)
+    assert read_rows(path, dict) == [{"parse": True}]
+    with pytest.raises(ParseError, match=r":1: rows must be a list$"):
+        build_rows(path, {"n": 1}, _refuse)
+
+
+@pytest.mark.parametrize(
+    "data, line, reason",
+    [
+        (b'{"a":\n', 2, "bad JSON: Expecting value"),
+        (b"[1]", 1, "expected a JSON object"),
+        (b'{"a": 1}\n{"b": "\xff"}', 2, "not UTF-8: invalid start byte at byte 8"),
+    ],
+    ids=["truncated", "not-an-object", "not-utf8"],
+)
+def test_read_json_object_names_the_file_and_line(tmp_path, data, line, reason):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        read_json_object(path)
+    assert (err.value.path, err.value.line, err.value.reason) == (str(path), line, reason)
