@@ -168,10 +168,11 @@ class TaskConfig(NamedTuple):
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TaskConfig":
-        """One task-file entry; a missing field, one of another JSON type
-        and an unknown game mode or difficulty are each a ``ConfigError``
-        naming the task and the field. ``typed_field`` types each field, so a
-        float field takes a JSON integer (``"enemy_max_hp": 780``)."""
+        """One task-file entry; a missing field, one of another JSON type,
+        an integer too large for a float field and an unknown game mode or
+        difficulty are each a ``ConfigError`` naming the task and the field.
+        ``typed_field`` types each field, so a float field takes a JSON
+        integer (``"enemy_max_hp": 780``)."""
         task = obj.get("task_id")
 
         def typed(key: str, kind: type) -> Any:
@@ -179,7 +180,7 @@ class TaskConfig(NamedTuple):
                 return typed_field(obj, key, kind)
             except KeyError:
                 raise ConfigError(f"task {task!r}: missing field {key!r}") from None
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"task {task!r}: {exc}") from None
 
         def member(key: str, kind: type[Enum]) -> Any:

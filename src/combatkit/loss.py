@@ -12,10 +12,19 @@ Every analytic gradient here is verified against central differences.
 ``gradient_check_rows`` is the batched checker behind the ``loss check``
 CLI command and the acceptance suite; ``finite_diff_check``, one
 gradient at a time, is the scalar reference the tests compare against.
+Each numeric gradient is one evaluation of a ``(2d, d)`` stack of
+perturbed points, ``x + [diag(steps); -diag(steps)]``, and the pull's
+uniform-step stack is built once per size and step and shared. The
+rows match, bit for bit, those of one call on ``x + diag(steps)`` and
+one on ``x - diag(steps)``: IEEE subtraction is addition of the
+negation, and the minus half's ``-0.0`` zeros keep a ``-0.0``
+coordinate's sign as ``x - 0.0`` does. Vector norms take numpy's own
+path for ``np.linalg.norm`` of a 1-D vector, without its wrapper.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import Callable, NamedTuple, Sequence
@@ -45,15 +54,23 @@ __all__ = [
 PROB_CLAMP = 1e-12
 
 _NORM_FLOOR = 0.0  # any strictly positive norm is accepted
+_STEP_STACKS = 8  # cached uniform-step stacks, one per (size, h)
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a 1-D float vector, bit for bit: the same
+    ``ravel(order="K")``, ``dot`` and correctly rounded square root."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def _as_vector(x: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.size < 2:
         raise DegenerateEmbedding(f"{name} must be a 1-D vector of dim >= 2")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericFailure(f"{name} contains non-finite values")
-    if np.linalg.norm(v) <= _NORM_FLOOR:
+    if _norm(v) <= _NORM_FLOOR:
         raise DegenerateEmbedding(f"{name} has zero norm")
     return v
 
@@ -102,9 +119,9 @@ class ActionPrediction:
         p = np.asarray(probs, dtype=np.float64)
         if p.shape != (len(PRIORITY_ORDER),):
             raise ValueError(f"probs must have shape ({len(PRIORITY_ORDER)},)")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise NumericFailure("probs contain non-finite values")
-        if np.any(p < 0.0):
+        if (p < 0.0).any():
             raise ValueError("probs cannot be negative")
         if abs(float(p.sum()) - 1.0) > 1e-8:
             raise ValueError(f"probs must sum to 1, got {float(p.sum())!r}")
@@ -169,7 +186,7 @@ def contrastive_term(pair: EmbeddingPair, matched: bool) -> float:
 def contrastive_gradients(pair: EmbeddingPair, matched: bool) -> tuple[np.ndarray, np.ndarray]:
     """Analytic d(term)/dv and d(term)/da for ``contrastive_term``."""
     v, a = pair.v_eos, pair.a_eos
-    nv, na = np.linalg.norm(v), np.linalg.norm(a)
+    nv, na = _norm(v), _norm(a)
     cos = float(np.dot(v, a) / (nv * na))
     dcos_dv = a / (nv * na) - cos * v / (nv * nv)
     dcos_da = v / (nv * na) - cos * a / (na * na)
@@ -184,7 +201,7 @@ def _clamped_nll(p: float | np.ndarray) -> np.ndarray:
 
 def _alignment_gradient(probs: np.ndarray, rank: int) -> np.ndarray:
     """Gradient of ``-log probs[rank]`` (clamped) w.r.t. ``probs``."""
-    grad = np.zeros_like(probs)
+    grad = np.zeros(probs.shape)
     grad[rank] = -1.0 / max(float(probs[rank]), PROB_CLAMP)
     return grad
 
@@ -244,16 +261,41 @@ def _check_step(h: float) -> None:
         raise ValueError(f"step h must lie in [1e-7, 1e-3], got {h!r}")
 
 
+def _step_stack(steps: np.ndarray) -> np.ndarray:
+    """The ``(2d, d)`` stack ``[diag(steps); -diag(steps)]``.
+
+    The minus half is negated whole, so its zeros are ``-0.0``: adding
+    them keeps every coordinate's bits, a ``-0.0`` included, as
+    subtracting ``+0.0`` does.
+    """
+    bump = np.diag(steps)
+    return np.concatenate((bump, -bump))
+
+
+@functools.lru_cache(maxsize=_STEP_STACKS)
+def _uniform_step_stack(size: int, h: float) -> np.ndarray:
+    """``_step_stack`` of ``size`` equal steps ``h``, built once and read-only."""
+    stack = _step_stack(np.full(size, h))
+    stack.flags.writeable = False
+    return stack
+
+
 def _central_differences(
-    fn_rows: Callable[[np.ndarray], np.ndarray], x: np.ndarray, steps: np.ndarray
+    fn_rows: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    steps: float | np.ndarray,
+    stack: np.ndarray,
 ) -> np.ndarray:
     """Symmetric differences along every coordinate in one stacked evaluation.
 
-    Row ``i`` of the two ``(d, d)`` stacks is ``x + steps[i] * e_i`` and
-    ``x - steps[i] * e_i``; ``fn_rows`` maps a stack to its ``d`` values.
+    ``stack`` is ``_step_stack(steps)``, so row ``i`` of ``x + stack`` is
+    ``x + steps[i] * e_i`` and row ``d + i`` is ``x - steps[i] * e_i``, bit
+    for bit; ``fn_rows`` maps the ``(2d, d)`` stack to its ``2d`` values.
+    ``steps`` may be one float for equal steps.
     """
-    bump = np.diag(steps)
-    return (fn_rows(x + bump) - fn_rows(x - bump)) / (2.0 * steps)
+    values = fn_rows(x + stack)
+    d = x.size
+    return (values[:d] - values[d:]) / (2.0 * steps)
 
 
 def _max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -264,7 +306,7 @@ def _max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     ``eps * |f| / h``, near 1e-11 at ``h = 1e-5``, so against a gradient of
     a few times 1e-8 that noise alone reads above a 1e-4 tolerance.
     """
-    if not (np.all(np.isfinite(analytic)) and np.all(np.isfinite(numeric))):
+    if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
         raise NumericFailure("non-finite gradient encountered")
     diff = np.abs(analytic - numeric)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
@@ -280,7 +322,9 @@ def _pull_rows(points: np.ndarray, dim: int) -> np.ndarray:
 
 def _pull_numeric_gradient(flat: np.ndarray, dim: int, h: float) -> np.ndarray:
     """Central differences of the pull term at ``flat = [v | a]``."""
-    return _central_differences(lambda rows: _pull_rows(rows, dim), flat, np.full(flat.size, h))
+    return _central_differences(
+        lambda rows: _pull_rows(rows, dim), flat, h, _uniform_step_stack(flat.size, h)
+    )
 
 
 def central_difference_gradient(
@@ -292,7 +336,8 @@ def central_difference_gradient(
     return _central_differences(
         lambda rows: np.array([fn(row) for row in rows], dtype=np.float64),
         x,
-        np.full(x.size, h),
+        h,
+        _step_stack(np.full(x.size, h)),
     )
 
 
@@ -319,7 +364,7 @@ def finite_diff_check(
 def random_pair(rng: np.random.Generator, dim: int) -> EmbeddingPair:
     v = rng.normal(size=dim)
     a = rng.normal(size=dim)
-    return EmbeddingPair(v / np.linalg.norm(v), a / np.linalg.norm(a))
+    return EmbeddingPair(v / _norm(v), a / _norm(a))
 
 
 def gradient_check_rows(
@@ -353,8 +398,8 @@ def gradient_check_rows(
 
     def record(name: str, analytic: np.ndarray, numeric: np.ndarray) -> None:
         worst[name] = max(worst[name], _max_rel_error(analytic, numeric))
-        analytic_norms[name] += float(np.linalg.norm(analytic))
-        fd_norms[name] += float(np.linalg.norm(numeric))
+        analytic_norms[name] += _norm(analytic)
+        fd_norms[name] += _norm(numeric)
 
     for _ in range(points):
         pair = random_pair(rng, dim)
@@ -365,7 +410,10 @@ def gradient_check_rows(
         probs = rng.exponential(size=len(PRIORITY_ORDER))
         probs = probs / probs.sum()
         idx = PRIORITY_ORDER[int(rng.integers(len(PRIORITY_ORDER)))].priority_rank
-        numeric = _central_differences(lambda rows: _clamped_nll(rows[:, idx]), probs, h * probs)
+        steps = h * probs
+        numeric = _central_differences(
+            lambda rows: _clamped_nll(rows[:, idx]), probs, steps, _step_stack(steps)
+        )
         record("alignment", _alignment_gradient(probs, idx), numeric)
 
     return [

@@ -5,8 +5,8 @@ skip blank lines and refuse a line that is not a JSON object with
 ``ParseError(path, line)``. A report is a CSV table with ``\\n`` line
 ends plus a JSON sibling (same stem, ``.json``) indented by two with
 sorted keys, so reruns on the same inputs rewrite identical bytes.
-Readers coerce no field but an integer in a float field: a bool is no
-integer, a number no string.
+Readers coerce no field but an integer in a float field, and refuse one
+too large for a float: a bool is no integer, a number no string.
 
 Rows move at the speed of the C JSON codec. ``read_jsonl`` decodes a
 line with one shared decoder's ``raw_decode`` when nothing but its
@@ -109,11 +109,15 @@ _TYPE_NAMES = {
 
 def typed_field(obj: dict, key: str, kind: type) -> Any:
     """``obj[key]``, a ``KeyError`` if missing, a ``TypeError`` if not a JSON ``kind``;
-    a float field takes a JSON integer, as a float, and only a bool field a bool."""
+    a float field takes a JSON integer, as a float (a ``ValueError`` if no float
+    holds it), and only a bool field a bool."""
     value = obj[key]
     if type(value) is not kind:
         if kind is float and type(value) is int:
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise ValueError(f"field {key!r} is beyond the float range") from None
         raise TypeError(f"field {key!r} is not {_TYPE_NAMES[kind]}: {value!r}")
     return value
 

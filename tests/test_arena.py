@@ -176,6 +176,10 @@ _TASK_ROW = {
             "insane",
             "field 'difficulty' is not one of 'easy', 'middle', 'hard', 'very_hard': 'insane'",
         ),
+        pytest.param(
+            "enemy_max_hp", 10**400, "field 'enemy_max_hp' is beyond the float range",
+            id="enemy_max_hp-float-overflow",
+        ),
     ],
 )
 def test_task_file_refuses_a_field_of_another_json_type(tmp_path, key, value, reason):

@@ -724,11 +724,16 @@ def test_report_input_that_is_not_an_object_is_parse_error(capsys, tmp_path, fla
             {"rows": [{"task_id": 1, "success_rate": 1.0}]},
             "rows[0]: missing field 'mean_latency_ms'",
         ),
+        (
+            "--suite",
+            {"rows": [{"task_id": 1, "success_rate": 10**400, "mean_latency_ms": 1}]},
+            "rows[0]: field 'success_rate' is beyond the float range",
+        ),
         ("--bench", {"accuracies": [60.0]}, "benchmark 'accuracies' must be an object"),
     ],
     ids=[
         "rows-not-list", "row-not-object", "null-number", "bool-number", "missing-number",
-        "accuracies-not-object",
+        "float-overflow", "accuracies-not-object",
     ],
 )
 def test_report_malformed_section_is_parse_error(capsys, tmp_path, flag, payload, reason):

@@ -280,9 +280,11 @@ def test_a_skewed_clock_writes_the_same_bytes(first_pass, tmp_path, monkeypatch)
     assert_same_bytes(paced, first_pass)
 
 
-# Run as `python -c FRESH_PASS BLOCK WORKDIR` with tests/ and src/ on the
-# path: with BLOCK "1" it blocks numpy, as test_imports.NUMPY_FREE_RUN
-# does, then runs the manifest and prints run_pass's results as JSON.
+# Run as `python -c FRESH_PASS BLOCK WORKDIR` with tests/ and src/ first on
+# the path, then the inherited PYTHONPATH entries (so a `sitecustomize` there
+# reaches the child too): with BLOCK "1" it blocks numpy, as
+# test_imports.NUMPY_FREE_RUN does, then runs the manifest and prints
+# run_pass's results as JSON.
 FRESH_PASS = """
 import json, sys
 from pathlib import Path
@@ -297,11 +299,12 @@ print(json.dumps(run_pass(Path(sys.argv[2]))))
     "hash_seed, block_numpy", [("0", True), ("1", False)], ids=["0-numpy-blocked", "1"]
 )
 def test_fresh_interpreters_write_the_same_bytes(first_pass, tmp_path, hash_seed, block_numpy):
+    inherited = [entry for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
     proc = subprocess.run(
         [sys.executable, "-c", FRESH_PASS, "1" if block_numpy else "0", str(tmp_path / "work")],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONHASHSEED=hash_seed,
-                 PYTHONPATH=os.pathsep.join([str(ROOT / "tests"), str(ROOT / "src")])),
+                 PYTHONPATH=os.pathsep.join([str(ROOT / "tests"), str(ROOT / "src"), *inherited])),
     )
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)

@@ -279,6 +279,79 @@ def test_batched_pull_gradient_matches_scalar_reference(dim):
         assert np.linalg.norm(batched - scalar) <= 1e-9 * np.linalg.norm(scalar)
 
 
+def _two_call_differences(fn_rows, x, steps):
+    """The checker's former formula: one call on ``x + diag``, one on ``x - diag``."""
+    bump = np.diag(steps)
+    return (fn_rows(x + bump) - fn_rows(x - bump)) / (2.0 * steps)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("dim", [8, 64])
+def test_one_stack_pull_differences_equal_the_two_call_formula(dim, seed):
+    pair = random_pair(np.random.default_rng(seed), dim)
+    flat = np.concatenate([pair.v_eos, pair.a_eos])
+    expected = _two_call_differences(
+        lambda rows: loss._pull_rows(rows, dim), flat, np.full(flat.size, 1e-5)
+    )
+    assert _same_bits(_pull_numeric_gradient(flat, dim, 1e-5), expected)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_stack_alignment_differences_equal_the_two_call_formula(seed):
+    rng = np.random.default_rng(seed)
+    probs = rng.exponential(size=len(PRIORITY_ORDER))
+    probs = probs / probs.sum()
+    steps = 1e-5 * probs  # the alignment's relative steps
+    for idx in range(len(PRIORITY_ORDER)):
+        fn_rows = lambda rows: loss._clamped_nll(rows[:, idx])
+        got = loss._central_differences(fn_rows, probs, steps, loss._step_stack(steps))
+        assert _same_bits(got, _two_call_differences(fn_rows, probs, steps))
+
+
+def test_central_difference_gradient_feeds_fn_the_rows_of_two_stacks():
+    # x + (-0.0) keeps a -0.0 coordinate's sign, as x - 0.0 does; a +0.0
+    # off the diagonal of the minus half would turn it into +0.0
+    point = np.array([0.0, -0.0, 1.5, -2.0])
+    fed = []
+    central_difference_gradient(lambda row: fed.append(row.copy()) or 0.0, point)
+    bump = np.diag(np.full(point.size, 1e-5))
+    expected = [*(point + bump), *(point - bump)]
+    assert np.signbit(expected[point.size][1])
+    assert len(fed) == len(expected)
+    for row, want in zip(fed, expected):
+        assert _same_bits(row, want), (row, want)
+
+
+def test_norm_helper_equals_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for size in (2, 3, 10, 64, 128, 1001):
+        x = rng.normal(size=size) * 10.0 ** int(rng.integers(-5, 6))
+        m = rng.normal(size=(size, 3))
+        for v in (x, x[::3], x[::-1], m[:, 1], np.zeros(size)):
+            got = loss._norm(v)
+            assert type(got) is float
+            assert got.hex() == float(np.linalg.norm(v)).hex(), (size, v.strides)
+
+
+def test_uniform_step_stacks_are_cached_shared_and_read_only():
+    stack = loss._uniform_step_stack(128, 1e-5)
+    assert loss._uniform_step_stack(128, 1e-5) is stack
+    assert _same_bits(stack, loss._step_stack(np.full(128, 1e-5)))
+    assert not np.signbit(stack[:128]).any() and np.signbit(stack[128:]).all()
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0] = 1.0
+    assert loss._uniform_step_stack.cache_info().maxsize == loss._STEP_STACKS
+    before = loss._uniform_step_stack.cache_info()
+    gradient_check_rows(seed=0, points=3, dim=64)
+    after = loss._uniform_step_stack.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 3, before.misses)
+
+
 def test_push_gradient_is_exactly_the_negated_pull():
     rng = np.random.default_rng(3)
     for dim in (2, 16, 64):
