@@ -15,6 +15,7 @@ versioned task file.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from enum import Enum
@@ -296,14 +297,6 @@ class ArenaState:
             self.enemy_pos[0] - self.player_pos[0], self.enemy_pos[1] - self.player_pos[1]
         )
 
-    @property
-    def player_alive(self) -> bool:
-        return self.player_hp > 0.0
-
-    @property
-    def enemy_alive(self) -> bool:
-        return self.enemy_hp > 0.0
-
 
 def _jitter_ticks(rng: random.Random, spread_ticks: int = 3) -> int:
     return rng.randint(-spread_ticks, spread_ticks) * ArenaConfig.tick_ms
@@ -374,9 +367,18 @@ _TAP_BUSY_MS = {
 }
 
 
+# Bound on the cycle-length memo; far above the distinct sets the shipped
+# policies answer with (seven scripted sets, a few dozen random ones).
+_CYCLE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_CYCLE_CACHE_SIZE)
 def cycle_ms(commands: ActionSet | None) -> int:
     """How long ``step`` runs a decision's ``commands``: ``min_cycle_ms`` for none,
-    else the busiest action, at least ``min_cycle_ms``, plus one tick."""
+    else the busiest action, at least ``min_cycle_ms``, plus one tick.
+
+    Memoized: an ``ActionSet`` is immutable, and the decoder's memo hands
+    back the same set for a repeated answer."""
     if not commands:
         return ArenaConfig.min_cycle_ms
     busiest = max(
@@ -424,6 +426,8 @@ def step(
     sprint_speed = walk_speed * ArenaConfig.sprint_multiplier
     chase_m = task.chase_speed_mps * dt / 1000.0
     burn_dps = ArenaConfig.burn_dps
+    # builds the frames' named tuples without their Python-level constructors
+    new_tuple = tuple.__new__
 
     t0 = state.clock_ms
     px, py = state.player_pos
@@ -436,14 +440,19 @@ def step(
     heal_charges, immobilize_ready_at = state.heal_charges, state.immobilize_ready_at
     max_hp, enemy_max_hp = ArenaConfig.player_max_hp, task.enemy_max_hp
     pending = state.pending_attacks
-    # open hold windows in move_until order: (until, x direction, y direction)
-    moves = [
-        (until, *_MOVE_DIRECTION[cat]) for cat, until in state.move_until.items() if until > t0
-    ]
-    moves_expire = min((m[0] for m in moves), default=0)
+    # open hold windows in move_until order: (until, x direction, y direction);
+    # move_until keeps closed windows, so test for an open one first
+    move_until = state.move_until
+    moves, moves_expire = [], 0
+    if move_until and max(move_until.values()) > t0:
+        moves = [(until, *_MOVE_DIRECTION[cat]) for cat, until in move_until.items() if until > t0]
+        moves_expire = min(moves)[0]
+    end = t0 + -(-duration_ms // dt) * dt
+    # the first frame instant past t0; a clock off the tick grid meets none,
+    # as t0 % frame_interval == 0 would not, and without a list none is due
+    next_frame = t0 - t0 % frame_interval + frame_interval if frames is not None else end + 1
 
-    for _ in range(-(-duration_ms // dt)):
-        t1 = t0 + dt
+    for t1 in range(t0 + dt, end + 1, dt):
 
         # player movement from open hold windows
         if moves:
@@ -457,7 +466,7 @@ def step(
             py += dy
             if moves_expire <= t1:
                 moves = [m for m in moves if m[0] > t1]
-                moves_expire = min((m[0] for m in moves), default=0)
+                moves_expire = min(moves)[0] if moves else 0
 
         # scheduled heal
         if heal_at is not None and t0 < heal_at <= t1:
@@ -519,14 +528,16 @@ def step(
             player_hp = max(0.0, player_hp - burn_dps * burn_overlap / 1000.0)
 
         t0 = t1
-        if frames is not None and t0 % frame_interval == 0:
+        if t0 == next_frame:
+            next_frame += frame_interval
             shown = None
             if phase is telegraph and stunned_until <= t0 and enemy_hp > 0.0:
-                shown = Telegraph(task.strike_kind, max(0, phase_ends_at - t0))
+                remaining = phase_ends_at - t0
+                shown = new_tuple(Telegraph, (task.strike_kind, remaining if remaining > 0 else 0))
             # render_observation's max() clamps, as conditionals: cheaper than
             # calls at one frame every five ticks
             player_frac, enemy_frac = player_hp / max_hp, enemy_hp / enemy_max_hp
-            frames.append(ObservationFrame(
+            frames.append(new_tuple(ObservationFrame, (
                 t0,
                 player_frac if player_frac > 0.0 else 0.0,
                 enemy_frac if enemy_frac > 0.0 else 0.0,
@@ -537,7 +548,7 @@ def step(
                 heal_charges,
                 t0 >= immobilize_ready_at,
                 stunned_until - t0 if stunned_until > t0 else 0,
-            ))
+            )))
 
     state.clock_ms = t0
     state.player_pos[0], state.player_pos[1] = px, py
@@ -576,17 +587,18 @@ def render_observation(state: ArenaState) -> ObservationFrame:
 # ------------------------------------------------------- frame sampling
 
 FRAME_SAMPLE_WINDOW = 9
-FRAME_SAMPLE_OFFSETS = (0, 4, 8)
+_FRAME_SAMPLE_STRIDE = 4
+FRAME_SAMPLE_OFFSETS = tuple(range(0, FRAME_SAMPLE_WINDOW, _FRAME_SAMPLE_STRIDE))  # (0, 4, 8)
 
 
-def sample_frames(frames: Sequence[ObservationFrame]) -> list[ObservationFrame]:
-    """Evenly pick 3 of the last 9 frames (window offsets 0, 4, 8)."""
+def sample_frames(frames: Sequence[ObservationFrame]) -> Sequence[ObservationFrame]:
+    """Evenly pick 3 of the last 9 frames (window offsets 0, 4, 8), as one
+    stride slice of ``frames``, so a list gives a list."""
     if len(frames) < FRAME_SAMPLE_WINDOW:
         raise InsufficientHistory(
             f"need {FRAME_SAMPLE_WINDOW} recorded frames, have {len(frames)}"
         )
-    window = frames[-FRAME_SAMPLE_WINDOW:]
-    return [window[i] for i in FRAME_SAMPLE_OFFSETS]
+    return frames[-FRAME_SAMPLE_WINDOW::_FRAME_SAMPLE_STRIDE]
 
 
 def iter_tasks(tasks: dict[int, TaskConfig], selector: str) -> list[TaskConfig]:

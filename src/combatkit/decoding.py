@@ -176,7 +176,8 @@ def decode(
         if pulled:
             stream._sleep(pulled / stream._pace)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return DecodeResult(emitted, _extract_actions(emitted, stop), stop, wall_ms)
+    # tuple.__new__ skips the named tuple's Python-level constructor
+    return tuple.__new__(DecodeResult, (emitted, _extract_actions(emitted, stop), stop, wall_ms))
 
 
 # ---------------------------------------------------------- token savings

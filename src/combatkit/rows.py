@@ -13,7 +13,8 @@ line with one shared decoder's ``raw_decode`` when nothing but its
 ``\n`` follows the object, the form every writer here produces, and
 any other line with a ``strip()`` blank test and ``json.loads``; both
 paths accept the same lines and raise the same ``ParseError``, also for
-JSON nested deeper than the decoder can recurse. A file that is not UTF-8 is a
+JSON nested deeper than the decoder can recurse and for an integer past
+the interpreter's int-to-string digit limit. A file that is not UTF-8 is a
 ``ParseError`` naming its first undecodable line, also in ``read_text``;
 ``read_jsonl`` first yields every line before that one, so a caller's
 check of an earlier line fails first.
@@ -42,6 +43,22 @@ __all__ = [
 _raw_decode = json.JSONDecoder().raw_decode
 _NESTED_TOO_DEEPLY = "nested deeper than the decoder can recurse"
 _encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _bad_json(exc: ValueError | RecursionError) -> str:
+    """The reason of a ``ParseError`` for text the JSON decoder refused.
+
+    Besides a ``JSONDecodeError`` and a ``RecursionError`` for nesting it
+    cannot recurse into, the decoder raises a bare ``ValueError`` for an
+    integer past the interpreter's int-to-string digit limit (4,300 digits
+    by default); neither of the last two says where, so ``read_json``
+    reports them at line 1.
+    """
+    if isinstance(exc, json.JSONDecodeError):
+        return f"bad JSON: {exc.msg}"
+    if isinstance(exc, RecursionError):
+        return f"bad JSON: {_NESTED_TOO_DEEPLY}"
+    return f"bad JSON: {exc}"
 
 
 def _undecodable(path: Path) -> ParseError:
@@ -76,17 +93,15 @@ def _rows(p: Path, lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, dict
         for lineno, line in lines:
             try:
                 obj, end = _raw_decode(line)
-            except (json.JSONDecodeError, RecursionError):
+            except (ValueError, RecursionError):  # a JSONDecodeError is a ValueError
                 end = len(line)  # nothing decoded: take the general path
             if line[end:] != "\n":
                 if not line.strip():
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(str(p), lineno, f"bad JSON: {exc.msg}") from None
-                except RecursionError:
-                    raise ParseError(str(p), lineno, f"bad JSON: {_NESTED_TOO_DEEPLY}") from None
+                except (ValueError, RecursionError) as exc:
+                    raise ParseError(str(p), lineno, _bad_json(exc)) from None
             if not isinstance(obj, dict):
                 raise ParseError(str(p), lineno, "expected a JSON object")
             yield lineno, obj
@@ -156,10 +171,9 @@ def read_json(path: str | Path) -> Any:
     path = Path(path)
     try:
         return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(path), exc.lineno, f"bad JSON: {exc.msg}") from None
-    except RecursionError:
-        raise ParseError(str(path), 1, f"bad JSON: {_NESTED_TOO_DEEPLY}") from None
+    except (ValueError, RecursionError) as exc:
+        line = exc.lineno if isinstance(exc, json.JSONDecodeError) else 1
+        raise ParseError(str(path), line, _bad_json(exc)) from None
 
 
 def read_json_object(path: str | Path) -> dict:

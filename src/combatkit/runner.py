@@ -109,10 +109,10 @@ def run_episode(
     failure_reason: str | None = None
 
     while True:
-        if not state.enemy_alive:
+        if not state.enemy_hp > 0.0:
             success = True
             break
-        if not state.player_alive:
+        if not state.player_hp > 0.0:
             failure_reason = "player_defeated"
             break
         if len(cycles) >= ArenaConfig.cycle_cap:
@@ -131,8 +131,9 @@ def run_episode(
         try:
             result = decode(stream, mode)
             actions: ActionSet | None = result.actions
-            emitted = result.emitted_count
-            stop_reason = result.stop_reason.value
+            # plain reads: the property and Enum.value each run Python code
+            emitted = len(result.emitted_tokens)
+            stop_reason = result.stop_reason._value_
         except ActionParseError as exc:
             actions = None
             emitted = len(exc.raw_text.split())
@@ -141,8 +142,10 @@ def run_episode(
 
         step(state, actions, cycle_ms(actions), frames)
 
-        # positional: a named tuple builds about twice as fast without keywords
-        cycles.append(CycleRecord(len(cycles) + 1, decision_t, actions, emitted, stop_reason))
+        # tuple.__new__ skips the named tuple's Python-level constructor
+        cycles.append(
+            tuple.__new__(CycleRecord, (len(cycles) + 1, decision_t, actions, emitted, stop_reason))
+        )
 
     n = len(cycles)
     report = EpisodeReport(

@@ -479,6 +479,11 @@ def test_frame_sampling():
     assert FRAME_SAMPLE_WINDOW == 9 and FRAME_SAMPLE_OFFSETS == (0, 4, 8)
     with pytest.raises(InsufficientHistory):
         sample_frames(frames[:8])
+    # the stride slice is the offset pick of the last 9, for every history length
+    for n in range(FRAME_SAMPLE_WINDOW, 21):
+        history = [frames[0]._replace(t_ms=i) for i in range(n)]
+        window = history[-FRAME_SAMPLE_WINDOW:]
+        assert sample_frames(history) == [window[i] for i in FRAME_SAMPLE_OFFSETS], n
 
 
 def test_iter_tasks_selectors():
@@ -612,6 +617,50 @@ def test_advance_rounds_up_to_whole_ticks():
     assert state.clock_ms == 125 and [frame.t_ms for frame in frames] == [125]
     with pytest.raises(ValueError):
         step(state, None, 0)
+
+
+# a duel that telegraphs within its first second, so frames carry telegraphs
+_QUICK = _task(idle_ms=100, telegraph_ms=300, recovery_ms=150, chase_speed_mps=2.0,
+               initial_distance_m=4.0)
+_START_COMMANDS = (
+    None,
+    ActionSet.of(_HOLD(ActionCategory.MOVE_FWD, 0.3), _TAP(ActionCategory.LIGHT_ATTACK)),
+)
+
+
+def test_step_from_any_clock_appends_the_frames_of_single_ticks():
+    # step looks for its frame instants from the clock it starts at: each
+    # start on and off the 125 ms frame grid, with runs crossing 0 to 3
+    # frame instants, gives the frames of single ticks plus
+    # render_observation, as ObservationFrames, and the state of a run
+    # that keeps no frames
+    tick, interval = ArenaConfig.tick_ms, ArenaConfig.frame_interval_ms
+    crossed, telegraphs = set(), 0
+    for start_ms in (0, 25, 100, 125, 150):
+        for ticks in (1, 3, 4, 5, 6, 9, 10, 11, 14, 15):
+            for commands in _START_COMMANDS:
+                runs = [new_arena(_QUICK, seed=start_ms + ticks) for _ in range(3)]
+                for state in runs:
+                    if start_ms:
+                        step(state, None, start_ms)
+                fused, bare, ticked = runs
+                fused_frames, ticked_frames = [], []
+                step(fused, commands, ticks * tick, fused_frames)
+                step(bare, commands, ticks * tick)
+                for i in range(ticks):
+                    step(ticked, commands if i == 0 else None, tick)
+                    if ticked.clock_ms % interval == 0:
+                        ticked_frames.append(render_observation(ticked))
+                where = (start_ms, ticks, commands)
+                assert fused_frames == ticked_frames, where
+                assert all(type(f) is ObservationFrame for f in fused_frames), where
+                assert _snapshot(fused) == _snapshot(ticked) == _snapshot(bare), where
+                crossed.add(len(fused_frames))
+                for frame in fused_frames:
+                    if frame.enemy_telegraph is not None:
+                        assert type(frame.enemy_telegraph) is Telegraph, where
+                        telegraphs += 1
+    assert crossed == {0, 1, 2, 3} and telegraphs > 0
 
 
 def test_cycle_length_is_the_busiest_action_plus_a_tick():

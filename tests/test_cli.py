@@ -15,6 +15,7 @@ import pytest
 import combatkit
 from combatkit.aot import bundled_stage3_path, read_records, write_records
 from combatkit.cli import main
+from test_rows import HUGE_INT, HUGE_INT_REASON, needs_digit_limit
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_session"
@@ -478,8 +479,11 @@ def test_config_value_outside_choices_rejected(capsys, tmp_path):
     [
         (b'{"seed":\n "\xff"}', ":2: not UTF-8: invalid start byte at byte 3"),
         (DEEP.encode(), ":1: bad JSON: nested deeper than the decoder can recurse"),
+        pytest.param(
+            f'{{"seed":\n {HUGE_INT}}}'.encode(), f":1: {HUGE_INT_REASON}", marks=needs_digit_limit
+        ),
     ],
-    ids=["not-utf8", "deep"],
+    ids=["not-utf8", "deep", "huge-int"],
 )
 def test_config_not_utf8_or_nested_too_deeply_is_config_error(capsys, tmp_path, text, reason):
     cfg = tmp_path / "cfg.json"
@@ -534,6 +538,20 @@ def test_bench_non_object_line_is_parse_error(capsys, tmp_path, flag, line):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err) == {"error": "ParseError", "message": f"{bad}:2: expected a JSON object"}
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("flag", ["--items", "--predictions"])
+def test_bench_score_names_the_line_of_an_integer_past_the_digit_limit(capsys, tmp_path, flag):
+    source = ITEMS if flag == "--items" else PREDICTIONS
+    bad = tmp_path / "bad.jsonl"
+    head = source.read_bytes().splitlines(keepends=True)[0]
+    bad.write_bytes(head + f'{{"id": {HUGE_INT}}}\n'.encode())
+    files = {"--items": ITEMS, "--predictions": PREDICTIONS, flag: bad}
+    code, out, err = run(capsys, "bench", "score", *(x for kv in files.items() for x in kv))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "ParseError", "message": f"{bad}:2: {HUGE_INT_REASON}"}
 
 
 def test_bench_non_list_choices_is_violation_with_file_and_line(capsys, tmp_path):
@@ -683,7 +701,10 @@ def test_report_combines_sections(capsys, tmp_path):
 @pytest.mark.parametrize("flag", ["--suite", "--savings", "--bench"])
 @pytest.mark.parametrize(
     "text",
-    ["[1]", "5", "{", pytest.param(DEEP, id="deep"), pytest.param('{"\udcff": 1}', id="not-utf8")],
+    [
+        "[1]", "5", "{", pytest.param(DEEP, id="deep"), pytest.param('{"\udcff": 1}', id="not-utf8"),
+        pytest.param(f'{{"rows": {HUGE_INT}}}', id="huge-int", marks=needs_digit_limit),
+    ],
 )
 def test_report_input_that_is_not_an_object_is_parse_error(capsys, tmp_path, flag, text):
     suite = tmp_path / "suite.json"
@@ -892,8 +913,11 @@ def test_a_record_that_contradicts_itself_or_has_no_stage_layout_is_refused(
     [
         (b'{"a": "\xff"}', "not UTF-8: invalid start byte at byte 8"),
         (DEEP.encode(), "bad JSON: nested deeper than the decoder can recurse"),
+        pytest.param(
+            f'{{"id": {HUGE_INT}}}'.encode(), HUGE_INT_REASON, marks=needs_digit_limit
+        ),
     ],
-    ids=["not-utf8", "deep"],
+    ids=["not-utf8", "deep", "huge-int"],
 )
 def test_jsonl_input_that_is_not_utf8_or_nests_too_deeply_names_file_and_line(
     capsys, tmp_path, verb, line, reason

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -9,6 +10,21 @@ from combatkit.errors import EmptyDataset, ParseError
 from combatkit.rows import (
     build_rows, read_json_object, read_jsonl, read_rows, read_text, typed_field, write_jsonl,
 )
+
+
+# The JSON decoder refuses an integer past the interpreter's int-to-string
+# digit limit (4,300 digits by default) with a bare ValueError; without a
+# limit (Python 3.10 before 3.10.7, or a limit of 0) there is nothing to refuse.
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+HUGE_INT = "9" * (_DIGIT_LIMIT + 1)
+needs_digit_limit = pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int-to-string digit limit")
+
+try:
+    int(HUGE_INT)
+except ValueError as exc:
+    HUGE_INT_REASON = f"bad JSON: {exc}"
+else:
+    HUGE_INT_REASON = None  # no limit: the tests that use it skip
 
 
 def _loads_loop(path):
@@ -80,8 +96,11 @@ _LONG_ROWS = b"".join(b'{"pad": "%s"}\n' % (b"x" * 4000) for _ in range(3))
             b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
             "bad JSON: nested deeper than the decoder can recurse",
         ),
+        pytest.param(
+            b'{"a": ' + HUGE_INT.encode() + b"}", HUGE_INT_REASON, marks=needs_digit_limit
+        ),
     ],
-    ids=["not-utf8", "truncated-utf8", "deep", "deep-closed"],
+    ids=["not-utf8", "truncated-utf8", "deep", "deep-closed", "huge-int"],
 )
 def test_read_jsonl_names_the_line_that_is_not_utf8_or_nests_too_deeply(tmp_path, line, reason):
     p = tmp_path / "rows.jsonl"
@@ -198,8 +217,12 @@ def test_a_parse_error_from_a_builder_passes_through(tmp_path):
         (b'{"a":\n', 2, "bad JSON: Expecting value"),
         (b"[1]", 1, "expected a JSON object"),
         (b'{"a": 1}\n{"b": "\xff"}', 2, "not UTF-8: invalid start byte at byte 8"),
+        pytest.param(
+            b'{"a": 1,\n "b": ' + HUGE_INT.encode() + b"}", 1, HUGE_INT_REASON,
+            marks=needs_digit_limit,
+        ),
     ],
-    ids=["truncated", "not-an-object", "not-utf8"],
+    ids=["truncated", "not-an-object", "not-utf8", "huge-int"],
 )
 def test_read_json_object_names_the_file_and_line(tmp_path, data, line, reason):
     path = tmp_path / "in.json"

@@ -8,8 +8,9 @@ import pytest
 from combatkit import runner
 from combatkit.actions import ActionCategory, ActionMode
 from combatkit.aot import align_session
-from combatkit.arena import FRAME_SAMPLE_WINDOW, ArenaConfig, load_task_configs
-from combatkit.decoding import DecodeMode, StopReason
+from combatkit import policies
+from combatkit.arena import FRAME_SAMPLE_WINDOW, ArenaConfig, cycle_ms, load_task_configs
+from combatkit.decoding import DecodeMode, StopReason, decode
 from combatkit.errors import ConfigError
 from combatkit.policies import RandomPolicy, ScriptedPolicy
 from combatkit.runner import (
@@ -141,6 +142,27 @@ def test_cycles_advance_by_whole_ticks_and_at_least_min_cycle():
     gaps = [b - a for a, b in zip(times, times[1:])]
     assert gaps and all(g >= ArenaConfig.min_cycle_ms for g in gaps)
     assert all(g % ArenaConfig.tick_ms == 0 for g in gaps)
+
+
+def test_memoized_cycle_length_equals_the_rule_for_every_policy_answer():
+    # the decision loop's cycle lengths come from a memo; it must give the
+    # plain rule's length for no answer, each random answer in either mode
+    # and each scripted answer, and hand repeats back from the cache
+    scripted = (
+        policies._HEAL_BACK_OFF, policies._DODGE, policies._COMBO, policies._LIGHT,
+        policies._STEP_IN, policies._SPRINT_IN, policies._HEAVY,
+    )
+    answers = [
+        tokens
+        for tap, holds in policies._RANDOM_ANSWERS
+        for tokens in ((tap,) if holds is None else holds)
+    ]
+    decoded = [decode(tokens, mode).actions for tokens in answers for mode in DecodeMode]
+    for actions in (None, *decoded, *scripted):
+        assert cycle_ms(actions) == cycle_ms.__wrapped__(actions), actions
+        hits = cycle_ms.cache_info().hits
+        assert cycle_ms(actions) == cycle_ms.__wrapped__(actions)
+        assert cycle_ms.cache_info().hits == hits + 1, actions
 
 
 def test_export_transcript_files(tmp_path):
