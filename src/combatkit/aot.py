@@ -33,7 +33,7 @@ from .actions import (
     render_action,
     render_explanation,
 )
-from .errors import EmptyDatasetWarning
+from .errors import ConfigError, EmptyDatasetWarning
 from .rows import read_rows, typed_field, write_jsonl
 from .tracker import (
     AlignedSample,
@@ -88,8 +88,8 @@ class StageConfig(_StageFields):
     n frames per stage-1 window at m frames/sec, k_frames of history per
     stage-2 record, merge_window_ms to merge near-simultaneous actions
     into one stage-2 decision, and a train fraction and seed for
-    splitting. The constructor checks them, and ``_make`` and
-    ``_replace`` build through it.
+    splitting. The constructor refuses a value out of range as a
+    ``ConfigError``, and ``_make`` and ``_replace`` build through it.
     """
 
     __slots__ = ()
@@ -104,11 +104,11 @@ class StageConfig(_StageFields):
         merge_window_ms: int = 50,
     ) -> "StageConfig":
         if n <= 0 or m <= 0 or k_frames <= 0:
-            raise ValueError("n, m, and k_frames must be positive")
+            raise ConfigError(f"n, m and k_frames must be positive, got {n}, {m}, {k_frames}")
         if not 0.0 < split_fraction < 1.0:
-            raise ValueError("split_fraction must be inside (0, 1)")
+            raise ConfigError(f"split_fraction must be inside (0, 1), got {split_fraction}")
         if merge_window_ms < 0:
-            raise ValueError("merge_window_ms cannot be negative")
+            raise ConfigError(f"merge_window_ms cannot be negative, got {merge_window_ms}")
         return tuple.__new__(cls, (n, m, k_frames, split_fraction, seed, merge_window_ms))
 
     @classmethod

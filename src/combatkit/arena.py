@@ -149,6 +149,14 @@ def _check_frame_grid(cfg: type[ArenaConfig]) -> None:
 _check_frame_grid(ArenaConfig)
 
 
+# Task fields that must be finite and above 0 (hit points, power, lengths
+# and speed), and the phase times that must not be below 0.
+_POSITIVE_FIELDS = (
+    "enemy_max_hp", "strike_power", "strike_range_m", "chase_speed_mps", "initial_distance_m",
+)
+_TIME_FIELDS = ("telegraph_ms", "idle_ms", "recovery_ms")
+
+
 class TaskConfig(NamedTuple):
     """One duel in the task grid."""
 
@@ -170,10 +178,11 @@ class TaskConfig(NamedTuple):
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TaskConfig":
         """One task-file entry; a missing field, one of another JSON type,
-        an integer too large for a float field and an unknown game mode or
-        difficulty are each a ``ConfigError`` naming the task and the field.
-        ``typed_field`` types each field, so a float field takes a JSON
-        integer (``"enemy_max_hp": 780``)."""
+        an integer too large for a float field, an unknown game mode or
+        difficulty, a hit point, power, length or speed that is not a finite
+        number above 0 and a phase time below 0 are each a ``ConfigError``
+        naming the task and the field. ``typed_field`` types each field, so a
+        float field takes a JSON integer (``"enemy_max_hp": 780``)."""
         task = obj.get("task_id")
 
         def typed(key: str, kind: type) -> Any:
@@ -194,7 +203,7 @@ class TaskConfig(NamedTuple):
                     f"task {task!r}: field {key!r} is not one of {known}: {value!r}"
                 ) from None
 
-        return cls(
+        config = cls(
             task_id=typed("task_id", int),
             name=typed("name", str),
             game_mode=member("game_mode", GameMode),
@@ -210,6 +219,17 @@ class TaskConfig(NamedTuple):
             applies_burning=typed("applies_burning", bool),
             initial_distance_m=typed("initial_distance_m", float),
         )
+        for key in _POSITIVE_FIELDS:
+            value = getattr(config, key)
+            if not 0.0 < value < math.inf:  # NaN included
+                raise ConfigError(
+                    f"task {task!r}: field {key!r} is not a finite number above 0: {value!r}"
+                )
+        for key in _TIME_FIELDS:
+            value = getattr(config, key)
+            if value < 0:
+                raise ConfigError(f"task {task!r}: field {key!r} is below 0: {value!r}")
+        return config
 
 
 def load_task_configs(path: str | Path | None = None) -> dict[int, TaskConfig]:

@@ -32,8 +32,8 @@ report; ``decode run``'s ``mean_wall_ms`` is the only one left on
 stdout, and ``agent run`` prints exactly the report it writes. A
 command that writes a CSV report with its JSON sibling (``--out``)
 names both files in one line on stderr.
-Failures print a machine-readable JSON object to stderr and exit 1;
-usage errors exit 2.
+A ``CombatkitError`` or ``OSError`` prints a JSON object to stderr and
+exits 1, and any other exception propagates; usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -309,20 +309,23 @@ def _load_tasks(selector: str):
 
 
 def _pace(args) -> float:
-    """``--pace-tokens-per-second``, or the runner's default pace when it is not given."""
+    """``--pace-tokens-per-second``, checked, or the runner's default pace when it is not given."""
+    from .decoding import check_pace  # the tracer wraps no pace check
+
     pace = args.pace_tokens_per_second
-    return _lib.DEFAULT_PACE_TOKENS_PER_SECOND if pace is None else pace
+    if pace is None:
+        return _lib.DEFAULT_PACE_TOKENS_PER_SECOND
+    check_pace(pace)
+    return pace
 
 
 def _cmd_agent_run(args) -> int:
+    pace = _pace(args)  # refused before the episode runs
     (task,) = _load_tasks(str(args.task))
     policy = _lib.make_policy(args.policy, task, args.seed)
     report, transcript = _lib.run_episode(task, policy, _lib.DecodeMode(args.mode), args.seed)
     payload = report.to_json_dict()
-    # checks the pace with or without --out, before any file is written
-    payload["mean_latency_ms"] = round(
-        _lib.simulated_latency_ms(report, _pace(args)), 3
-    )
+    payload["mean_latency_ms"] = round(_lib.simulated_latency_ms(report, pace), 3)
     if args.out:
         out = Path(args.out)
         _lib.export_transcript(transcript, out / "session")
@@ -659,7 +662,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args, verb)
         return verb.handler(args)
-    except (CombatkitError, OSError, ValueError, KeyError) as exc:
+    except (CombatkitError, OSError) as exc:
         _fail({"error": type(exc).__name__, "message": str(exc)})
         return 1
 

@@ -11,7 +11,9 @@ emission is always a prefix of the full one.
 from __future__ import annotations
 
 import functools
+import math
 import re
+import sys
 import time
 from enum import Enum
 from itertools import islice
@@ -62,11 +64,19 @@ class StopReason(Enum):
     BUDGET = "budget"
 
 
+# The slowest pace, one token in about 17 minutes. Below it a paced wait,
+# n / pace seconds, can pass what ``time.sleep`` takes, and a simulated
+# latency can overflow to infinity.
+_MIN_PACE = 0.001
+
+
 def check_pace(tokens_per_second: float) -> None:
-    """A pace that is not a positive number, NaN included, is a ``ConfigError``."""
-    if not tokens_per_second > 0:
+    """A pace below 0.001 tokens per second or not finite, NaN included, is a
+    ``ConfigError`` naming the value."""
+    if not _MIN_PACE <= tokens_per_second < math.inf:
         raise ConfigError(
-            f"pace must be a positive number of tokens per second, got {tokens_per_second}"
+            f"pace must be a positive number of tokens per second, at least {_MIN_PACE}"
+            f" and finite, got {tokens_per_second}"
         )
 
 
@@ -153,7 +163,7 @@ def decode(
     call when n is 0), so ``wall_ms`` charges none past the stop.
     """
     if budget <= 0:
-        raise ValueError("token budget must be positive")
+        raise ConfigError(f"token budget must be positive, got {budget!r}")
     # full mode has no truncation sentinel; None equals no token
     trunc_token = TRUNC_TOKEN if mode is DecodeMode.TRUNCATED else None
     stop = StopReason.BUDGET
@@ -162,7 +172,8 @@ def decode(
         emitted = stream[:budget]
     else:
         source = stream._tokens if isinstance(stream, TokenStream) else stream
-        emitted = tuple(islice(source, budget))
+        # islice takes no stop past sys.maxsize, and no stream is that long
+        emitted = tuple(islice(source, min(budget, sys.maxsize)))
     # cut at the truncation sentinel first: an end-of-sequence sentinel
     # left in the cut came before it, and so wins
     if trunc_token is not None and trunc_token in emitted:

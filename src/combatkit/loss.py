@@ -55,6 +55,9 @@ PROB_CLAMP = 1e-12
 
 _NORM_FLOOR = 0.0  # any strictly positive norm is accepted
 _STEP_STACKS = 8  # cached uniform-step stacks, one per (size, h)
+# The widest gradient check: its (4 dim, 2 dim) step stack takes 64 dim**2
+# bytes, 1 GiB at 4096; a wider one runs out of memory or past numpy's sizes.
+_MAX_DIM = 4096
 
 
 def _norm(x: np.ndarray) -> float:
@@ -258,7 +261,7 @@ def composite_loss(
 
 def _check_step(h: float) -> None:
     if not 1e-7 <= h <= 1e-3:
-        raise ValueError(f"step h must lie in [1e-7, 1e-3], got {h!r}")
+        raise ConfigError(f"step h must lie in [1e-7, 1e-3], got {h!r}")
 
 
 def _step_stack(steps: np.ndarray) -> np.ndarray:
@@ -386,10 +389,17 @@ def gradient_check_rows(
     bends so sharply at small ``p`` that a fixed step's truncation error
     (about ``h**2 / (3 * p**2)``) passes 1e-4. Rows report ``step = h``.
     ``points`` below 1 is a ``ConfigError``: such a sweep checks nothing.
+    So are a ``dim`` below 2, which leaves a unit vector no direction to
+    move in, or above 4096, and a negative ``seed``, which numpy's
+    generator refuses.
     """
     _check_step(h)
     if points < 1:
         raise ConfigError(f"gradient check needs at least 1 point, got {points!r}")
+    if not 2 <= dim <= _MAX_DIM:
+        raise ConfigError(f"gradient check needs dim from 2 to {_MAX_DIM}, got {dim!r}")
+    if seed < 0:
+        raise ConfigError(f"gradient check needs a seed of at least 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     names = ("contrastive_pull", "contrastive_push", "alignment")
     worst = dict.fromkeys(names, 0.0)

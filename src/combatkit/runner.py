@@ -279,7 +279,7 @@ def make_policy(name: str, task: TaskConfig, seed: int) -> Policy:
         return ScriptedPolicy(game_mode=task.game_mode.value)
     if name == "random":
         return RandomPolicy(seed=seed)
-    raise ValueError(f"unknown policy {name!r} (expected scripted or random)")
+    raise ConfigError(f"unknown policy {name!r} (expected scripted or random)")
 
 
 def run_suite(

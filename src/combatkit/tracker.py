@@ -290,26 +290,46 @@ def _breaks_line(text: str) -> bool:
     return bool(text) and text.splitlines() != [text]
 
 
-def _check_meta(meta: dict[str, str]) -> None:
-    """Refuse entries that would not import back as the same ``key=value`` pair."""
-    for key, value in meta.items():
+def _check_meta(session: TrackSession) -> int:
+    """The session's ``epoch_ms``, once its meta is known to export: an entry
+    that would not import back as the same ``key=value`` pair, and an
+    ``epoch_ms`` that is no integer or puts a written time outside years
+    1-9999, are each an ``UnencodableMeta``."""
+    for key, value in session.meta.items():
         key, value = str(key), str(value)  # as the writer formats them
         if "=" in key or _breaks_line(key):
             raise UnencodableMeta(f"meta key {key!r} contains '=' or a line break")
         if _breaks_line(value):
             raise UnencodableMeta(f"meta value of {key!r} contains a line break")
+    text = str(session.meta.get("epoch_ms", "0"))
+    try:
+        epoch_ms = int(text)
+    except ValueError:
+        raise UnencodableMeta(f"meta value of 'epoch_ms' is not an integer: {text!r}") from None
+    # each of the three streams is in time order, so its ends bound its times
+    frames, events, intervals = session.frames, session.raw_events, session.active_intervals
+    ends = [r.t_ms for r in (*frames[:1], *frames[-1:], *events[:1], *events[-1:])]
+    ends += [t for interval in (*intervals[:1], *intervals[-1:]) for t in interval]
+    for t_ms in (min(ends, default=0), max(ends, default=0)):
+        try:
+            _iso(t_ms, epoch_ms)
+        except ValueError:
+            raise UnencodableMeta(
+                f"meta value of 'epoch_ms' puts t_ms {t_ms} outside years 1-9999: {text!r}"
+            ) from None
+    return epoch_ms
 
 
 def export_session(session: TrackSession, path: str | Path) -> Path:
     """Write the four-file session directory in canonical byte-stable form.
 
     Raises ``UnencodableMeta`` before writing anything when a meta key
-    contains ``=`` or a line break, or a value contains a line break.
+    contains ``=`` or a line break, a value contains a line break, or
+    ``epoch_ms`` is no integer or dates a written time outside years 1-9999.
     """
-    _check_meta(session.meta)
+    epoch_ms = _check_meta(session)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    epoch_ms = int(session.meta.get("epoch_ms", "0"))
 
     meta_lines = [f"{k}={session.meta[k]}\n" for k in sorted(session.meta)]
     (root / _META_NAME).write_text("".join(meta_lines), encoding="utf-8")

@@ -26,7 +26,7 @@ from combatkit.aot import (
     to_truncated_form,
     write_records,
 )
-from combatkit.errors import EmptyDatasetWarning, ParseError
+from combatkit.errors import ConfigError, EmptyDatasetWarning, ParseError
 from combatkit.tracker import Edge, SessionRecorder
 
 
@@ -42,13 +42,13 @@ def _session(frame_ts, presses, meta=None):
 
 
 def test_stage_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="got 0, 10, 4"):
         StageConfig(n=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="got 20, -1, 4"):
         StageConfig(m=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"split_fraction must be inside \(0, 1\), got 1.0"):
         StageConfig(split_fraction=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="merge_window_ms cannot be negative, got -5"):
         StageConfig(merge_window_ms=-5)
     cfg = StageConfig()
     assert (cfg.n, cfg.m, cfg.k_frames) == (20, 10, 4)
@@ -79,9 +79,9 @@ def test_aot_records_cannot_be_built_around_their_checks():
             with pytest.raises(AttributeError):
                 setattr(rec, name, None)
     # StageConfig's _replace and _make run its check
-    with pytest.raises(ValueError, match="must be positive"):
+    with pytest.raises(ConfigError, match="must be positive"):
         cfg._replace(n=0)
-    with pytest.raises(ValueError, match="split_fraction"):
+    with pytest.raises(ConfigError, match="split_fraction"):
         StageConfig._make((20, 10, 4, 1.5, 0, 50))
     assert cfg._replace(seed=3) == StageConfig(seed=3)
     # an AoTRecord's _replace re-derives actions and serialized, and sets neither

@@ -196,6 +196,33 @@ def test_task_file_refuses_a_field_of_another_json_type(tmp_path, key, value, re
 
 
 @pytest.mark.parametrize(
+    "key,value,reason",
+    [
+        # values must be finite
+        ("enemy_max_hp", math.nan, "field 'enemy_max_hp' is not a finite number above 0: nan"),
+        ("strike_range_m", math.inf, "field 'strike_range_m' is not a finite number above 0: inf"),
+        # hit points, powers, lengths and speeds must be above 0
+        ("enemy_max_hp", -5, "field 'enemy_max_hp' is not a finite number above 0: -5.0"),
+        ("chase_speed_mps", 0, "field 'chase_speed_mps' is not a finite number above 0: 0.0"),
+        # times must not be below 0
+        ("telegraph_ms", -1, "field 'telegraph_ms' is below 0: -1"),
+    ],
+)
+def test_task_file_refuses_a_value_out_of_range(tmp_path, key, value, reason):
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps({"version": 1, "tasks": [{**_TASK_ROW, key: value}]}))
+    with pytest.raises(ConfigError) as err:
+        load_task_configs(path)
+    assert str(err.value) == f"task 4: {reason}"
+
+
+def test_task_file_takes_a_phase_time_of_0(tmp_path):
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps({"version": 1, "tasks": [{**_TASK_ROW, "idle_ms": 0}]}))
+    assert load_task_configs(path)[4].idle_ms == 0
+
+
+@pytest.mark.parametrize(
     "content,message",
     [
         ([1], "task file: expected an object with a list of tasks"),

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import combatkit
+from combatkit import aot
 from combatkit.aot import bundled_stage3_path, read_records, write_records
 from combatkit.cli import main
 from test_rows import HUGE_INT, HUGE_INT_REASON, needs_digit_limit
@@ -98,6 +99,27 @@ def test_track_export_is_byte_identical(capsys, tmp_path):
     assert json.loads(out)["out"] == str(out_dir)
     for name in ("session.meta", "frames.jsonl", "events.jsonl", "intervals.jsonl"):
         assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "epoch_ms, reason",
+    [
+        ("abc", "meta value of 'epoch_ms' is not an integer: 'abc'"),
+        (
+            "999999999999999999",
+            "meta value of 'epoch_ms' puts t_ms 0 outside years 1-9999: '999999999999999999'",
+        ),
+    ],
+)
+def test_track_export_refuses_an_epoch_it_cannot_date(capsys, tmp_path, epoch_ms, reason):
+    session = tmp_path / "session"
+    shutil.copytree(GOLDEN, session)
+    meta = session / "session.meta"
+    meta.write_text(meta.read_text().replace("epoch_ms=0", f"epoch_ms={epoch_ms}"))
+    code, out, err = run(capsys, "track", "export", "--dir", session, "--out", tmp_path / "out")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "UnencodableMeta", "message": reason}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["session"]
 
 
 def test_missing_dir_fails_with_json_error(capsys, tmp_path):
@@ -362,6 +384,11 @@ def test_agent_suite_csv_and_file_determinism(capsys, tmp_path):
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "suite.json").read_bytes()
 
 
+_SPLIT = ("aot", "split", "--in", "{bundled}", "--seed", 0,
+          "--train-out", "{tmp}/train.jsonl", "--val-out", "{tmp}/val.jsonl")
+_BUILD = ("aot", "build", "--dir", "{golden}", "--stage", 3)
+
+
 @pytest.mark.parametrize(
     "argv, reason",
     [
@@ -378,11 +405,35 @@ def test_agent_suite_csv_and_file_determinism(capsys, tmp_path):
         (("agent", "suite", "--tasks", "99", "--seed", 0), "unknown task ids [99]"),
         (("agent", "suite", "--tasks", "1,1", "--seed", 0), "repeats task ids [1]"),
         (("bench", "gen", "--seed", 0, "--tasks", ""), "selects no task"),
+        ((*_SPLIT, "--split", "nan"), "split_fraction must be inside (0, 1), got nan"),
+        ((*_SPLIT, "--split", 1.5), "split_fraction must be inside (0, 1), got 1.5"),
+        ((*_BUILD, "--n", 0), "n, m and k_frames must be positive, got 0, 10, 4"),
+        ((*_BUILD, "--m", 0), "n, m and k_frames must be positive, got 20, 0, 4"),
+        ((*_BUILD, "--k-frames", 0), "n, m and k_frames must be positive, got 20, 10, 0"),
+        ((*_BUILD, "--merge-window-ms", -1), "merge_window_ms cannot be negative, got -1"),
+        (("decode", "run", "--in", "{bundled}", "--budget", 0),
+         "token budget must be positive, got 0"),
+        (("decode", "run", "--in", "{bundled}", "--pace", "1e-300"), "and finite, got 1e-300"),
+        (("agent", "suite", "--tasks", "1", "--seed", 0, "--pace-tokens-per-second", "1e-320"),
+         "and finite, got 1e-320"),
+        (("agent", "run", "--task", 1, "--seed", 0, "--pace-tokens-per-second", "1e-320"),
+         "and finite, got 1e-320"),
+        pytest.param(("loss", "check", "--step", "nan"), "step h must lie in [1e-7, 1e-3], got nan",
+                     marks=needs_numpy),
+        pytest.param(("loss", "check", "--dim", -1), "dim from 2 to 4096, got -1",
+                     marks=needs_numpy),
+        pytest.param(("loss", "check", "--dim", 1), "dim from 2 to 4096, got 1", marks=needs_numpy),
+        pytest.param(("loss", "check", "--seed", -1), "seed of at least 0, got -1",
+                     marks=needs_numpy),
     ],
     ids=lambda v: " ".join(map(str, v)) if isinstance(v, tuple) else None,
 )
 def test_out_of_range_counts_and_pace_are_config_errors(capsys, tmp_path, argv, reason):
-    code, out, err = run(capsys, *argv, "--out", tmp_path / "out")
+    # every output goes under tmp_path, which must stay empty
+    argv = [str(a).format(tmp=tmp_path, bundled=BUNDLED, golden=GOLDEN) for a in argv]
+    if "--train-out" not in argv:  # aot split names its two outputs instead
+        argv += ["--out", tmp_path / "out"]
+    code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     payload = json.loads(err)
@@ -397,6 +448,19 @@ def test_agent_run_checks_the_pace_without_out(capsys):
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "ConfigError" and "pace must be" in payload["message"]
+
+
+@pytest.mark.parametrize("exc", [KeyError("stage"), ValueError("not a record")], ids=repr)
+def test_a_handler_bug_propagates_out_of_main(capsys, monkeypatch, exc):
+    # only a CombatkitError or an OSError is a refused input; anything else is a bug
+    def broken(records):
+        raise exc
+
+    monkeypatch.setattr(aot, "dataset_stats", broken)  # the handler reads it through cli
+    with pytest.raises(type(exc)) as raised:
+        main(["aot", "stats", "--in", str(BUNDLED)])
+    assert raised.value is exc
+    assert capsys.readouterr() == ("", "")
 
 
 def test_agent_seed_is_required(capsys):

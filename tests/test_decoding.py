@@ -84,7 +84,7 @@ def test_budget_stop():
     assert res.stop_reason is StopReason.BUDGET
     assert res.emitted_count == 20
     assert res.actions.categories() == {ActionCategory.DODGE}
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="token budget must be positive, got 0"):
         decode(TokenStream.from_text(text), budget=0)
 
 
@@ -127,8 +127,13 @@ def test_token_stream_pacing_uses_injected_sleep():
 
 
 def test_a_nan_pace_is_refused_where_it_is_set(capsys):
-    for pace in ("nan", "0", "-1"):
-        message = f"pace must be a positive number of tokens per second, got {float(pace)}"
+    # 1e-300 is positive, but a paced wait of one token at it overflows time.sleep
+    TokenStream(["a"], tokens_per_second=0.001)
+    for pace in ("nan", "0", "-1", "inf", "1e-300", "0.000999"):
+        message = (
+            "pace must be a positive number of tokens per second, at least 0.001 and finite,"
+            f" got {float(pace)}"
+        )
         with pytest.raises(ConfigError) as refused:
             TokenStream(["a"], tokens_per_second=float(pace))
         assert str(refused.value) == message

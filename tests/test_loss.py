@@ -227,9 +227,9 @@ def test_central_difference_gradient_on_quadratic():
     point = np.array([0.5, -1.25, 3.0])
     got = central_difference_gradient(lambda x: float(np.sum(x * x)), point)
     assert np.allclose(got, 2 * point, atol=1e-8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="got 0.01"):
         central_difference_gradient(lambda x: 0.0, point, h=1e-2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="got 1e-09"):
         central_difference_gradient(lambda x: 0.0, point, h=1e-9)
 
 
@@ -433,7 +433,7 @@ def test_contrastive_check_runs_the_library_code(monkeypatch):
 
 
 def test_gradient_check_rows_rejects_step_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"step h must lie in \[1e-7, 1e-3\], got 0.01"):
         gradient_check_rows(points=1, dim=4, h=1e-2)
 
 
@@ -454,3 +454,19 @@ def test_composite_loss_rejects_non_finite():
 def test_gradient_check_rows_rejects_fewer_than_one_point(points):
     with pytest.raises(ConfigError, match="at least 1 point"):
         gradient_check_rows(points=points, dim=4)
+
+
+@pytest.mark.parametrize(
+    "kwargs, reason",
+    [
+        ({"dim": 1}, "dim from 2 to 4096, got 1"),
+        ({"dim": 0}, "dim from 2 to 4096, got 0"),
+        ({"dim": -1}, "dim from 2 to 4096, got -1"),
+        ({"dim": 4097}, "dim from 2 to 4096, got 4097"),
+        ({"dim": 10**20}, "dim from 2 to 4096, got 100000000000000000000"),
+        ({"seed": -1}, "seed of at least 0, got -1"),
+    ],
+)
+def test_gradient_check_rows_rejects_a_dim_out_of_range_and_a_negative_seed(kwargs, reason):
+    with pytest.raises(ConfigError, match=reason):
+        gradient_check_rows(points=1, **{"dim": 4, **kwargs})

@@ -177,7 +177,7 @@ def test_make_policy_names():
     assert isinstance(make_policy("scripted", TASKS[1], 0), ScriptedPolicy)
     assert isinstance(make_policy("random", TASKS[1], 0), RandomPolicy)
     assert make_policy("scripted", TASKS[11], 0).game_mode == "SSDT"
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="unknown policy 'llm'"):
         make_policy("llm", TASKS[1], 0)
 
 

@@ -317,6 +317,35 @@ def test_export_rejects_meta_that_cannot_round_trip(tmp_path, meta):
     assert not (tmp_path / "sess").exists()
 
 
+_LAST_MS = 253_402_300_799_999  # 9999-12-31T23:59:59.999
+_FIRST_MS = -62_135_596_800_000  # 0001-01-01T00:00:00.000
+
+
+@pytest.mark.parametrize(
+    "epoch_ms, intervals, reason",
+    [
+        ("abc", ((0, 700),), "is not an integer: 'abc'"),
+        ("1.5", ((0, 700),), "is not an integer: '1.5'"),
+        (_LAST_MS - 699, ((0, 700),), "puts t_ms 700 outside years 1-9999"),  # the last frame
+        (_LAST_MS - 720, ((0, 750),), "puts t_ms 750 outside years 1-9999"),  # an interval end
+        (_FIRST_MS - 1, ((0, 700),), "puts t_ms 0 outside years 1-9999"),  # the first frame
+    ],
+)
+def test_export_rejects_an_epoch_it_cannot_date(tmp_path, epoch_ms, intervals, reason):
+    session = _sample_session()._replace(meta={"epoch_ms": str(epoch_ms)}, active_intervals=intervals)
+    with pytest.raises(UnencodableMeta, match=reason):
+        export_session(session, tmp_path / "sess")
+    assert not (tmp_path / "sess").exists()
+
+
+def test_export_dates_times_up_to_the_last_millisecond_of_9999(tmp_path):
+    session = _sample_session()._replace(meta={"epoch_ms": str(_LAST_MS - 700)})
+    back = import_session(export_session(session, tmp_path / "sess"))
+    assert back == session
+    last = (tmp_path / "sess" / "intervals.jsonl").read_text()
+    assert '"end_iso": "9999-12-31T23:59:59.999+00:00"' in last
+
+
 def test_export_keeps_equals_signs_in_meta_values(tmp_path):
     session = _sample_session()._replace(meta={"query": "k=v&x=y", "empty": ""})
     assert import_session(export_session(session, tmp_path / "sess")).meta == session.meta
