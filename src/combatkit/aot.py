@@ -85,10 +85,10 @@ class _StageFields(NamedTuple):
 class StageConfig(_StageFields):
     """Settings of the dataset builders and the train/val split.
 
-    n frames per stage-1 window at m frames/sec, k_frames of history per
-    stage-2 record, merge_window_ms to merge near-simultaneous actions
-    into one stage-2 decision, and a train fraction and seed for
-    splitting. The constructor refuses a value out of range as a
+    n frames per stage-1 window at m frames/sec (at most 1000), k_frames
+    of history per stage-2 record, merge_window_ms to merge
+    near-simultaneous actions into one stage-2 decision, and a train
+    fraction and seed for splitting. The constructor refuses a value out of range as a
     ``ConfigError``, and ``_make`` and ``_replace`` build through it.
     """
 
@@ -105,6 +105,10 @@ class StageConfig(_StageFields):
     ) -> "StageConfig":
         if n <= 0 or m <= 0 or k_frames <= 0:
             raise ConfigError(f"n, m and k_frames must be positive, got {n}, {m}, {k_frames}")
+        if m > 1000:
+            # Frame times are whole milliseconds, so a finer grid only picks the
+            # same frames again; this keeps stage 1 at one slot per millisecond.
+            raise ConfigError(f"m must be at most 1000 frames/sec, got {m}")
         if not 0.0 < split_fraction < 1.0:
             raise ConfigError(f"split_fraction must be inside (0, 1), got {split_fraction}")
         if merge_window_ms < 0:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .arena import ObservationFrame, PlayerStatus
-from .errors import ConfigError, GenerationShortfall, ValidationError
+from .errors import ConfigError, GenerationShortfall, ParseError
 from .policies import ScriptedPolicy
 from .actions import ActionCategory
 from .rows import read_jsonl, read_rows, typed_field, write_jsonl
@@ -136,7 +136,7 @@ class ValidationReport(NamedTuple):
     counts: dict[str, int]
     fractions: dict[str, float]
     subtask_counts: dict[str, int]
-    violations: tuple[ValidationError, ...]
+    violations: tuple[str, ...]  # each ``line N: field 'x': reason``
 
     @property
     def ok(self) -> bool:
@@ -146,58 +146,57 @@ class ValidationReport(NamedTuple):
         return {
             **self._asdict(),
             "fractions": {k: round(v, 4) for k, v in self.fractions.items()},
-            "violations": [str(v) for v in self.violations],
         }
 
 
-def _check_item(
-    obj: dict, line: int, first_lines: dict[str, int], path: str | None = None
-) -> BenchItem:
-    """``obj`` as an item; its first violation, naming ``path`` if given, is raised.
+def _violation(field: str, reason: str) -> ValueError:
+    return ValueError(f"field {field!r}: {reason}")
+
+
+def _check_item(obj: dict, line: int, first_lines: dict[str, int]) -> BenchItem:
+    """``obj`` as an item; its first violation is raised as a ``ValueError``
+    reading ``field 'x': reason``.
 
     ``first_lines`` maps each id seen to its line. No field is coerced: a
     text field that JSON gave another type is a violation.
     """
-    def violation(field: str, reason: str) -> ValidationError:
-        return ValidationError(line, field, reason, path)
-
     for field in ("id", "category", "subtask", "frame_refs", "question", "choices", "gold"):
         if field not in obj:
-            raise violation(field, "missing")
+            raise _violation(field, "missing")
     for field in ("id", "subtask", "question"):
         if type(obj[field]) is not str:
-            raise violation(field, f"not a string: {obj[field]!r}")
+            raise _violation(field, f"not a string: {obj[field]!r}")
     try:
         category = Category(obj["category"])
     except ValueError:
-        raise violation("category", f"unknown {obj['category']!r}") from None
+        raise _violation("category", f"unknown {obj['category']!r}") from None
     if obj["subtask"] not in SUBTASK_COUNTS[category]:
-        raise violation("subtask", f"not a {category.value} subtask: {obj['subtask']!r}")
+        raise _violation("subtask", f"not a {category.value} subtask: {obj['subtask']!r}")
     refs = obj["frame_refs"]
     if not isinstance(refs, list) or not 1 <= len(refs) <= 4:
-        raise violation("frame_refs", "need 1..4 refs")
+        raise _violation("frame_refs", "need 1..4 refs")
     if not all(type(ref) is str for ref in refs):
-        raise violation("frame_refs", f"refs must be strings: {refs!r}")
+        raise _violation("frame_refs", f"refs must be strings: {refs!r}")
     if category is Category.GATHERING and len(refs) != 1:
-        raise violation("frame_refs", "gathering judges a single frame")
+        raise _violation("frame_refs", "gathering judges a single frame")
     if category is not Category.GATHERING and len(refs) < 2:
-        raise violation("frame_refs", f"{category.value} needs 2+ frames")
+        raise _violation("frame_refs", f"{category.value} needs 2+ frames")
     choices = obj["choices"]
     if category is Category.REASONING:
         if not isinstance(choices, list) or len(choices) != 3:
-            raise violation("choices", "reasoning needs exactly 3 options")
+            raise _violation("choices", "reasoning needs exactly 3 options")
         if not all(type(choice) is str for choice in choices):
-            raise violation("choices", f"options must be strings: {choices!r}")
+            raise _violation("choices", f"options must be strings: {choices!r}")
         if obj["gold"] not in ("A", "B", "C"):
-            raise violation("gold", "must be A, B, or C")
+            raise _violation("gold", "must be A, B, or C")
     else:
         if not isinstance(choices, list) or choices != list(_BINARY_CHOICES):
-            raise violation("choices", "binary items offer Yes/No")
+            raise _violation("choices", "binary items offer Yes/No")
         if obj["gold"] not in _BINARY_CHOICES:
-            raise violation("gold", "must be Yes or No")
+            raise _violation("gold", "must be Yes or No")
     first = first_lines.setdefault(obj["id"], line)
     if first != line:
-        raise violation("id", f"repeats the id of line {first}")
+        raise _violation("id", f"repeats the id of line {first}")
     return BenchItem(
         item_id=obj["id"],
         category=category,
@@ -216,14 +215,14 @@ def validate_dataset(path: str | Path) -> ValidationReport:
     """
     counts = {c.value: 0 for c in Category}
     subtask_counts: dict[str, int] = {}
-    violations: list[ValidationError] = []
+    violations: list[str] = []
     first_lines: dict[str, int] = {}
     total = 0
     for lineno, obj in read_jsonl(path):
         try:
             item = _check_item(obj, lineno, first_lines)
-        except ValidationError as exc:
-            violations.append(exc)
+        except ValueError as exc:
+            violations.append(f"line {lineno}: {exc}")
             continue
         total += 1
         counts[item.category.value] += 1
@@ -450,10 +449,16 @@ def write_items(items: Iterable[BenchItem], path: str | Path) -> Path:
 
 
 def read_items(path: str | Path) -> list[BenchItem]:
-    """Load a benchmark file; raises its first problem in file order, naming the file."""
-    where = str(Path(path))
+    """Load a benchmark file; its first problem in file order, a violation
+    or a line that is not a JSON object, is a ``ParseError``."""
     first_lines: dict[str, int] = {}
-    return [_check_item(obj, lineno, first_lines, where) for lineno, obj in read_jsonl(path)]
+    items = []
+    for lineno, obj in read_jsonl(path):
+        try:
+            items.append(_check_item(obj, lineno, first_lines))
+        except ValueError as exc:
+            raise ParseError(str(Path(path)), lineno, str(exc)) from None
+    return items
 
 
 def write_predictions(predictions: Mapping[str, str], path: str | Path) -> Path:

@@ -34,6 +34,9 @@ command that writes a CSV report with its JSON sibling (``--out``)
 names both files in one line on stderr.
 A ``CombatkitError`` or ``OSError`` prints a JSON object to stderr and
 exits 1, and any other exception propagates; usage errors exit 2.
+``main`` writes that line, and no handler writes one: a check that finds
+failures (``bench validate``, ``loss check``) raises ``ValidationError``
+after its normal output.
 """
 
 from __future__ import annotations
@@ -47,7 +50,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .aot import StageConfig
-from .errors import CombatkitError, ConfigError, EmptyDataset, MissingDependency, ParseError
+from .errors import (
+    CombatkitError, ConfigError, EmptyDataset, MissingDependency, ParseError, ValidationError,
+)
 from .rows import (
     build_rows, csv_text, json_text, read_json_object, typed_field, write_jsonl, write_report,
 )
@@ -91,10 +96,6 @@ _lib = sys.modules[__name__]
 
 def _print_json(obj) -> None:
     sys.stdout.write(json_text(obj))
-
-
-def _fail(payload: dict) -> None:
-    sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _csv_path(out: str | Path) -> Path:
@@ -234,13 +235,7 @@ def _cmd_loss_check(args) -> int:
         _note_written(write_report(_csv_path(args.out), text, {"seed": args.seed, "rows": rows}))
     worst = max(row["max_rel_error"] for row in rows)
     if worst >= args.tolerance:
-        _fail(
-            {
-                "error": "GradientCheckFailed",
-                "message": f"max relative error {worst:.3e} >= tolerance {args.tolerance:.1e}",
-            }
-        )
-        return 1
+        raise ValidationError(f"max relative error {worst:.3e} >= tolerance {args.tolerance:.1e}")
     return 0
 
 
@@ -356,14 +351,7 @@ def _cmd_bench_validate(args) -> int:
     report = _lib.validate_dataset(args.in_path)
     _print_json(report.to_json_dict())
     if not report.ok:
-        _fail(
-            {
-                "error": "ValidationError",
-                "message": f"{args.in_path}: {len(report.violations)} schema violations",
-                "violations": [str(v) for v in report.violations],
-            }
-        )
-        return 1
+        raise ValidationError(f"{args.in_path}: {len(report.violations)} schema violations")
     return 0
 
 
@@ -663,7 +651,8 @@ def main(argv=None) -> int:
         _apply_config(args, verb)
         return verb.handler(args)
     except (CombatkitError, OSError) as exc:
-        _fail({"error": type(exc).__name__, "message": str(exc)})
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
         return 1
 
 

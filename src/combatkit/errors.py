@@ -131,26 +131,11 @@ class MissingDependency(CombatkitError):
     """A command needs a package that is not installed, such as numpy for ``loss check``."""
 
 
-# ---------------------------------------------------------------- bench
-
 class ValidationError(CombatkitError):
-    """A benchmark item violated the schema.
+    """A check the verb ran found failures."""
 
-    Given the item's file, the message starts ``path:line:`` as a
-    ``ParseError``'s does, and ``line N:`` without it.
-    """
 
-    def __init__(self, line: int, field: str, reason: str = "", path: str | None = None):
-        super().__init__(line, field, reason, path)
-        self.line, self.field, self.reason, self.path = line, field, reason, path
-
-    def __str__(self) -> str:
-        where = f"line {self.line}" if self.path is None else f"{self.path}:{self.line}"
-        msg = f"{where}: field {self.field!r}"
-        if self.reason:
-            msg += f": {self.reason}"
-        return msg
-
+# ---------------------------------------------------------------- bench
 
 class GenerationShortfall(CombatkitError):
     """Transcripts lack enough material to meet a target count."""

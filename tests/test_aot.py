@@ -46,6 +46,9 @@ def test_stage_config_validation():
         StageConfig(n=0)
     with pytest.raises(ConfigError, match="got 20, -1, 4"):
         StageConfig(m=-1)
+    with pytest.raises(ConfigError, match="m must be at most 1000 frames/sec, got 1001"):
+        StageConfig(m=1001)
+    assert StageConfig(m=1000).m == 1000
     with pytest.raises(ConfigError, match=r"split_fraction must be inside \(0, 1\), got 1.0"):
         StageConfig(split_fraction=1.0)
     with pytest.raises(ConfigError, match="merge_window_ms cannot be negative, got -5"):

@@ -26,12 +26,7 @@ from combatkit.bench import (
     write_items,
     write_predictions,
 )
-from combatkit.errors import (
-    ConfigError,
-    GenerationShortfall,
-    ParseError,
-    ValidationError,
-)
+from combatkit.errors import ConfigError, GenerationShortfall, ParseError
 from combatkit.policies import ScriptedPolicy
 from combatkit.rows import write_jsonl
 from combatkit.runner import collect_transcripts
@@ -69,6 +64,12 @@ def _oracle_gold(item, frames):
         return "Yes" if _ORACLE[item.subtask][1](frame) else "No"
     lead = min((e.category for e in ScriptedPolicy().decide(frame)), key=lambda c: c.priority_rank)
     return _LETTER.get(lead, "C")
+
+
+def _where(violation):
+    """The ``line N`` and ``field 'x'`` of a ``line N: field 'x': reason`` violation."""
+    line, field, _reason = violation.split(": ", 2)
+    return line, field
 
 
 def _item(**over):
@@ -145,10 +146,15 @@ def test_validation_flags_schema_violations(tmp_path):
     report = validate_dataset(write_jsonl(tmp_path / "items.jsonl", rows))
     assert not report.ok
     assert report.total == 1
-    assert len(report.violations) == 7
-    fields = [v.field for v in report.violations]
-    assert "category" in fields and "gold" in fields and "choices" in fields
-    assert all(isinstance(v, ValidationError) for v in report.violations)
+    assert [_where(v) for v in report.violations] == [
+        ("line 2", "field 'category'"),
+        ("line 3", "field 'category'"),
+        ("line 4", "field 'frame_refs'"),
+        ("line 5", "field 'frame_refs'"),
+        ("line 6", "field 'choices'"),
+        ("line 7", "field 'gold'"),
+        ("line 8", "field 'gold'"),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -167,9 +173,10 @@ def test_validation_refuses_a_field_of_another_json_type(tmp_path, row, field):
     p = write_jsonl(tmp_path / "items.jsonl", [row])
     report = validate_dataset(p)
     assert report.total == 0
-    assert [(v.line, v.field) for v in report.violations] == [(1, field)]
-    with pytest.raises(ValidationError) as err:
+    assert [_where(v) for v in report.violations] == [("line 1", f"field {field!r}")]
+    with pytest.raises(ParseError) as err:
         read_items(p)
+    assert (err.value.path, err.value.line) == (str(p), 1)
     assert str(err.value).startswith(f"{p}:1: field {field!r}: ")
 
 
@@ -185,9 +192,10 @@ def test_validation_refuses_a_subtask_outside_its_category(tmp_path, row):
     p = write_jsonl(tmp_path / "items.jsonl", [_item().to_json_dict(), row])
     report = validate_dataset(p)
     assert report.total == 1 and report.subtask_counts == {"enemy_health": 1}
-    assert [(v.line, v.field) for v in report.violations] == [(2, "subtask")]
-    with pytest.raises(ValidationError, match=f"not a {row['category']} subtask"):
+    assert [_where(v) for v in report.violations] == [("line 2", "field 'subtask'")]
+    with pytest.raises(ParseError) as err:
         read_items(p)
+    assert str(err.value).startswith(f"{p}:2: field 'subtask': not a {row['category']} subtask")
 
 
 # Marks an answer with no canonical token, for which normalize_answer returns None.
@@ -419,8 +427,9 @@ def test_items_io_round_trip(tmp_path):
 
     with p.open("a") as fh:
         fh.write(json.dumps(bad) + "\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError) as err:
         read_items(p)
+    assert str(err.value) == f"{p}:11: field 'gold': must be Yes or No"
 
 
 def test_predictions_io_round_trip(tmp_path):
@@ -465,11 +474,12 @@ def test_read_items_raises_first_violation(tmp_path):
     good = read_items(ITEMS_PATH)[0].to_json_dict()
     rows = [good, dict(good, gold="Perhaps"), dict(good, id="other"), dict(good, frame_refs=[])]
     p = write_jsonl(tmp_path / "items.jsonl", rows)
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(ParseError) as err:
         read_items(p)
-    assert (err.value.line, err.value.field) == (2, "gold")
+    assert (err.value.path, err.value.line) == (str(p), 2)
+    assert err.value.reason.startswith("field 'gold'")
     assert str(err.value).startswith(f"{p}:2: field 'gold'")
-    assert [v.line for v in validate_dataset(p).violations] == [2, 4]
+    assert [_where(v)[0] for v in validate_dataset(p).violations] == ["line 2", "line 4"]
 
 
 @pytest.mark.parametrize("violation_first", [True, False])
@@ -481,10 +491,10 @@ def test_read_items_raises_the_first_problem_in_file_order(tmp_path, violation_f
     lines[non_object] = "5"
     p = tmp_path / "items.jsonl"
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises((ValidationError, ParseError)) as err:
+    with pytest.raises(ParseError) as err:
         read_items(p)
-    expected = ValidationError if violation_first else ParseError
-    assert type(err.value) is expected and err.value.line == 2
+    expected = "field 'gold': must be Yes or No" if violation_first else "expected a JSON object"
+    assert (err.value.line, err.value.reason) == (2, expected)
     assert str(err.value).startswith(f"{p}:2: ")
 
 
@@ -493,8 +503,8 @@ def test_a_repeated_item_id_is_a_violation_naming_the_first_line(tmp_path):
     p = write_jsonl(tmp_path / "items.jsonl", [first, second, first])
     report = validate_dataset(p)
     assert report.total == 2
-    assert [str(v) for v in report.violations] == ["line 3: field 'id': repeats the id of line 1"]
-    with pytest.raises(ValidationError) as err:
+    assert report.violations == ("line 3: field 'id': repeats the id of line 1",)
+    with pytest.raises(ParseError) as err:
         read_items(p)
     assert str(err.value) == f"{p}:3: field 'id': repeats the id of line 1"
 

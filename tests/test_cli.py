@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface via main(argv) and the console script."""
 
+import builtins
 import importlib
 import importlib.util
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import combatkit
-from combatkit import aot
+from combatkit import aot, errors
 from combatkit.aot import bundled_stage3_path, read_records, write_records
 from combatkit.cli import main
 from test_rows import HUGE_INT, HUGE_INT_REASON, needs_digit_limit
@@ -266,7 +267,10 @@ def test_loss_check_fails_at_an_error_above_the_tolerance(capsys):
     code, out, err = run(capsys, "loss", "check", "--points", 2, "--dim", 4, "--tolerance", 1e-12)
     assert code == 1
     assert out.startswith("component,")
-    assert json.loads(err)["error"] == "GradientCheckFailed"
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload.keys() == {"error", "message"} and payload["error"] == "ValidationError"
+    assert re.fullmatch(r"max relative error \S+ >= tolerance 1\.0e-12", payload["message"])
 
 
 # no needs_numpy: the tolerance is checked before the checker and numpy load
@@ -388,57 +392,116 @@ _SPLIT = ("aot", "split", "--in", "{bundled}", "--seed", 0,
           "--train-out", "{tmp}/train.jsonl", "--val-out", "{tmp}/val.jsonl")
 _BUILD = ("aot", "build", "--dir", "{golden}", "--stage", 3)
 
+# (argv, part of the ConfigError message); "{tmp}", "{bundled}" and
+# "{golden}" are filled in when the test runs, so no checkout path enters
+# a test id
+_CONFIG_ERRORS = [
+    (("agent", "suite", "--tasks", "1", "--seed", 0, "--repeats", 0), "repeats must be"),
+    (("agent", "suite", "--tasks", "1", "--seed", 0, "--repeats", -1), "repeats must be"),
+    (("agent", "suite", "--tasks", "1", "--seed", 0, "--pace-tokens-per-second", 0),
+     "pace must be"),
+    (("agent", "run", "--task", 1, "--seed", 0, "--pace-tokens-per-second", -4),
+     "pace must be"),
+    (("bench", "gen", "--seed", 0, "--tasks", "1", "--gathering", -5),
+     "category gathering: target count -5 is negative"),
+    (("bench", "gen", "--seed", 0, "--tasks", "1", "--episodes-per-task", 0),
+     "episodes_per_task must be at least 1, got 0"),
+    (("agent", "suite", "--tasks", "99", "--seed", 0), "unknown task ids [99]"),
+    (("agent", "suite", "--tasks", "1,1", "--seed", 0), "repeats task ids [1]"),
+    (("bench", "gen", "--seed", 0, "--tasks", ""), "selects no task"),
+    ((*_SPLIT, "--split", "nan"), "split_fraction must be inside (0, 1), got nan"),
+    ((*_SPLIT, "--split", 1.5), "split_fraction must be inside (0, 1), got 1.5"),
+    ((*_BUILD, "--n", 0), "n, m and k_frames must be positive, got 0, 10, 4"),
+    ((*_BUILD, "--m", 0), "n, m and k_frames must be positive, got 20, 0, 4"),
+    ((*_BUILD, "--m", "100000000000000000000"),
+     "m must be at most 1000 frames/sec, got 100000000000000000000"),
+    ((*_BUILD, "--k-frames", 0), "n, m and k_frames must be positive, got 20, 10, 0"),
+    ((*_BUILD, "--merge-window-ms", -1), "merge_window_ms cannot be negative, got -1"),
+    (("decode", "run", "--in", "{bundled}", "--budget", 0),
+     "token budget must be positive, got 0"),
+    (("decode", "run", "--in", "{bundled}", "--pace", "1e-300"), "and finite, got 1e-300"),
+    (("agent", "suite", "--tasks", "1", "--seed", 0, "--pace-tokens-per-second", "1e-320"),
+     "and finite, got 1e-320"),
+    (("agent", "run", "--task", 1, "--seed", 0, "--pace-tokens-per-second", "1e-320"),
+     "and finite, got 1e-320"),
+    pytest.param(("loss", "check", "--step", "nan"), "step h must lie in [1e-7, 1e-3], got nan",
+                 marks=needs_numpy),
+    pytest.param(("loss", "check", "--dim", -1), "dim from 2 to 4096, got -1",
+                 marks=needs_numpy),
+    pytest.param(("loss", "check", "--dim", 1), "dim from 2 to 4096, got 1", marks=needs_numpy),
+    pytest.param(("loss", "check", "--seed", -1), "seed of at least 0, got -1",
+                 marks=needs_numpy),
+]
 
-@pytest.mark.parametrize(
-    "argv, reason",
-    [
-        (("agent", "suite", "--tasks", "1", "--seed", 0, "--repeats", 0), "repeats must be"),
-        (("agent", "suite", "--tasks", "1", "--seed", 0, "--repeats", -1), "repeats must be"),
-        (("agent", "suite", "--tasks", "1", "--seed", 0, "--pace-tokens-per-second", 0),
-         "pace must be"),
-        (("agent", "run", "--task", 1, "--seed", 0, "--pace-tokens-per-second", -4),
-         "pace must be"),
-        (("bench", "gen", "--seed", 0, "--tasks", "1", "--gathering", -5),
-         "category gathering: target count -5 is negative"),
-        (("bench", "gen", "--seed", 0, "--tasks", "1", "--episodes-per-task", 0),
-         "episodes_per_task must be at least 1, got 0"),
-        (("agent", "suite", "--tasks", "99", "--seed", 0), "unknown task ids [99]"),
-        (("agent", "suite", "--tasks", "1,1", "--seed", 0), "repeats task ids [1]"),
-        (("bench", "gen", "--seed", 0, "--tasks", ""), "selects no task"),
-        ((*_SPLIT, "--split", "nan"), "split_fraction must be inside (0, 1), got nan"),
-        ((*_SPLIT, "--split", 1.5), "split_fraction must be inside (0, 1), got 1.5"),
-        ((*_BUILD, "--n", 0), "n, m and k_frames must be positive, got 0, 10, 4"),
-        ((*_BUILD, "--m", 0), "n, m and k_frames must be positive, got 20, 0, 4"),
-        ((*_BUILD, "--k-frames", 0), "n, m and k_frames must be positive, got 20, 10, 0"),
-        ((*_BUILD, "--merge-window-ms", -1), "merge_window_ms cannot be negative, got -1"),
-        (("decode", "run", "--in", "{bundled}", "--budget", 0),
-         "token budget must be positive, got 0"),
-        (("decode", "run", "--in", "{bundled}", "--pace", "1e-300"), "and finite, got 1e-300"),
-        (("agent", "suite", "--tasks", "1", "--seed", 0, "--pace-tokens-per-second", "1e-320"),
-         "and finite, got 1e-320"),
-        (("agent", "run", "--task", 1, "--seed", 0, "--pace-tokens-per-second", "1e-320"),
-         "and finite, got 1e-320"),
-        pytest.param(("loss", "check", "--step", "nan"), "step h must lie in [1e-7, 1e-3], got nan",
-                     marks=needs_numpy),
-        pytest.param(("loss", "check", "--dim", -1), "dim from 2 to 4096, got -1",
-                     marks=needs_numpy),
-        pytest.param(("loss", "check", "--dim", 1), "dim from 2 to 4096, got 1", marks=needs_numpy),
-        pytest.param(("loss", "check", "--seed", -1), "seed of at least 0, got -1",
-                     marks=needs_numpy),
-    ],
-    ids=lambda v: " ".join(map(str, v)) if isinstance(v, tuple) else None,
-)
+
+def _argv_id(value):
+    return " ".join(map(str, value)) if isinstance(value, tuple) else None
+
+
+def _fill(argv, tmp_path):
+    """``argv`` as strings, its placeholders filled in."""
+    return [
+        str(a).format(tmp=tmp_path, bundled=BUNDLED, golden=GOLDEN, items=ITEMS,
+                      predictions=PREDICTIONS)
+        for a in argv
+    ]
+
+
+def _with_out(argv):
+    """``argv`` with ``--out`` under ``{tmp}``; ``aot split`` names its two outputs instead."""
+    return argv if "--train-out" in argv else (*argv, "--out", "{tmp}/out")
+
+
+@pytest.mark.parametrize("argv, reason", _CONFIG_ERRORS, ids=_argv_id)
 def test_out_of_range_counts_and_pace_are_config_errors(capsys, tmp_path, argv, reason):
     # every output goes under tmp_path, which must stay empty
-    argv = [str(a).format(tmp=tmp_path, bundled=BUNDLED, golden=GOLDEN) for a in argv]
-    if "--train-out" not in argv:  # aot split names its two outputs instead
-        argv += ["--out", tmp_path / "out"]
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *_fill(_with_out(argv), tmp_path))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     payload = json.loads(err)
     assert payload["error"] == "ConfigError" and reason in payload["message"]
     assert list(tmp_path.iterdir()) == []
+
+
+def _config_error_argvs():
+    """Each ``_CONFIG_ERRORS`` row's argv, with ``--out`` and the row's marks."""
+    for row in _CONFIG_ERRORS:
+        (argv, _reason), marks = (row.values, row.marks) if hasattr(row, "marks") else (row, ())
+        yield pytest.param(_with_out(argv), marks=marks)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *_config_error_argvs(),
+        ("bench", "score", "--items", "{tmp}/bad_items.jsonl", "--predictions", "{predictions}"),
+        ("bench", "score", "--items", "{items}", "--predictions", "{tmp}/bad_predictions.jsonl"),
+        ("bench", "validate", "--in", "{tmp}/bad_items.jsonl"),
+        pytest.param(("loss", "check", "--points", 2, "--dim", 4, "--tolerance", 1e-12),
+                     marks=needs_numpy),
+    ],
+    ids=_argv_id,
+)
+def test_every_error_line_names_an_error_class(capsys, tmp_path, argv):
+    # one refusal contract: exit 1 and one JSON line whose `error` is a
+    # CombatkitError subclass in combatkit.errors or an OSError subclass
+    items = ITEMS.read_text(encoding="utf-8").splitlines()[:2]
+    items[1] = json.dumps(dict(json.loads(items[1]), gold="Maybe"))
+    (tmp_path / "bad_items.jsonl").write_text("\n".join(items) + "\n", encoding="utf-8")
+    predictions = PREDICTIONS.read_text(encoding="utf-8").splitlines()[0]
+    (tmp_path / "bad_predictions.jsonl").write_text(
+        predictions + '\n{"id": "x"}\n', encoding="utf-8"
+    )
+    code, _, err = run(capsys, *_fill(argv, tmp_path))
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload.keys() == {"error", "message"}
+    name = payload["error"]
+    cls = getattr(errors, name, None)
+    if not (isinstance(cls, type) and issubclass(cls, errors.CombatkitError)):
+        cls = getattr(builtins, name, None)
+        assert isinstance(cls, type) and issubclass(cls, OSError), name
 
 
 def test_agent_run_checks_the_pace_without_out(capsys):
@@ -583,10 +646,11 @@ def test_bench_validate_flags_a_repeated_fixture_line(capsys, tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(f"{line}\n{line}\n", encoding="utf-8")
     code, out, err = run(capsys, "bench", "validate", "--in", bad)
-    assert code == 1 and json.loads(out)["total"] == 1
-    payload = json.loads(err)
-    assert payload["error"] == "ValidationError"
-    assert payload["violations"] == ["line 2: field 'id': repeats the id of line 1"]
+    assert code == 1
+    report = json.loads(out)
+    assert report["total"] == 1
+    assert report["violations"] == ["line 2: field 'id': repeats the id of line 1"]
+    assert json.loads(err) == {"error": "ValidationError", "message": f"{bad}: 1 schema violations"}
 
 
 @pytest.mark.parametrize("line", ["5", "[]"])
@@ -627,16 +691,15 @@ def test_bench_non_list_choices_is_violation_with_file_and_line(capsys, tmp_path
     )
     code, out, err = run(capsys, "bench", "validate", "--in", bad)
     assert code == 1
-    assert json.loads(out)["total"] == 1
+    report = json.loads(out)
+    assert report["total"] == 1
+    assert report["violations"] == ["line 2: field 'choices': binary items offer Yes/No"]
     assert len(err.splitlines()) == 1
-    payload = json.loads(err)
-    assert payload["error"] == "ValidationError"
-    assert payload["message"] == f"{bad}: 1 schema violations"
-    assert payload["violations"] == ["line 2: field 'choices': binary items offer Yes/No"]
+    assert json.loads(err) == {"error": "ValidationError", "message": f"{bad}: 1 schema violations"}
     code, out, err = run(capsys, "bench", "score", "--items", bad, "--predictions", PREDICTIONS)
     assert code == 1 and out == ""
     assert json.loads(err) == {
-        "error": "ValidationError",
+        "error": "ParseError",
         "message": f"{bad}:2: field 'choices': binary items offer Yes/No",
     }
 
@@ -652,7 +715,7 @@ def test_bench_score_invalid_item_names_items_file(capsys, tmp_path):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     payload = json.loads(err)
-    assert payload["error"] == "ValidationError"
+    assert payload["error"] == "ParseError"
     assert payload["message"].startswith(f"{bad}:3: field 'gold'")
 
 
@@ -668,7 +731,7 @@ def test_bench_score_reports_an_invalid_item_ahead_of_a_later_line_that_is_not_u
     code, out, err = run(capsys, "bench", "score", "--items", bad, "--predictions", PREDICTIONS)
     assert code == 1 and out == ""
     payload = json.loads(err)
-    assert payload["error"] == "ValidationError"
+    assert payload["error"] == "ParseError"
     assert payload["message"].startswith(f"{bad}:2: field 'gold'")
 
 
