@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import bisect
 import random
-import warnings
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -33,7 +32,7 @@ from .actions import (
     render_action,
     render_explanation,
 )
-from .errors import ConfigError, EmptyDatasetWarning
+from .errors import ConfigError
 from .rows import read_rows, typed_field, write_jsonl
 from .tracker import (
     AlignedSample,
@@ -266,19 +265,14 @@ def build_video_aot(aligned: AlignedSession, cfg: StageConfig | None = None) -> 
     """Stage 1: one record per full window of n grid slots, stride n.
 
     Windows partition the resampled timeline; a trailing remainder
-    shorter than n slots is discarded. Windows without actions are kept
-    as explicit no-action samples.
+    shorter than n slots is discarded, so a session shorter than one
+    window gives no records. Windows without actions are kept as
+    explicit no-action samples.
     """
     cfg = cfg or StageConfig()
     frames = aligned.session.frames
     slots = _resample(frames, cfg.m)
     n_windows = len(slots) // cfg.n
-    if n_windows == 0:
-        warnings.warn(
-            f"fewer than n={cfg.n} frame slots available; no stage-1 records",
-            EmptyDatasetWarning,
-        )
-        return []
     step = 1000.0 / cfg.m
     t0 = frames[0].t_ms
     context = dict(aligned.session.meta)

@@ -29,14 +29,16 @@ File outputs are deterministic given the seed: rerunning a subcommand
 on identical inputs rewrites byte-identical files, and no subcommand
 mutates its inputs. Measured wall-clock numbers never reach a written
 report; ``decode run``'s ``mean_wall_ms`` is the only one left on
-stdout, and ``agent run`` prints exactly the report it writes. A
-command that writes a CSV report with its JSON sibling (``--out``)
-names both files in one line on stderr.
-A ``CombatkitError`` or ``OSError`` prints a JSON object to stderr and
-exits 1, and any other exception propagates; usage errors exit 2.
-``main`` writes that line, and no handler writes one: a check that finds
-failures (``bench validate``, ``loss check``) raises ``ValidationError``
-after its normal output.
+stdout, and ``agent run`` prints exactly the report it writes.
+
+``main`` writes every stderr line; a handler returns the ``(csv, json)``
+paths of the report it wrote (``--out``), or ``None``. So a verb's stderr
+holds either its ``wrote X.csv and X.json`` note (exit 0) or exactly one
+JSON error line (exit 1): a ``CombatkitError`` or ``OSError`` ends that
+way, any other exception propagates, and usage errors exit 2. A check
+that finds failures (``bench validate``, ``loss check``) raises
+``ValidationError`` after its normal output, and names none of the files
+it wrote.
 """
 
 from __future__ import annotations
@@ -110,14 +112,9 @@ def _csv_path(out: str | Path) -> Path:
     return base.with_name(base.name + ".csv")
 
 
-def _note_written(paths: tuple[Path, Path]) -> None:
-    """Name a written report's CSV and JSON on stderr; stdout carries the result."""
-    sys.stderr.write(f"wrote {paths[0]} and {paths[1]}\n")
-
-
 # ------------------------------------------------------------------ track
 
-def _cmd_track_import(args) -> int:
+def _cmd_track_import(args):
     session = _lib.import_session(args.dir)
     _print_json(
         {
@@ -127,10 +124,9 @@ def _cmd_track_import(args) -> int:
             "meta": session.meta,
         }
     )
-    return 0
 
 
-def _cmd_track_align(args) -> int:
+def _cmd_track_align(args):
     session = _lib.import_session(args.dir)
     aligned = _lib.align_session(session)
     render_event = _lib.render_event
@@ -152,19 +148,17 @@ def _cmd_track_align(args) -> int:
             "dropped": len(aligned.alignment.dropped),
         }
     )
-    return 0
 
 
-def _cmd_track_export(args) -> int:
+def _cmd_track_export(args):
     session = _lib.import_session(args.dir)
     out = _lib.export_session(session, args.out)
     _print_json({"out": str(out)})
-    return 0
 
 
 # -------------------------------------------------------------------- aot
 
-def _cmd_aot_build(args) -> int:
+def _cmd_aot_build(args):
     session = _lib.import_session(args.dir)
     cfg = StageConfig(
         n=args.n, m=args.m, k_frames=args.k_frames, merge_window_ms=args.merge_window_ms
@@ -182,10 +176,9 @@ def _cmd_aot_build(args) -> int:
             records = [to_truncated_form(r) for r in records]
     _lib.write_records(records, args.out)
     _print_json({"out": args.out, "records": len(records), "skipped": skipped})
-    return 0
 
 
-def _cmd_aot_split(args) -> int:
+def _cmd_aot_split(args):
     records = _lib.read_records(args.in_path)
     cfg = StageConfig(split_fraction=args.split, seed=args.seed)
     train, val = _lib.split_dataset(records, cfg)
@@ -194,12 +187,10 @@ def _cmd_aot_split(args) -> int:
     _print_json(
         {"train": len(train), "val": len(val), "seed": args.seed, "split": args.split}
     )
-    return 0
 
 
-def _cmd_aot_stats(args) -> int:
+def _cmd_aot_stats(args):
     _print_json(_lib.dataset_stats(_lib.read_records(args.in_path)))
-    return 0
 
 
 # ------------------------------------------------------------------- loss
@@ -207,7 +198,7 @@ def _cmd_aot_stats(args) -> int:
 _LOSS_COLUMNS = ("component", "analytic_grad_norm", "fd_grad_norm", "max_rel_error")
 
 
-def _cmd_loss_check(args) -> int:
+def _cmd_loss_check(args):
     if not 0.0 < args.tolerance < math.inf:
         # a NaN or infinite tolerance can never fail, and zero or less always does
         raise ConfigError(f"tolerance must be a positive finite number, got {args.tolerance}")
@@ -231,17 +222,17 @@ def _cmd_loss_check(args) -> int:
         ),
     )
     sys.stdout.write(text)
-    if args.out:
-        _note_written(write_report(_csv_path(args.out), text, {"seed": args.seed, "rows": rows}))
+    report = {"seed": args.seed, "rows": rows}
+    written = write_report(_csv_path(args.out), text, report) if args.out else None
     worst = max(row["max_rel_error"] for row in rows)
     if worst >= args.tolerance:
         raise ValidationError(f"max relative error {worst:.3e} >= tolerance {args.tolerance:.1e}")
-    return 0
+    return written
 
 
 # ----------------------------------------------------------------- decode
 
-def _cmd_decode_run(args) -> int:
+def _cmd_decode_run(args):
     records = _lib.read_records(args.in_path)
     if not records:
         raise EmptyDataset(f"{args.in_path}: no records to decode")
@@ -272,14 +263,14 @@ def _cmd_decode_run(args) -> int:
             "mean_wall_ms": wall_total / len(rows),
         }
     )
-    return 0
 
 
-def _cmd_decode_savings(args) -> int:
+def _cmd_decode_savings(args):
     source = Path(args.in_path) if args.in_path else _lib.bundled_stage3_path()
     report = _lib.token_savings_report(source)
     payload = report.to_json_dict()
     payload["source"] = str(source)
+    written = None
     if args.out:
         text = csv_text(
             ("records", "mean_full_tokens", "mean_truncated_tokens", "ratio"),
@@ -292,9 +283,9 @@ def _cmd_decode_savings(args) -> int:
                 )
             ],
         )
-        _note_written(write_report(_csv_path(args.out), text, payload))
+        written = write_report(_csv_path(args.out), text, payload)
     _print_json(payload)
-    return 0
+    return written
 
 
 # ------------------------------------------------------------------ agent
@@ -314,7 +305,7 @@ def _pace(args) -> float:
     return pace
 
 
-def _cmd_agent_run(args) -> int:
+def _cmd_agent_run(args):
     pace = _pace(args)  # refused before the episode runs
     (task,) = _load_tasks(str(args.task))
     policy = _lib.make_policy(args.policy, task, args.seed)
@@ -326,10 +317,9 @@ def _cmd_agent_run(args) -> int:
         _lib.export_transcript(transcript, out / "session")
         (out / "report.json").write_text(json_text(payload), encoding="utf-8")
     _print_json(payload)
-    return 0
 
 
-def _cmd_agent_suite(args) -> int:
+def _cmd_agent_suite(args):
     tasks = _load_tasks(args.tasks)
     report = _lib.run_suite(
         tasks,
@@ -339,23 +329,21 @@ def _cmd_agent_suite(args) -> int:
         policy_name=args.policy,
         pace_tokens_per_second=_pace(args),
     )
-    if args.out:
-        _note_written(_lib.write_suite_report(report, _csv_path(args.out)))
+    written = _lib.write_suite_report(report, _csv_path(args.out)) if args.out else None
     sys.stdout.write(report.to_csv())
-    return 0
+    return written
 
 
 # ------------------------------------------------------------------ bench
 
-def _cmd_bench_validate(args) -> int:
+def _cmd_bench_validate(args):
     report = _lib.validate_dataset(args.in_path)
     _print_json(report.to_json_dict())
     if not report.ok:
         raise ValidationError(f"{args.in_path}: {len(report.violations)} schema violations")
-    return 0
 
 
-def _cmd_bench_gen(args) -> int:
+def _cmd_bench_gen(args):
     tasks = _load_tasks(args.tasks)
     transcripts = _lib.collect_transcripts(
         tasks, seed=args.seed, episodes_per_task=args.episodes_per_task
@@ -375,7 +363,6 @@ def _cmd_bench_gen(args) -> int:
             "counts": {c.value: targets[c] for c in targets},
         }
     )
-    return 0
 
 
 def _bench_table(report) -> str:
@@ -389,7 +376,7 @@ def _bench_table(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_bench_score(args) -> int:
+def _cmd_bench_score(args):
     items = _lib.read_items(args.items)
     predictions = _lib.read_predictions(args.predictions)
     report = _lib.score(items, predictions)
@@ -406,8 +393,7 @@ def _cmd_bench_score(args) -> int:
         ]
         rows.append(("macro_average", "", "", f"{report.macro_average:.2f}"))
         text = csv_text(("category", "correct", "total", "accuracy"), rows)
-        _note_written(write_report(_csv_path(args.out), text, report.to_json_dict()))
-    return 0
+        return write_report(_csv_path(args.out), text, report.to_json_dict())
 
 
 # ----------------------------------------------------------------- report
@@ -423,7 +409,7 @@ def _suite_lines(row) -> tuple:
     )
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     suite = read_json_object(args.suite)
     suite_lines = build_rows(args.suite, suite.get("rows", []), _suite_lines)
     savings = (
@@ -459,10 +445,9 @@ def _cmd_report(args) -> int:
         rows.append(("reference", f"{ref['system']}_model_calls", ref["model_calls"]))
     text = csv_text(("section", "metric", "value"), rows)
 
-    if args.out:
-        _note_written(write_report(_csv_path(args.out), text, combined))
+    written = write_report(_csv_path(args.out), text, combined) if args.out else None
     sys.stdout.write(text)
-    return 0
+    return written
 
 
 # ------------------------------------------------------------ verb table
@@ -484,7 +469,7 @@ class _Verb(NamedTuple):
     group: str
     name: str | None  # None: the group is the verb itself
     help: str | None
-    handler: Callable[[argparse.Namespace], int]
+    handler: Callable[[argparse.Namespace], tuple[Path, Path] | None]  # the report it wrote
     flags: tuple[_Flag, ...]
 
 
@@ -649,11 +634,14 @@ def main(argv=None) -> int:
     verb = _VERBS[args.command, getattr(args, "subcommand", None)]
     try:
         _apply_config(args, verb)
-        return verb.handler(args)
+        written = verb.handler(args)
     except (CombatkitError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
         return 1
+    if written:
+        sys.stderr.write(f"wrote {written[0]} and {written[1]}\n")
+    return 0
 
 
 if __name__ == "__main__":

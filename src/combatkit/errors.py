@@ -107,10 +107,6 @@ class EmptyDataset(CombatkitError):
     """An operation needs at least one record."""
 
 
-class EmptyDatasetWarning(UserWarning):
-    """A builder produced zero records."""
-
-
 # ---------------------------------------------------------------- arena
 
 class ObservationSchemaError(CombatkitError):

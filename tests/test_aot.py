@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import random
+import warnings
 
 import pytest
 
@@ -26,7 +27,7 @@ from combatkit.aot import (
     to_truncated_form,
     write_records,
 )
-from combatkit.errors import ConfigError, EmptyDatasetWarning, ParseError
+from combatkit.errors import ConfigError, ParseError
 from combatkit.tracker import Edge, SessionRecorder
 
 
@@ -175,11 +176,12 @@ def test_stage1_empty_window_kept():
     assert records[1].serialized == f"[no action] [no action] {EOS_TOKEN}"
 
 
-def test_stage1_short_session_warns_and_returns_empty():
+def test_stage1_short_session_returns_empty():
+    # fewer frame slots than one window: no records and no warning, as stage 2
     session = _session([0, 100, 200], [])
-    with pytest.warns(EmptyDatasetWarning):
-        records = build_video_aot(align_session(session))
-    assert records == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert build_video_aot(align_session(session)) == []
 
 
 def test_stage1_resample_prefers_nearest_frame():

@@ -56,6 +56,16 @@ def wrote(csv_path, json_path):
     return f"wrote {csv_path} and {json_path}\n"
 
 
+def names_an_error_class(name):
+    """True if ``name`` is a ``CombatkitError`` subclass in ``combatkit.errors``
+    or an ``OSError`` subclass in ``builtins``: the classes ``main`` reports."""
+    cls = getattr(errors, name, None)
+    if isinstance(cls, type) and issubclass(cls, errors.CombatkitError):
+        return True
+    cls = getattr(builtins, name, None)
+    return isinstance(cls, type) and issubclass(cls, OSError)
+
+
 # ------------------------------------------------------------------ track
 
 def test_track_import_counts(capsys):
@@ -463,28 +473,38 @@ def test_out_of_range_counts_and_pace_are_config_errors(capsys, tmp_path, argv, 
     assert list(tmp_path.iterdir()) == []
 
 
+def _failure(argv, *written, marks=()):
+    """A failing run of ``argv``, named by it, that leaves the ``written`` files in ``{tmp}``."""
+    return pytest.param(argv, written, marks=marks, id=_argv_id(argv))
+
+
 def _config_error_argvs():
     """Each ``_CONFIG_ERRORS`` row's argv, with ``--out`` and the row's marks."""
     for row in _CONFIG_ERRORS:
         (argv, _reason), marks = (row.values, row.marks) if hasattr(row, "marks") else (row, ())
-        yield pytest.param(_with_out(argv), marks=marks)
+        yield _failure(_with_out(argv), marks=marks)
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, written",
     [
         *_config_error_argvs(),
-        ("bench", "score", "--items", "{tmp}/bad_items.jsonl", "--predictions", "{predictions}"),
-        ("bench", "score", "--items", "{items}", "--predictions", "{tmp}/bad_predictions.jsonl"),
-        ("bench", "validate", "--in", "{tmp}/bad_items.jsonl"),
-        pytest.param(("loss", "check", "--points", 2, "--dim", 4, "--tolerance", 1e-12),
-                     marks=needs_numpy),
+        _failure(("bench", "score", "--items", "{tmp}/bad_items.jsonl",
+                  "--predictions", "{predictions}")),
+        _failure(("bench", "score", "--items", "{items}",
+                  "--predictions", "{tmp}/bad_predictions.jsonl")),
+        _failure(("bench", "validate", "--in", "{tmp}/bad_items.jsonl")),
+        _failure(("loss", "check", "--points", 2, "--dim", 4, "--tolerance", 1e-12),
+                 marks=needs_numpy),
+        # fails after writing its --out files, and its one line names neither
+        _failure(("loss", "check", "--points", 2, "--dim", 4, "--tolerance", 1e-12,
+                  "--out", "{tmp}/grad"), "grad.csv", "grad.json", marks=needs_numpy),
     ],
-    ids=_argv_id,
 )
-def test_every_error_line_names_an_error_class(capsys, tmp_path, argv):
+def test_every_error_line_names_an_error_class(capsys, tmp_path, argv, written):
     # one refusal contract: exit 1 and one JSON line whose `error` is a
-    # CombatkitError subclass in combatkit.errors or an OSError subclass
+    # CombatkitError subclass in combatkit.errors or an OSError subclass,
+    # whatever files the verb wrote before it failed
     items = ITEMS.read_text(encoding="utf-8").splitlines()[:2]
     items[1] = json.dumps(dict(json.loads(items[1]), gold="Maybe"))
     (tmp_path / "bad_items.jsonl").write_text("\n".join(items) + "\n", encoding="utf-8")
@@ -497,11 +517,9 @@ def test_every_error_line_names_an_error_class(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1
     payload = json.loads(err)
     assert payload.keys() == {"error", "message"}
-    name = payload["error"]
-    cls = getattr(errors, name, None)
-    if not (isinstance(cls, type) and issubclass(cls, errors.CombatkitError)):
-        cls = getattr(builtins, name, None)
-        assert isinstance(cls, type) and issubclass(cls, OSError), name
+    assert names_an_error_class(payload["error"]), payload["error"]
+    for name in written:
+        assert (tmp_path / name).is_file()
 
 
 def test_agent_run_checks_the_pace_without_out(capsys):

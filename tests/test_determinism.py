@@ -49,9 +49,6 @@ from combatkit.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 
-# The golden session's 8 frames are too few for the default aot windows.
-pytestmark = pytest.mark.filterwarnings("ignore:fewer than n=20 frame slots")
-
 # Copied or written into each pass's working directory before the first entry runs.
 INPUTS = {
     "golden_session": DATA / "golden_session",
