@@ -131,7 +131,7 @@ def _cmd_track_align(args):
     aligned = _lib.align_session(session)
     render_event = _lib.render_event
     out = write_jsonl(
-        Path(args.out) if args.out else Path(args.dir) / "aligned.jsonl",
+        args.out,
         (
             {
                 "t_ms": sample.action_t_ms,
@@ -499,7 +499,8 @@ _PACE = _Flag("pace-tokens-per-second", float)
 # Keyed by (group, verb name); the order is the order of the help listings.
 _VERBS = {(verb.group, verb.name): verb for verb in (
     _Verb("track", "import", "validate a session directory", _cmd_track_import, (_DIR,)),
-    _Verb("track", "align", "coalesce and frame-align actions", _cmd_track_align, (_DIR, _OUT)),
+    _Verb("track", "align", "coalesce and frame-align actions", _cmd_track_align,
+          (_DIR, _OUT_REQUIRED)),
     _Verb("track", "export", "re-export in canonical form", _cmd_track_export,
           (_DIR, _OUT_REQUIRED)),
     _Verb("aot", "build", "build stage 1/2/3 records", _cmd_aot_build, (

@@ -70,7 +70,7 @@ class OrderingViolation(CombatkitError):
 
 
 class UnencodableMeta(CombatkitError):
-    """A session meta entry cannot be written as one ``key=value`` line."""
+    """A session's ``epoch_ms`` is no integer or dates a written time outside years 1-9999."""
 
 
 # ---------------------------------------------------------------- loss

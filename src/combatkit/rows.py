@@ -15,7 +15,7 @@ any other line with a ``strip()`` blank test and ``json.loads``; both
 paths accept the same lines and raise the same ``ParseError``, also for
 JSON nested deeper than the decoder can recurse and for an integer past
 the interpreter's int-to-string digit limit. A file that is not UTF-8 is a
-``ParseError`` naming its first undecodable line, also in ``read_text``;
+``ParseError`` naming its first undecodable line, also in ``read_json``;
 ``read_jsonl`` first yields every line before that one, so a caller's
 check of an earlier line fails first.
 Every reader here fails one way, a ``ParseError(path, line, reason)``:
@@ -36,8 +36,8 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .errors import CombatkitError, ParseError
 
 __all__ = [
-    "read_jsonl", "read_rows", "build_rows", "read_json", "read_json_object", "read_text",
-    "typed_field", "write_jsonl", "json_text", "csv_text", "write_report",
+    "read_jsonl", "read_rows", "build_rows", "read_json", "read_json_object", "typed_field",
+    "write_jsonl", "json_text", "csv_text", "write_report",
 ]
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -69,14 +69,6 @@ def _undecodable(path: Path) -> ParseError:
         except UnicodeDecodeError as exc:
             return ParseError(str(path), lineno, f"not UTF-8: {exc.reason} at byte {exc.start + 1}")
     return ParseError(str(path), 1, "not UTF-8")  # the file changed since it failed to decode
-
-
-def read_text(path: Path) -> str:
-    """A whole UTF-8 text file; an undecodable line is a ``ParseError`` naming it."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise _undecodable(path) from None
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -167,10 +159,13 @@ def _built(path: str | Path, numbered: Iterable, build: Callable, index: bool = 
 
 
 def read_json(path: str | Path) -> Any:
-    """The JSON value a UTF-8 file holds; a bad file is a ``ParseError`` naming it."""
+    """The JSON value a UTF-8 file holds; a bad file is a ``ParseError`` naming it,
+    an undecodable one its first line that is not UTF-8."""
     path = Path(path)
     try:
-        return json.loads(read_text(path))
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
     except (ValueError, RecursionError) as exc:
         line = exc.lineno if isinstance(exc, json.JSONDecodeError) else 1
         raise ParseError(str(path), line, _bad_json(exc)) from None

@@ -5,12 +5,12 @@ stream on one millisecond clock. Down/up edges coalesce into action
 events, and each action is aligned to the first frame at or after it,
 the frame whose content the action responds to.
 
-On disk a session is a directory of four files: ``session.meta``
-(key=value lines), ``frames.jsonl``, ``events.jsonl``, and
-``intervals.jsonl``. Every timestamp is written both as authoritative
-integer milliseconds and as an ISO 8601 string with millisecond
-precision; exports are canonical so re-exporting an imported session is
-byte-identical.
+On disk a session is a directory of four files, all read and written
+through ``rows``: ``meta.json`` (one JSON object of string values),
+``frames.jsonl``, ``events.jsonl``, and ``intervals.jsonl``. Every
+timestamp is written both as authoritative integer milliseconds and as
+an ISO 8601 string with millisecond precision; exports are canonical so
+re-exporting an imported session is byte-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     UnencodableMeta,
 )
-from .rows import read_rows, read_text, typed_field, write_jsonl
+from .rows import json_text, read_json_object, read_rows, typed_field, write_jsonl
 
 __all__ = [
     "Edge",
@@ -247,7 +247,7 @@ def gate_session(session: TrackSession) -> TrackSession:
 
 # ------------------------------------------------------------- session IO
 
-_META_NAME = "session.meta"
+_META_NAME = "meta.json"
 _FRAMES_NAME = "frames.jsonl"
 _EVENTS_NAME = "events.jsonl"
 _INTERVALS_NAME = "intervals.jsonl"
@@ -285,22 +285,9 @@ def _iso(t_ms: int, epoch_ms: int) -> str:
     return f"{_iso_second(second)}{ms:03d}+00:00"
 
 
-def _breaks_line(text: str) -> bool:
-    """True if ``str.splitlines`` (the meta reader's split) would cut ``text``."""
-    return bool(text) and text.splitlines() != [text]
-
-
 def _check_meta(session: TrackSession) -> int:
-    """The session's ``epoch_ms``, once its meta is known to export: an entry
-    that would not import back as the same ``key=value`` pair, and an
-    ``epoch_ms`` that is no integer or puts a written time outside years
-    1-9999, are each an ``UnencodableMeta``."""
-    for key, value in session.meta.items():
-        key, value = str(key), str(value)  # as the writer formats them
-        if "=" in key or _breaks_line(key):
-            raise UnencodableMeta(f"meta key {key!r} contains '=' or a line break")
-        if _breaks_line(value):
-            raise UnencodableMeta(f"meta value of {key!r} contains a line break")
+    """The session's ``epoch_ms``; one that is no integer or puts a written
+    time outside years 1-9999 is an ``UnencodableMeta``."""
     text = str(session.meta.get("epoch_ms", "0"))
     try:
         epoch_ms = int(text)
@@ -323,16 +310,16 @@ def _check_meta(session: TrackSession) -> int:
 def export_session(session: TrackSession, path: str | Path) -> Path:
     """Write the four-file session directory in canonical byte-stable form.
 
-    Raises ``UnencodableMeta`` before writing anything when a meta key
-    contains ``=`` or a line break, a value contains a line break, or
+    The meta is written as a JSON object with each key and value
+    stringified. Raises ``UnencodableMeta`` before writing anything when
     ``epoch_ms`` is no integer or dates a written time outside years 1-9999.
     """
     epoch_ms = _check_meta(session)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
 
-    meta_lines = [f"{k}={session.meta[k]}\n" for k in sorted(session.meta)]
-    (root / _META_NAME).write_text("".join(meta_lines), encoding="utf-8")
+    meta = {str(k): str(v) for k, v in session.meta.items()}
+    (root / _META_NAME).write_text(json_text(meta), encoding="utf-8")
 
     write_jsonl(
         root / _FRAMES_NAME,
@@ -376,8 +363,10 @@ def export_session(session: TrackSession, path: str | Path) -> Path:
 
 def import_session(path: str | Path) -> TrackSession:
     """Load a session directory. t_ms fields are authoritative; ISO strings
-    are regenerated on export rather than trusted. Rows are read by
-    ``read_rows`` and typed by ``typed_field``. A missing path
+    are regenerated on export rather than trusted. The meta is read by
+    ``read_json_object``, rows by ``read_rows``, and both are typed by
+    ``typed_field``: a meta value that is not a string is a ``ParseError``
+    at line 1. A missing path
     is a ``FileNotFoundError`` and a path that is not a directory a
     ``NotADirectoryError``. All four files must be present; a missing one is
     a ``FileNotFoundError`` naming it."""
@@ -386,14 +375,11 @@ def import_session(path: str | Path) -> TrackSession:
         kind = NotADirectoryError if root.exists() else FileNotFoundError
         raise kind(f"no session directory at {root}")
     meta_path = root / _META_NAME
-    meta: dict[str, str] = {}
-    for lineno, line in enumerate(read_text(meta_path).splitlines(), 1):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise ParseError(str(meta_path), lineno, "expected key=value")
-        key, value = line.split("=", 1)
-        meta[key] = value
+    obj = read_json_object(meta_path)
+    try:
+        meta = {key: typed_field(obj, key, str) for key in obj}
+    except TypeError as exc:
+        raise ParseError(str(meta_path), 1, str(exc)) from None
 
     frames = read_rows(
         root / _FRAMES_NAME,

@@ -92,6 +92,16 @@ def test_track_align_writes_rows(capsys, tmp_path):
     ]
 
 
+def test_track_align_requires_out_and_leaves_the_session_as_it_was(capsys, tmp_path):
+    session = shutil.copytree(GOLDEN, tmp_path / "session")
+    before = sorted(p.name for p in session.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        main(["track", "align", "--dir", str(session)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert sorted(p.name for p in session.iterdir()) == before
+
+
 @pytest.mark.parametrize("verb", [("track", "align"), ("aot", "build", "--stage", "1")])
 def test_tap_threshold_is_an_unknown_setting(capsys, tmp_path, verb):
     cfg = tmp_path / "cfg.json"
@@ -108,7 +118,7 @@ def test_track_export_is_byte_identical(capsys, tmp_path):
     code, out, _ = run(capsys, "track", "export", "--dir", GOLDEN, "--out", out_dir)
     assert code == 0
     assert json.loads(out)["out"] == str(out_dir)
-    for name in ("session.meta", "frames.jsonl", "events.jsonl", "intervals.jsonl"):
+    for name in ("meta.json", "frames.jsonl", "events.jsonl", "intervals.jsonl"):
         assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
@@ -125,8 +135,8 @@ def test_track_export_is_byte_identical(capsys, tmp_path):
 def test_track_export_refuses_an_epoch_it_cannot_date(capsys, tmp_path, epoch_ms, reason):
     session = tmp_path / "session"
     shutil.copytree(GOLDEN, session)
-    meta = session / "session.meta"
-    meta.write_text(meta.read_text().replace("epoch_ms=0", f"epoch_ms={epoch_ms}"))
+    meta = session / "meta.json"
+    meta.write_text(meta.read_text().replace('"epoch_ms": "0"', f'"epoch_ms": "{epoch_ms}"'))
     code, out, err = run(capsys, "track", "export", "--dir", session, "--out", tmp_path / "out")
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "UnencodableMeta", "message": reason}
@@ -140,11 +150,11 @@ def test_missing_dir_fails_with_json_error(capsys, tmp_path):
     assert payload["error"] == "FileNotFoundError"
     assert "nope" in payload["message"]
     # a file is not a session directory
-    code, out, err = run(capsys, "track", "import", "--dir", GOLDEN / "session.meta")
+    code, out, err = run(capsys, "track", "import", "--dir", GOLDEN / "meta.json")
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "NotADirectoryError"
-    assert "session.meta" in payload["message"]
+    assert "meta.json" in payload["message"]
 
 
 def test_session_dir_missing_a_file_fails_with_json_error(capsys, tmp_path):
@@ -154,7 +164,7 @@ def test_session_dir_missing_a_file_fails_with_json_error(capsys, tmp_path):
     assert len(err.splitlines()) == 1
     payload = json.loads(err)
     assert payload["error"] == "FileNotFoundError"
-    assert str(tmp_path / "session.meta") in payload["message"]
+    assert str(tmp_path / "meta.json") in payload["message"]
     partial = tmp_path / "partial"
     shutil.copytree(GOLDEN, partial)
     (partial / "events.jsonl").unlink()
@@ -184,7 +194,7 @@ def test_episode_export_then_stage3_build(capsys, tmp_path):
         shown["mean_emitted_tokens"] / 40.0 * 1000.0, abs=0.02
     )
     session_dir = tmp_path / "ep" / "session"
-    for name in ("session.meta", "frames.jsonl", "events.jsonl", "intervals.jsonl"):
+    for name in ("meta.json", "frames.jsonl", "events.jsonl", "intervals.jsonl"):
         assert (session_dir / name).exists()
 
     stage3 = tmp_path / "stage3.jsonl"

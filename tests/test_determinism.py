@@ -108,7 +108,7 @@ MANIFEST = (
         "exported/events.jsonl": "e6f2e9a1b1ed5317a2fbfca748b2d20187388971360181e050ac95e2f0268fc5",
         "exported/frames.jsonl": "816a371eb4192e0c9bb7efcacd2f6ff0131c8badb8e984c13a8e0d31cad3429d",
         "exported/intervals.jsonl": "30abdde801e4b49aaffb29e701d16fc187494596769576d7f55444c3312cceef",
-        "exported/session.meta": "3010e15331091c76ec55747a320266982542e4d9baa0b02b3ed92394c113cb3f"}),
+        "exported/meta.json": "4597d51c2f576c7d36949450c21583178562dc670e6c1a0e98039731444f7965"}),
     # taken before --tap-threshold-ms was removed; the first three are the empty file
     _aot_build(1, False, 0, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     _aot_build(2, False, 0, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -134,7 +134,7 @@ MANIFEST = (
         "run/session/events.jsonl": "cb2205c008793e107aedb455038d8f7b4b6fa125caeae197c602d38cd92e33ac",
         "run/session/frames.jsonl": "f8de6204f27184b553288c483347226f1470d6b98e23519c760fe4da13a62ca4",
         "run/session/intervals.jsonl": "635af62cd2bb9b3d018e567806a0affc339599a4bcb4cee9ee7343d8d68cb0fc",
-        "run/session/session.meta": "4c40eb8a5cb68aa6d285c9a47a0aa752056a1994e67bb8f3c5c1c2d64bc1284e"}),
+        "run/session/meta.json": "9914ba4c0c7ebac31ca4d640c5528f089d2898b6e8b4c011073a5190fa763531"}),
     # taken from the per-tick loop that ran each tick through ``step``
     _agent_suite("scripted", "truncated",
                  "e55c293bf973f416347613b85ca565475cd6e40e46485dd830aeebdd46866b3b",

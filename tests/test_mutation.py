@@ -7,6 +7,8 @@ Exit 0 leaves only ``wrote X.csv and X.json`` notes on stderr, and exit 1
 exactly one JSON line holding ``error``, which names a ``CombatkitError``
 or ``OSError`` subclass, and ``message``. Every (input, verb, mutation)
 triple runs once, seeded by its own name, so the trials are fixed.
+The task file, which no verb takes as a flag, goes straight to
+``arena.load_task_configs``, which must return or raise ``ConfigError``.
 Nothing here needs numpy.
 """
 
@@ -19,12 +21,14 @@ import shutil
 import warnings
 from pathlib import Path
 
+from combatkit import arena
 from combatkit.aot import bundled_stage3_path
 from combatkit.cli import main
+from combatkit.errors import ConfigError
 from test_cli import names_an_error_class
 
 DATA = Path(__file__).parent / "data"
-SESSION_FILES = ("frames.jsonl", "events.jsonl", "intervals.jsonl", "session.meta")
+SESSION_FILES = ("frames.jsonl", "events.jsonl", "intervals.jsonl", "meta.json")
 WROTE = re.compile(r"wrote \S.* and \S.*")
 
 # Every input but the session, by its argv placeholder: a file to copy, or
@@ -117,9 +121,7 @@ def _field_edit(edit):
     """A mutation applying ``edit(container, key, rng)`` to one seeded field.
 
     The field is one of a JSON file's, or of one JSONL line's, at any
-    depth; a ``session.meta`` line ``key=value`` is the object
-    ``{key: value}``, written back as ``key=<the new value as JSON>``, or
-    as ``key`` alone once the key is gone.
+    depth.
     """
     def mutate(data, path, rng):
         if path.suffix == ".json":
@@ -128,17 +130,9 @@ def _field_edit(edit):
             return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
         lines = _lines(data)
         i = rng.randrange(len(lines))
-        text = lines[i].decode().rstrip("\n")
-        if path.suffix == ".jsonl":
-            obj = json.loads(text)
-            edit(*rng.choice(_fields(obj, [])), rng)
-            text = json.dumps(obj, sort_keys=True)
-        else:
-            key, value = text.split("=", 1)
-            obj = {key: value}
-            edit(obj, key, rng)
-            text = f"{key}={json.dumps(obj[key])}" if obj else key
-        lines[i] = (text + "\n").encode()
+        obj = json.loads(lines[i])
+        edit(*rng.choice(_fields(obj, [])), rng)
+        lines[i] = (json.dumps(obj, sort_keys=True) + "\n").encode()
         return b"".join(lines)
     return mutate
 
@@ -256,3 +250,33 @@ def test_mutated_inputs_keep_the_cli_contract(tmp_path):
             broken.append(f"{mutation} {target.relative_to(trial)} | {verb}: {problem}")
     assert broken == []
     assert codes == {0, 1}
+
+
+TASK_FILE = Path(arena.__file__).with_name("data") / "tasks.json"
+TASK_FILE_SEEDS = range(300)
+
+
+def test_mutated_task_files_load_or_raise_config_error(tmp_path):
+    pristine = TASK_FILE.read_bytes()
+    target = tmp_path / TASK_FILE.name
+    broken, outcomes = [], {"loaded": 0, "ConfigError": 0}
+    for mutation, mutate in MUTATIONS.items():
+        for seed in TASK_FILE_SEEDS:
+            target.write_bytes(mutate(pristine, target, random.Random(f"tasks/{mutation}/{seed}")))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    arena.load_task_configs(target)
+                    outcome = "loaded"
+                except ConfigError:
+                    outcome = "ConfigError"
+                except Exception as exc:
+                    outcome = repr(exc)
+            if caught:
+                outcome = f"warned {caught[0].category.__name__}: {caught[0].message}"
+            if outcome in outcomes:
+                outcomes[outcome] += 1
+            else:
+                broken.append(f"{mutation} seed {seed}: {outcome}")
+    assert broken == []
+    assert outcomes["loaded"] and outcomes["ConfigError"]

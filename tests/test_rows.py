@@ -8,7 +8,7 @@ import pytest
 
 from combatkit.errors import EmptyDataset, ParseError
 from combatkit.rows import (
-    build_rows, read_json_object, read_jsonl, read_rows, read_text, typed_field, write_jsonl,
+    build_rows, read_json, read_json_object, read_jsonl, read_rows, typed_field, write_jsonl,
 )
 
 
@@ -127,15 +127,16 @@ def test_read_jsonl_yields_every_line_before_the_first_that_is_not_utf8(tmp_path
     assert err.value.reason == "not UTF-8: invalid start byte at byte 8"
 
 
-def test_read_text_names_the_line_that_is_not_utf8(tmp_path):
-    p = tmp_path / "meta"
-    p.write_bytes(_LONG_ROWS + b"caf\xc3\xa9\r\nna\xefve\n")
+def test_read_json_names_the_line_that_is_not_utf8(tmp_path):
+    p = tmp_path / "meta.json"
+    rows = _LONG_ROWS.replace(b"}\n", b",\n").replace(b'{"pad"', b'"pad"')
+    p.write_bytes(b"{\n" + rows + b'"caf\xc3\xa9": 1,\r\n"na\xefve": 2}\n')
     with pytest.raises(ParseError) as err:
-        read_text(p)
-    assert (err.value.path, err.value.line) == (str(p), 5)
-    assert err.value.reason == "not UTF-8: invalid continuation byte at byte 3"
-    p.write_bytes(_LONG_ROWS)
-    assert read_text(p) == _LONG_ROWS.decode("utf-8")
+        read_json(p)
+    assert (err.value.path, err.value.line) == (str(p), 6)
+    assert err.value.reason == "not UTF-8: invalid continuation byte at byte 4"
+    p.write_bytes(b"{\n" + rows + b'"caf\xc3\xa9": 1}\n')
+    assert read_json(p) == {"pad": "x" * 4000, "café": 1}
 
 
 def test_write_jsonl_gives_json_dumps_bytes(tmp_path):

@@ -208,7 +208,7 @@ def test_export_import_round_trip(tmp_path):
     session = _sample_session()
     out = export_session(session, tmp_path / "sess")
     names = sorted(p.name for p in out.iterdir())
-    assert names == ["events.jsonl", "frames.jsonl", "intervals.jsonl", "session.meta"]
+    assert names == ["events.jsonl", "frames.jsonl", "intervals.jsonl", "meta.json"]
     back = import_session(out)
     assert back.frames == session.frames
     assert back.raw_events == session.raw_events
@@ -220,7 +220,7 @@ def test_export_is_deterministic(tmp_path):
     session = _sample_session()
     a = export_session(session, tmp_path / "a")
     b = export_session(session, tmp_path / "b")
-    for name in ("session.meta", "frames.jsonl", "events.jsonl", "intervals.jsonl"):
+    for name in ("meta.json", "frames.jsonl", "events.jsonl", "intervals.jsonl"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -265,13 +265,13 @@ def test_import_reports_file_and_line(tmp_path):
 def test_import_refuses_a_path_that_is_not_a_directory(tmp_path):
     with pytest.raises(FileNotFoundError, match="nope"):
         import_session(tmp_path / "nope")
-    (tmp_path / "session.meta").write_text("a=b\n")
-    with pytest.raises(NotADirectoryError, match="session.meta"):
-        import_session(tmp_path / "session.meta")
+    (tmp_path / "meta.json").write_text('{"a": "b"}\n')
+    with pytest.raises(NotADirectoryError, match="meta.json"):
+        import_session(tmp_path / "meta.json")
 
 
 @pytest.mark.parametrize(
-    "name", ["session.meta", "frames.jsonl", "events.jsonl", "intervals.jsonl"]
+    "name", ["meta.json", "frames.jsonl", "events.jsonl", "intervals.jsonl"]
 )
 def test_import_requires_all_four_files(tmp_path, name):
     out = export_session(_sample_session(), tmp_path / "sess")
@@ -280,24 +280,44 @@ def test_import_requires_all_four_files(tmp_path, name):
         import_session(out)
 
 
-def test_import_rejects_malformed_meta(tmp_path):
-    session = _sample_session()
-    out = export_session(session, tmp_path / "sess")
-    (out / "session.meta").write_text("just a line without separator\n")
+def test_meta_is_a_json_object_of_strings(tmp_path):
+    out = export_session(_sample_session(), tmp_path / "sess")
+    assert (out / "meta.json").read_text(encoding="utf-8") == (
+        '{\n  "epoch_ms": "0",\n  "game_mode": "BMW",\n  "note": "x y"\n}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("just a line without separator\n", "bad JSON: Expecting value"),
+        ('["epoch_ms", "0"]\n', "expected a JSON object"),
+        ('"epoch_ms=0"\n', "expected a JSON object"),
+        ('{"epoch_ms": 5000}\n', "field 'epoch_ms' is not a string: 5000"),
+        ('{\n  "epoch_ms": "0",\n  "note": null\n}\n', "field 'note' is not a string: None"),
+        ('{"note": {"a": "b"}}\n', "field 'note' is not a string: {'a': 'b'}"),
+        ('\ufeff{"epoch_ms": "5000"}\n',
+         "bad JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ],
+    ids=["not-json", "a-list", "a-string", "an-integer", "null", "an-object", "bom"],
+)
+def test_import_rejects_malformed_meta(tmp_path, text, reason):
+    out = export_session(_sample_session(), tmp_path / "sess")
+    meta = out / "meta.json"
+    meta.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError) as err:
         import_session(out)
-    assert "key=value" in str(err.value)
+    assert (err.value.path, err.value.line, err.value.reason) == (str(meta), 1, reason)
 
 
 def test_import_names_the_meta_line_that_is_not_utf8(tmp_path):
     out = export_session(_sample_session(), tmp_path / "sess")
-    meta = out / "session.meta"
-    lines = meta.read_bytes().count(b"\n")
-    meta.write_bytes(meta.read_bytes() + b"note=\xff\n")
+    meta = out / "meta.json"
+    meta.write_bytes(meta.read_bytes().replace(b'"x y"', b'"\xff"'))
     with pytest.raises(ParseError) as err:
         import_session(out)
-    assert (err.value.path, err.value.line) == (str(meta), lines + 1)
-    assert err.value.reason == "not UTF-8: invalid start byte at byte 6"
+    assert (err.value.path, err.value.line) == (str(meta), 4)
+    assert err.value.reason == "not UTF-8: invalid start byte at byte 12"
 
 
 @pytest.mark.parametrize(
@@ -310,11 +330,9 @@ def test_import_names_the_meta_line_that_is_not_utf8(tmp_path):
         {"line\x85sep": "v"},
     ],
 )
-def test_export_rejects_meta_that_cannot_round_trip(tmp_path, meta):
+def test_export_round_trips_meta_with_line_breaks_and_equals_signs(tmp_path, meta):
     session = _sample_session()._replace(meta=meta)
-    with pytest.raises(UnencodableMeta):
-        export_session(session, tmp_path / "sess")
-    assert not (tmp_path / "sess").exists()
+    assert import_session(export_session(session, tmp_path / "sess")).meta == meta
 
 
 _LAST_MS = 253_402_300_799_999  # 9999-12-31T23:59:59.999
