@@ -19,7 +19,9 @@ cannot drift. ``parse_action_events`` is memoized: its results are immutable,
 and a corpus repeats a few dozen distinct clauses thousands of times.
 Errors are not cached, so malformed text raises afresh on every call.
 ``parse_action_text`` is not: its one library caller, the decoder,
-memoizes each emission's result itself.
+memoizes each emission's result itself. ``render_event`` and each event's
+explanation are memoized for the same reason, the explanation keyed by
+event and dodge verb.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ __all__ = [
     "render_action",
     "render_event",
     "render_explanation",
-    "explanation_for_event",
 ]
 
 
@@ -346,6 +347,12 @@ def _render_duration(duration_ms: int) -> str:
     return f"{duration_ms / 1000:.3f}".rstrip("0").rstrip(".")
 
 
+# Bound on the event renderer's memo: ten categories times the hold durations
+# a corpus uses, which are far fewer.
+_RENDER_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_RENDER_CACHE_SIZE)
 def render_event(event: ActionEvent) -> str:
     if event.mode is ActionMode.TAP:
         return f"press {event.category.binding}"
@@ -357,7 +364,7 @@ def render_action(actions: ActionSet | Sequence[ActionEvent]) -> str:
     events = list(actions)
     if not events:
         return NO_ACTION_TEXT
-    return ", ".join(render_event(ev) for ev in events)
+    return ", ".join([render_event(ev) for ev in events])
 
 
 # ------------------------------------------------------------- explanations
@@ -400,14 +407,21 @@ _DODGE_VERB_DEFAULT = "dodge(or block in SSDT)"
 _DODGE_VERB_BLOCK = "block"
 
 
-def explanation_for_event(event: ActionEvent, context: dict | None = None) -> str:
-    """Instantiate the template for one event."""
-    template = _EXPLANATIONS[event.category]
-    dodge_verb = _DODGE_VERB_DEFAULT
-    if context and str(context.get("game_mode", "")).upper() == "SSDT":
-        dodge_verb = _DODGE_VERB_BLOCK
+# Bound on the explanation memo, keyed by event and dodge verb: the event
+# renderer's bound for each of the two verbs.
+_EXPLANATION_CACHE_SIZE = 2 * _RENDER_CACHE_SIZE
+
+
+@functools.lru_cache(maxsize=_EXPLANATION_CACHE_SIZE)
+def _explanation(event: ActionEvent, dodge_verb: str) -> str:
     n = _render_duration(event.duration_ms) if event.duration_ms is not None else ""
-    return template.format(n=n, dodge_verb=dodge_verb)
+    return _EXPLANATIONS[event.category].format(n=n, dodge_verb=dodge_verb)
+
+
+def _dodge_verb(context: dict | None) -> str:
+    if context and str(context.get("game_mode", "")).upper() == "SSDT":
+        return _DODGE_VERB_BLOCK
+    return _DODGE_VERB_DEFAULT
 
 
 def render_explanation(
@@ -418,7 +432,5 @@ def render_explanation(
     An empty set renders as the empty string (callers substitute their own
     no-action text).
     """
-    events = list(actions)
-    if not events:
-        return ""
-    return " ".join(explanation_for_event(ev, context) for ev in events)
+    dodge_verb = _dodge_verb(context)
+    return " ".join([_explanation(ev, dodge_verb) for ev in actions])

@@ -32,7 +32,7 @@ from .actions import (
     render_action,
     render_explanation,
 )
-from .errors import ConfigError
+from .errors import ConfigError, OrderingViolation
 from .rows import read_rows, typed_field, write_jsonl
 from .tracker import (
     AlignedSample,
@@ -242,22 +242,30 @@ def align_session(session: TrackSession) -> AlignedSession:
 # --------------------------------------------------------------- stage 1
 
 def _resample(frames: Sequence[FrameRecord], m: int) -> list[FrameRecord]:
-    """Pick the nearest frame for each slot of an m frames/sec grid."""
+    """Pick the nearest frame for each slot of an m frames/sec grid.
+
+    One greedy walk over the frame times: each slot starts from the frame
+    the slot before took and moves on only while the next frame is
+    strictly nearer, so an equidistant slot keeps the earlier frame and
+    the walk stops at the first of frames that share a time.
+    """
     if not frames:
         return []
+    times = [fr.t_ms for fr in frames]
     step = 1000.0 / m
-    t0, t_last = frames[0].t_ms, frames[-1].t_ms
+    t0, stop = times[0], times[-1] + 1e-9
+    last = len(times) - 1
     out: list[FrameRecord] = []
-    i = 0
+    i, t = 0, t0
     slot = 0
-    while t0 + slot * step <= t_last + 1e-9:
-        target = t0 + slot * step
-        while i + 1 < len(frames) and abs(frames[i + 1].t_ms - target) < abs(
-            frames[i].t_ms - target
-        ):
+    target = t0 + slot * step
+    while target <= stop:
+        while i < last and abs(times[i + 1] - target) < abs(t - target):
             i += 1
+            t = times[i]
         out.append(frames[i])
         slot += 1
+        target = t0 + slot * step
     return out
 
 
@@ -267,30 +275,36 @@ def build_video_aot(aligned: AlignedSession, cfg: StageConfig | None = None) -> 
     Windows partition the resampled timeline; a trailing remainder
     shorter than n slots is discarded, so a session shorter than one
     window gives no records. Windows without actions are kept as
-    explicit no-action samples.
+    explicit no-action samples. Each window's actions are taken by
+    bisection, so ``aligned.actions`` must be in time order, as
+    ``align_session`` gives them; actions out of order are an
+    ``OrderingViolation``.
     """
     cfg = cfg or StageConfig()
     frames = aligned.session.frames
+    actions = aligned.actions
+    action_ts = [ta.t_ms for ta in actions]
+    if action_ts != sorted(action_ts):
+        raise OrderingViolation("stage 1 needs the actions in time order")
     slots = _resample(frames, cfg.m)
     n_windows = len(slots) // cfg.n
     step = 1000.0 / cfg.m
     t0 = frames[0].t_ms
     context = dict(aligned.session.meta)
     records: list[AoTRecord] = []
+    hi = 0
     for w in range(n_windows):
         start = t0 + w * cfg.n * step
         end = t0 + (w + 1) * cfg.n * step
-        window_actions = tuple(
-            ta.event for ta in aligned.actions if start - 1e-9 <= ta.t_ms < end - 1e-9
-        )
+        # the actions with start - 1e-9 <= t_ms < end - 1e-9
+        lo = bisect.bisect_left(action_ts, start - 1e-9, hi)
+        hi = bisect.bisect_left(action_ts, end - 1e-9, lo)
+        window_actions = tuple(ta.event for ta in actions[lo:hi])
         refs = tuple(fr.index for fr in slots[w * cfg.n : (w + 1) * cfg.n])
         if window_actions:
             action_text = render_action(window_actions)
-            explanation = " ".join(
-                # chronological join: a window spans many decision instants
-                render_explanation([ev], context)
-                for ev in window_actions
-            )
+            # chronological, not a set: a window spans many decision instants
+            explanation = render_explanation(window_actions, context)
         else:
             action_text = NO_ACTION_TEXT
             explanation = NO_ACTION_TEXT

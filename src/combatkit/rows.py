@@ -18,6 +18,11 @@ the interpreter's int-to-string digit limit. A file that is not UTF-8 is a
 ``ParseError`` naming its first undecodable line, also in ``read_json``;
 ``read_jsonl`` first yields every line before that one, so a caller's
 check of an earlier line fails first.
+``read_json`` refuses an object that gives a key twice, at any depth, as
+``ParseError(path, 1, "bad JSON: repeated key 'k'")``, so a whole-file
+input (a session's ``meta.json``, a config, the task file, a report input)
+means one thing. JSONL readers still keep a repeated key's last value:
+the same check there would slow every row.
 Every reader here fails one way, a ``ParseError(path, line, reason)``:
 a row ``read_rows`` or ``build_rows`` cannot build reads ``missing field
 'x'`` or the builder's message, such as ``typed_field``'s.
@@ -51,8 +56,8 @@ def _bad_json(exc: ValueError | RecursionError) -> str:
     Besides a ``JSONDecodeError`` and a ``RecursionError`` for nesting it
     cannot recurse into, the decoder raises a bare ``ValueError`` for an
     integer past the interpreter's int-to-string digit limit (4,300 digits
-    by default); neither of the last two says where, so ``read_json``
-    reports them at line 1.
+    by default), and ``read_json``'s hook one for a repeated key; none but
+    the first says where, so ``read_json`` reports the others at line 1.
     """
     if isinstance(exc, json.JSONDecodeError):
         return f"bad JSON: {exc.msg}"
@@ -158,12 +163,25 @@ def _built(path: str | Path, numbered: Iterable, build: Callable, index: bool = 
     return built
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """One decoded JSON object; a key it gives twice is a ``ValueError``."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def read_json(path: str | Path) -> Any:
     """The JSON value a UTF-8 file holds; a bad file is a ``ParseError`` naming it,
-    an undecodable one its first line that is not UTF-8."""
+    an undecodable one its first line that is not UTF-8, and one with an
+    object that repeats a key ``ParseError(path, 1, "bad JSON: repeated key 'k'")``."""
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError:
         raise _undecodable(path) from None
     except (ValueError, RecursionError) as exc:

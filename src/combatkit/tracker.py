@@ -16,6 +16,7 @@ re-exporting an imported session is byte-identical.
 from __future__ import annotations
 
 import bisect
+import operator
 from datetime import date, timedelta
 from enum import Enum
 from functools import lru_cache
@@ -227,22 +228,42 @@ def align_actions_to_frames(
     return AlignmentResult(tuple(samples), tuple(dropped))
 
 
-def gate_session(session: TrackSession) -> TrackSession:
-    """Keep only frames and events inside the closed active intervals.
+_T_MS = operator.attrgetter("t_ms")
 
-    Sessions without intervals pass through unchanged. Gating twice is a
-    no-op.
+
+def _inside(rows: tuple, intervals: Sequence[tuple[int, int]]) -> tuple:
+    """The rows, in time order, whose t_ms lies in one of the sorted, disjoint
+    closed ``intervals``: two bisections per interval, and a row on an
+    endpoint that two intervals share is taken once."""
+    kept: list = []
+    lo = 0
+    for start, end in intervals:
+        lo = bisect.bisect_left(rows, start, lo, key=_T_MS)
+        hi = bisect.bisect_right(rows, end, lo, key=_T_MS)
+        kept += rows[lo:hi]
+        lo = hi
+    return tuple(kept)
+
+
+def gate_session(session: TrackSession) -> TrackSession:
+    """Keep only frames and events inside the active intervals.
+
+    The intervals are closed, so a row at an interval's start or end is
+    kept, and a row on an endpoint that two touching intervals share is
+    kept once. Each stream is taken by bisection over its times, which a
+    ``TrackSession`` holds in order. Sessions without intervals pass
+    through unchanged. Gating twice is a no-op.
     """
     if not session.active_intervals:
         return session
-
-    def keep(t: int) -> bool:
-        return any(start <= t <= end for start, end in session.active_intervals)
-
-    return session._replace(
-        frames=tuple(fr for fr in session.frames if keep(fr.t_ms)),
-        raw_events=tuple(ev for ev in session.raw_events if keep(ev.t_ms)),
-    )
+    intervals = session.active_intervals
+    # Rows taken in order from a checked session pass its check again.
+    return tuple.__new__(type(session), (
+        _inside(session.frames, intervals),
+        _inside(session.raw_events, intervals),
+        intervals,
+        session.meta,
+    ))
 
 
 # ------------------------------------------------------------- session IO

@@ -19,7 +19,6 @@ from combatkit.actions import (
     ActionMode,
     ActionSet,
     binding_to_category,
-    explanation_for_event,
     parse_action_events,
     parse_action_text,
     priority_match,
@@ -274,28 +273,28 @@ def test_parse_errors():
 
 def test_explanations_fill_templates():
     ev = ActionEvent.hold(ActionCategory.MOVE_FWD, 2.0)
-    assert explanation_for_event(ev) == "The game character moves forward for 2 seconds."
+    assert render_explanation([ev]) == "The game character moves forward for 2 seconds."
     ev = ActionEvent.hold_ms(ActionCategory.SPRINT, 500)
-    assert "sprints for 0.5 seconds" in explanation_for_event(ev)
+    assert "sprints for 0.5 seconds" in render_explanation([ev])
     heavy = ActionEvent.hold(ActionCategory.HEAVY_ATTACK, 1.0)
-    text = explanation_for_event(heavy)
+    text = render_explanation([heavy])
     assert "charge heavy attack for 1 seconds" in text
     assert "vulnerable to interruption" in text
 
 
 def test_dodge_explanation_verb_depends_on_mode():
     ev = ActionEvent.tap(ActionCategory.DODGE)
-    assert "dodge(or block in SSDT)" in explanation_for_event(ev)
-    assert "dodge(or block in SSDT)" in explanation_for_event(ev, {"game_mode": "BMW"})
-    ssdt = explanation_for_event(ev, {"game_mode": "SSDT"})
+    assert "dodge(or block in SSDT)" in render_explanation([ev])
+    assert "dodge(or block in SSDT)" in render_explanation([ev], {"game_mode": "BMW"})
+    ssdt = render_explanation([ev], {"game_mode": "SSDT"})
     assert "needs to block to avoid" in ssdt
     assert "dodge(or block" not in ssdt
 
 
 def test_heal_and_light_explanations_verbatim_details():
-    heal = explanation_for_event(ActionEvent.tap(ActionCategory.HEAL))
+    heal = render_explanation([ActionEvent.tap(ActionCategory.HEAL)])
     assert "white bar in the bottom left" in heal
-    light = explanation_for_event(ActionEvent.tap(ActionCategory.LIGHT_ATTACK))
+    light = render_explanation([ActionEvent.tap(ActionCategory.LIGHT_ATTACK)])
     assert "Consecutive uses (up to 5 times)" in light
 
 

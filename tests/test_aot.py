@@ -8,13 +8,23 @@ import warnings
 
 import pytest
 
-from combatkit.actions import ActionCategory, parse_action_events, parse_action_text
+from combatkit.actions import (
+    NO_ACTION_TEXT,
+    ActionCategory,
+    ActionEvent,
+    parse_action_events,
+    parse_action_text,
+    render_action,
+    render_explanation,
+)
 from combatkit.aot import (
     EOS_TOKEN,
     QUESTION_TEXT,
     TRUNC_TOKEN,
+    AlignedSession,
     AoTRecord,
     StageConfig,
+    _resample,
     align_session,
     build_frames_aot,
     build_video_aot,
@@ -27,8 +37,15 @@ from combatkit.aot import (
     to_truncated_form,
     write_records,
 )
-from combatkit.errors import ConfigError, ParseError
-from combatkit.tracker import Edge, SessionRecorder
+from combatkit.errors import ConfigError, OrderingViolation, ParseError
+from combatkit.tracker import (
+    AlignmentResult,
+    Edge,
+    FrameRecord,
+    SessionRecorder,
+    TimedAction,
+    TrackSession,
+)
 
 
 def _session(frame_ts, presses, meta=None):
@@ -399,3 +416,102 @@ def test_read_records_reports_bad_field_with_line(tmp_path, field, value, reason
         read_records(p)
     assert (err.value.path, err.value.line) == (str(p), 2)
     assert reason in err.value.reason
+
+
+# ------------------------------------------------ stage-1 parity oracles
+
+def _resample_by_old_loop(frames, m):
+    """The greedy resampling loop as first written, one attribute read per test."""
+    if not frames:
+        return []
+    step = 1000.0 / m
+    t0, t_last = frames[0].t_ms, frames[-1].t_ms
+    out = []
+    i = 0
+    slot = 0
+    while t0 + slot * step <= t_last + 1e-9:
+        target = t0 + slot * step
+        while i + 1 < len(frames) and abs(frames[i + 1].t_ms - target) < abs(
+            frames[i].t_ms - target
+        ):
+            i += 1
+        out.append(frames[i])
+        slot += 1
+    return out
+
+
+def _frame_records(times):
+    return tuple(FrameRecord(i + 1, t) for i, t in enumerate(times))
+
+
+def test_resample_matches_the_greedy_loop_for_every_m():
+    rng = random.Random(5)
+    # exact ties (targets midway between frames) and repeated times
+    fixed = [(0, 100, 200, 300), (0, 0, 10, 20, 20, 20, 30), (5, 5, 5), (7,), (0, 25, 75, 100)]
+    for m in range(1, 1001):
+        times = sorted(rng.choices(range(0, rng.choice((30, 300))), k=rng.randrange(1, 25)))
+        for case in (*fixed, times):
+            frames = _frame_records(case)
+            assert _resample(frames, m) == _resample_by_old_loop(frames, m), (m, case)
+
+
+def _video_aot_by_scan(aligned, cfg):
+    """Stage 1 as first written: every action tested against every window."""
+    frames = aligned.session.frames
+    slots = _resample_by_old_loop(frames, cfg.m)
+    step = 1000.0 / cfg.m
+    t0 = frames[0].t_ms
+    context = dict(aligned.session.meta)
+    records = []
+    for w in range(len(slots) // cfg.n):
+        start = t0 + w * cfg.n * step
+        end = t0 + (w + 1) * cfg.n * step
+        window_actions = tuple(
+            ta.event for ta in aligned.actions if start - 1e-9 <= ta.t_ms < end - 1e-9
+        )
+        refs = tuple(fr.index for fr in slots[w * cfg.n : (w + 1) * cfg.n])
+        if window_actions:
+            action_text = render_action(window_actions)
+            explanation = " ".join(render_explanation([ev], context) for ev in window_actions)
+        else:
+            action_text = explanation = NO_ACTION_TEXT
+        records.append(AoTRecord(1, refs, QUESTION_TEXT, action_text, explanation))
+    return records
+
+
+_EVENTS = (
+    ActionEvent.tap(ActionCategory.DODGE),
+    ActionEvent.tap(ActionCategory.LIGHT_ATTACK),
+    ActionEvent.hold_ms(ActionCategory.MOVE_FWD, 250),
+    ActionEvent.hold_ms(ActionCategory.SPRINT, 1),
+)
+
+
+def test_stage1_window_selection_matches_the_scan():
+    rng = random.Random(3)
+    for _ in range(400):
+        m = rng.choice((1, 3, 7, 10, 12, 30, 333, 1000))
+        cfg = StageConfig(n=rng.randrange(1, 6), m=m)
+        frame_ts = sorted(rng.choices(range(0, 2000), k=rng.randrange(1, 40)))
+        step = 1000.0 / m
+        # times on window bounds and just beside them, before the first frame and after the last
+        bounds = [int(frame_ts[0] + w * cfg.n * step) + d for w in range(6) for d in (-1, 0, 1)]
+        action_ts = sorted(rng.choices([*range(-50, 2100), *bounds], k=rng.randrange(0, 30)))
+        session = TrackSession(_frame_records(frame_ts), (), (),
+                               {"game_mode": rng.choice(("BMW", "SSDT"))})
+        actions = tuple(TimedAction(rng.choice(_EVENTS), t) for t in action_ts)
+        aligned = AlignedSession(session, actions, AlignmentResult((), ()))
+        assert build_video_aot(aligned, cfg) == _video_aot_by_scan(aligned, cfg)
+
+
+def test_stage1_refuses_actions_out_of_time_order():
+    # align_session sorts the actions, but an AlignedSession can be built by hand
+    session = _session(list(range(0, 2550, 125)), [("space", 40, 90), ("w", 300, 500)])
+    aligned = align_session(session)
+    cfg = StageConfig(n=10, m=10)
+    assert build_video_aot(aligned, cfg)
+    # actions at one time are in time order whatever their order
+    tied = tuple(TimedAction(ta.event, 40) for ta in aligned.actions[::-1])
+    assert build_video_aot(aligned._replace(actions=tied), cfg)
+    with pytest.raises(OrderingViolation, match="stage 1 needs the actions in time order"):
+        build_video_aot(aligned._replace(actions=aligned.actions[::-1]), cfg)

@@ -150,6 +150,14 @@ def test_task_file_rejects_duplicates_and_bad_version(tmp_path):
     assert len(tasks) == 13
 
 
+def test_task_file_with_a_repeated_key_is_a_config_error(tmp_path):
+    path = tmp_path / "tasks.json"
+    path.write_text('{"version": 1, "version": 1, "tasks": []}')
+    with pytest.raises(ConfigError) as err:
+        load_task_configs(path)
+    assert str(err.value) == f"{path}:1: bad JSON: repeated key 'version'"
+
+
 _TASK_ROW = {
     "task_id": 4, "name": "x", "game_mode": "BMW", "difficulty": "easy",
     "enemy_max_hp": 780, "strike_power": 400.5, "strike_range_m": 2, "telegraph_ms": 600,

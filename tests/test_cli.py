@@ -649,6 +649,16 @@ def test_config_not_utf8_or_nested_too_deeply_is_config_error(capsys, tmp_path, 
     assert json.loads(err) == {"error": "ConfigError", "message": f"{cfg}{reason}"}
 
 
+def test_config_with_a_repeated_key_is_config_error(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 1, "seed": 2}\n')
+    code, out, err = run(capsys, "aot", "stats", "--config", cfg, "--in", BUNDLED)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ConfigError", "message": f"{cfg}:1: bad JSON: repeated key 'seed'"
+    }
+
+
 # ------------------------------------------------------------------ bench
 
 def test_bench_validate_fixture(capsys):

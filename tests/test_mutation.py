@@ -152,6 +152,34 @@ def _renest(container, key, rng):
     container[key] = rng.choice(({str(key): container[key]}, [container[key]]))
 
 
+class _Object(dict):
+    """A decoded JSON object that ``json.dumps`` writes with ``repeats`` after its items."""
+
+    repeats = ()
+
+    def items(self):
+        return [*super().items(), *self.repeats]
+
+
+def _repeat_key(data, path, rng):
+    """Give one seeded key of one object, at any depth, a second entry after
+    its first: the same value or one of another type. Keys keep their order,
+    so nothing else moves."""
+    def mutate(text):
+        obj = json.loads(text, object_pairs_hook=_Object)
+        container, key = rng.choice([f for f in _fields(obj, []) if isinstance(f[0], dict)])
+        repeat = rng.choice((container[key], None, True, 7, -2.5, "x", [], {}))
+        container.repeats = [(key, repeat)]
+        return obj
+
+    if path.suffix == ".json":
+        return (json.dumps(mutate(data), indent=2) + "\n").encode()
+    lines = _lines(data)
+    i = rng.randrange(len(lines))
+    lines[i] = (json.dumps(mutate(lines[i])) + "\n").encode()
+    return b"".join(lines)
+
+
 MUTATIONS = {
     "truncate": _truncate,
     "drop-line": _drop_line,
@@ -160,6 +188,7 @@ MUTATIONS = {
     "delete-field": _field_edit(_delete),
     "renest-field": _field_edit(_renest),
     "prepend-bom": _prepend_bom,
+    "repeat-key": _repeat_key,
 }
 
 
@@ -246,6 +275,9 @@ def test_mutated_inputs_keep_the_cli_contract(tmp_path):
         code, stderr, caught = _run(argv)
         codes.add(code if isinstance(code, int) else None)
         problem = _broken_contract(code, stderr, caught)
+        if not problem and mutation == "repeat-key" and target.suffix == ".json" and code != 1:
+            # a whole-file JSON input means one thing or is refused
+            problem = f"exit {code} on a repeated key"
         if problem:
             broken.append(f"{mutation} {target.relative_to(trial)} | {verb}: {problem}")
     assert broken == []
@@ -274,6 +306,8 @@ def test_mutated_task_files_load_or_raise_config_error(tmp_path):
                     outcome = repr(exc)
             if caught:
                 outcome = f"warned {caught[0].category.__name__}: {caught[0].message}"
+            elif mutation == "repeat-key" and outcome == "loaded":
+                outcome = "loaded with a repeated key"
             if outcome in outcomes:
                 outcomes[outcome] += 1
             else:

@@ -129,14 +129,16 @@ def test_read_jsonl_yields_every_line_before_the_first_that_is_not_utf8(tmp_path
 
 def test_read_json_names_the_line_that_is_not_utf8(tmp_path):
     p = tmp_path / "meta.json"
-    rows = _LONG_ROWS.replace(b"}\n", b",\n").replace(b'{"pad"', b'"pad"')
+    # _LONG_ROWS's padding as members of one object, under distinct keys: a
+    # repeated key is refused
+    rows = b"".join(b'"pad%d": "%s",\n' % (i, b"x" * 4000) for i in range(3))
     p.write_bytes(b"{\n" + rows + b'"caf\xc3\xa9": 1,\r\n"na\xefve": 2}\n')
     with pytest.raises(ParseError) as err:
         read_json(p)
     assert (err.value.path, err.value.line) == (str(p), 6)
     assert err.value.reason == "not UTF-8: invalid continuation byte at byte 4"
     p.write_bytes(b"{\n" + rows + b'"caf\xc3\xa9": 1}\n')
-    assert read_json(p) == {"pad": "x" * 4000, "café": 1}
+    assert read_json(p) == {**{f"pad{i}": "x" * 4000 for i in range(3)}, "café": 1}
 
 
 def test_write_jsonl_gives_json_dumps_bytes(tmp_path):
@@ -231,3 +233,32 @@ def test_read_json_object_names_the_file_and_line(tmp_path, data, line, reason):
     with pytest.raises(ParseError) as err:
         read_json_object(path)
     assert (err.value.path, err.value.line, err.value.reason) == (str(path), line, reason)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"a": 1, "b": 2, "a": 1}', "a"),
+        ('{\n  "a": {"b": [1, {"c": 1, "c": 2}]}\n}\n', "c"),
+        ('[{"x": null}, {"y": 1, "y": 1}]', "y"),
+    ],
+    ids=["top-level", "nested", "in-a-list"],
+)
+def test_read_json_refuses_a_repeated_key(tmp_path, text, key):
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_json(path)
+    assert (err.value.path, err.value.line, err.value.reason) == (
+        str(path), 1, f"bad JSON: repeated key {key!r}"
+    )
+    # a key given once in each of two objects is no repeat
+    path.write_text('{"a": {"a": 1}, "b": [{"a": 2}, {"a": 3}]}', encoding="utf-8")
+    assert read_json(path) == {"a": {"a": 1}, "b": [{"a": 2}, {"a": 3}]}
+
+
+def test_read_jsonl_keeps_the_last_value_of_a_repeated_key(tmp_path):
+    # a known gap: a JSONL row reads as json.loads reads it, last value winning
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"a": 1, "a": 2}\n', encoding="utf-8")
+    assert list(read_jsonl(path)) == [(1, {"a": 2})]

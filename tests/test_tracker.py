@@ -298,8 +298,11 @@ def test_meta_is_a_json_object_of_strings(tmp_path):
         ('{"note": {"a": "b"}}\n', "field 'note' is not a string: {'a': 'b'}"),
         ('\ufeff{"epoch_ms": "5000"}\n',
          "bad JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ('{"epoch_ms": "5000", "game_mode": "BMW", "epoch_ms": "0"}\n',
+         "bad JSON: repeated key 'epoch_ms'"),
     ],
-    ids=["not-json", "a-list", "a-string", "an-integer", "null", "an-object", "bom"],
+    ids=["not-json", "a-list", "a-string", "an-integer", "null", "an-object", "bom",
+         "repeated-key"],
 )
 def test_import_rejects_malformed_meta(tmp_path, text, reason):
     out = export_session(_sample_session(), tmp_path / "sess")
@@ -442,3 +445,78 @@ def test_import_reports_non_string_field_with_file_and_line(tmp_path, key, value
         import_session(out)
     assert (err.value.path, err.value.line) == (str(path), 1)
     assert err.value.reason == f"field {key!r} is not a string: {value!r}"
+
+
+# ----------------------------------------------- gating oracle and bad row fields
+
+def _gated_by_scan(rows, intervals):
+    """The per-row rule: keep a row inside any closed interval."""
+    return tuple(r for r in rows if any(start <= r.t_ms <= end for start, end in intervals))
+
+
+def _random_gating_case(rng):
+    # small time ranges, so times repeat, intervals touch and rows sit on endpoints
+    frame_ts = sorted(rng.choices(range(-3, 40), k=rng.randrange(0, 30)))
+    event_ts = sorted(rng.choices(range(-3, 40), k=rng.randrange(0, 30)))
+    ends = sorted(rng.choices(range(0, 37), k=2 * rng.randrange(1, 6)))
+    intervals = tuple(zip(ends[::2], ends[1::2]))  # zero-length where two ends repeat
+    return TrackSession(
+        tuple(_frames(*frame_ts)),
+        tuple(_edge("w", Edge.DOWN, t) for t in event_ts),
+        intervals,
+        {"game_mode": "BMW"},
+    )
+
+
+def test_gate_session_matches_the_per_row_rule():
+    rng = random.Random(41)
+    cases = [
+        # touching intervals share the endpoint 5, which a row sits on twice
+        TrackSession(tuple(_frames(0, 3, 5, 5, 7, 9, 12)),
+                     tuple(_edge("w", Edge.DOWN, t) for t in (-1, 5, 9, 10)),
+                     ((0, 5), (5, 9))),
+        # zero-length intervals, and rows outside every interval
+        TrackSession(tuple(_frames(1, 2, 2, 4, 6, 8)),
+                     tuple(_edge("w", Edge.DOWN, t) for t in (2, 3, 8, 8)),
+                     ((2, 2), (4, 4), (8, 8))),
+        *(_random_gating_case(rng) for _ in range(500)),
+    ]
+    for session in cases:
+        gated = gate_session(session)
+        assert gated.frames == _gated_by_scan(session.frames, session.active_intervals)
+        assert gated.raw_events == _gated_by_scan(session.raw_events, session.active_intervals)
+        assert (gated.active_intervals, gated.meta) == (session.active_intervals, session.meta)
+        assert type(gated) is TrackSession
+        assert gate_session(gated) == gated
+
+
+@pytest.mark.parametrize(
+    "name, key, value, reason",
+    [
+        ("frames.jsonl", "index", 2.0, "field 'index' is not an integer: 2.0"),
+        ("frames.jsonl", "index", None, "field 'index' is not an integer: None"),
+        ("frames.jsonl", "t_ms", "0", "field 't_ms' is not an integer: '0'"),
+        ("frames.jsonl", "t_ms", True, "field 't_ms' is not an integer: True"),
+        ("frames.jsonl", "t_ms", ..., "missing field 't_ms'"),
+        ("events.jsonl", "device", 1, "field 'device' is not a string: 1"),
+        ("events.jsonl", "binding", ["w"], "field 'binding' is not a string: ['w']"),
+        ("events.jsonl", "edge", {"down": 1}, "field 'edge' is not a string: {'down': 1}"),
+        ("events.jsonl", "edge", "sideways", "'sideways' is not a valid Edge"),
+        ("events.jsonl", "edge", ..., "missing field 'edge'"),
+        ("events.jsonl", "t_ms", 12.5, "field 't_ms' is not an integer: 12.5"),
+        ("events.jsonl", "t_ms", False, "field 't_ms' is not an integer: False"),
+    ],
+)
+def test_import_reports_each_bad_row_field_exactly(tmp_path, name, key, value, reason):
+    out = export_session(_sample_session(), tmp_path / "sess")
+    path = out / name
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    if value is ...:
+        del rows[1][key]
+    else:
+        rows[1][key] = value
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ParseError) as err:
+        import_session(out)
+    assert (err.value.path, err.value.line, err.value.reason) == (str(path), 2, reason)
+
